@@ -62,6 +62,10 @@ BUDGET_CEILING = 0.5
 BASELINE_TOLERANCE = 0.02
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_multifidelity.json"
+#: BENCH files are tracked, so they are rewritten only on request
+#: (``REPRO_BENCH_WRITE=1``, set by the CI jobs that upload them); a plain
+#: test run leaves the tree clean.
+WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 
 #: sh_ehvi knobs behind the recorded numbers: one 96-pixel screening rung
 #: (an 8x8 centre crop of each input), 16 screened candidates, 7 promoted
@@ -76,7 +80,9 @@ SH_KNOBS = dict(
 
 
 def _record_section(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_multifidelity.json``."""
+    """Merge one benchmark section into ``BENCH_multifidelity.json`` (only when ``WRITE``)."""
+    if not WRITE:
+        return
     try:
         document = json.loads(BENCH_JSON_PATH.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):

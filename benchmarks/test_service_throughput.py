@@ -37,6 +37,10 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 WARM_SPEEDUP_FLOOR = 3.0
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
+#: BENCH files are tracked, so they are rewritten only on request
+#: (``REPRO_BENCH_WRITE=1``, set by the CI jobs that upload them); a plain
+#: test run leaves the tree clean.
+WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 
 #: One AutoAx study, sized so exact (cacheable) evaluation dominates the
 #: cold run: evaluation cost scales with image size, while the per-run
@@ -58,7 +62,9 @@ JOB_PARAMS = dict(
 
 
 def _record_section(section: str, payload: dict) -> None:
-    """Merge one benchmark section into ``BENCH_service.json``."""
+    """Merge one benchmark section into ``BENCH_service.json`` (only when ``WRITE``)."""
+    if not WRITE:
+        return
     try:
         document = json.loads(BENCH_JSON_PATH.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):

@@ -50,6 +50,10 @@ from repro.workloads import WORKLOADS, build_workload
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_workload_matrix.json"
+#: BENCH files are tracked, so they are rewritten only on request
+#: (``REPRO_BENCH_WRITE=1``, set by the CI jobs that upload them); a plain
+#: test run leaves the tree clean.
+WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 
 #: The pinned matrix axes.  These are deliberately literal tuples, not
 #: ``WORKLOADS.keys()``: the coverage test compares them against the live
@@ -236,22 +240,23 @@ def test_scenario_matrix_gate(components):
               f"{cell['front']:>6d} {cell['warm_axq_lookups']:>9d} "
               f"{cell['warm_axq_hit_rate']:>9.0%} {cell['cold_s']:>8.2f}")
 
-    BENCH_JSON_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "workload_matrix",
-                "quick": QUICK,
-                "study": {k: (list(v) if isinstance(v, tuple) else v) for k, v in STUDY.items()},
-                "workloads": list(MATRIX_WORKLOADS),
-                "strategies": list(MATRIX_STRATEGIES),
-                "backends": list(MATRIX_BACKENDS),
-                "cells": cells,
-            },
-            indent=2,
+    if WRITE:
+        BENCH_JSON_PATH.write_text(
+            json.dumps(
+                {
+                    "benchmark": "workload_matrix",
+                    "quick": QUICK,
+                    "study": {k: (list(v) if isinstance(v, tuple) else v) for k, v in STUDY.items()},
+                    "workloads": list(MATRIX_WORKLOADS),
+                    "strategies": list(MATRIX_STRATEGIES),
+                    "backends": list(MATRIX_BACKENDS),
+                    "cells": cells,
+                },
+                indent=2,
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {BENCH_JSON_PATH}")
+        print(f"wrote {BENCH_JSON_PATH}")
 
 
 def test_repeat_workload_run_is_served_from_cache(components):

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
-from ..circuits import Netlist
+from ..circuits import GATE_ARITY, Netlist
 from ..circuits.activity import node_switching_activities
 from .cell_library import CellLibrary, default_cell_library
 
@@ -80,11 +78,13 @@ class AsicSynthesizer:
 
     def synthesize(self, netlist: Netlist) -> AsicReport:
         """Produce the ASIC area / timing / power report for ``netlist``."""
-        live_mask = netlist.transitive_fanin()
-        fanouts = netlist.fanout_counts()
+        num_inputs = netlist.num_inputs
+        live = netlist.transitive_fanin().tolist()
+        fanouts = netlist.fanout_counts().tolist()
         activities = node_switching_activities(
             netlist, num_samples=self.activity_samples, seed=self.activity_seed
         )
+        cell_of = self.cell_library.cell
 
         area = 0.0
         leakage_nw = 0.0
@@ -92,16 +92,22 @@ class AsicSynthesizer:
         cell_count = 0
 
         # Load-aware longest path: arrival time of each node.
-        arrival = np.zeros(netlist.num_nodes, dtype=np.float64)
-        for index, gate in enumerate(netlist.gates):
-            node_id = netlist.gate_node_id(index)
-            cell = self.cell_library.cell(gate.gate_type)
-            operands = gate.operands()
-            operand_arrival = max((arrival[o] for o in operands), default=0.0)
-            load = max(1, int(fanouts[node_id]))
+        arrival = [0.0] * len(live)
+        for node_id, gate in enumerate(netlist.gates, num_inputs):
+            cell = cell_of(gate.gate_type)
+            arity = GATE_ARITY[gate.gate_type]
+            if arity == 2:
+                arrival_a = arrival[gate.a]
+                arrival_b = arrival[gate.b]
+                operand_arrival = arrival_a if arrival_a >= arrival_b else arrival_b
+            elif arity:
+                operand_arrival = arrival[gate.a]
+            else:
+                operand_arrival = 0.0
+            load = max(1, fanouts[node_id])
             arrival[node_id] = operand_arrival + cell.intrinsic_delay_ns + cell.load_delay_ns_per_fanout * load
 
-            if not live_mask[node_id]:
+            if not live[node_id]:
                 continue
             cell_count += 1
             area += cell.area_um2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gates import GATE_FUNCTIONS
 from .netlist import Netlist
 from .simulate import random_operands, words_to_bits
 
@@ -29,13 +30,14 @@ def node_signal_probabilities(
 
     values = [input_bits[:, i] for i in range(netlist.num_inputs)]
     zeros = np.zeros(num_samples, dtype=bool)
-    from .gates import evaluate_gate
-
     for gate in netlist.gates:
         a = values[gate.a] if gate.a >= 0 else zeros
         b = values[gate.b] if gate.b >= 0 else zeros
-        values.append(evaluate_gate(gate.gate_type, a, b))
-    return np.array([v.mean() for v in values], dtype=np.float64)
+        values.append(GATE_FUNCTIONS[gate.gate_type](a, b))
+    # One reduction over all nodes: a count of ones over ``num_samples`` is
+    # exactly the float64 mean of the boolean samples.
+    samples = np.array(values, dtype=bool).reshape(len(values), num_samples)
+    return np.count_nonzero(samples, axis=1) / num_samples
 
 
 def node_switching_activities(

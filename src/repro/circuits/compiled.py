@@ -299,21 +299,33 @@ def _effective_mask(gate_type: GateType, a_inv: bool, b_inv: bool) -> int:
     return folded
 
 
+#: :func:`_effective_mask` of every (gate type, a inverted, b inverted),
+#: indexed by ``4 * gate_type + 2 * a_inv + b_inv``.
+_EFFECTIVE_MASKS: Tuple[int, ...] = tuple(
+    _effective_mask(GateType(value), a_inv, b_inv)
+    for value in range(len(GateType))
+    for a_inv in (False, True)
+    for b_inv in (False, True)
+)
+
+
 def _compile(netlist: Netlist) -> CompiledProgram:
     num_inputs = netlist.num_inputs
     zero_slot = num_inputs
     one_slot = num_inputs + 1
     first_op_slot = num_inputs + 2
 
-    live = netlist.transitive_fanin()
-    live_gates = int(live[num_inputs:].sum())
+    num_nodes = num_inputs + netlist.num_gates
+    live_mask = netlist.transitive_fanin()
+    live_gates = int(live_mask[num_inputs:].sum())
+    live = live_mask.tolist()
 
     # Per-node lowering state: the (provisional) slot holding each node's
     # value, whether the stored polarity is inverted, and the node's
     # constant value when folded; plus each slot's logic level.
-    node_slot = list(range(num_inputs)) + [0] * (netlist.num_nodes - num_inputs)
-    node_inv = [False] * netlist.num_nodes
-    node_const: List[Optional[int]] = [None] * netlist.num_nodes
+    node_slot = list(range(num_inputs)) + [0] * (num_nodes - num_inputs)
+    node_inv = [False] * num_nodes
+    node_const: List[Optional[int]] = [None] * num_nodes
     slot_level = [0] * first_op_slot
 
     lowered: List[_Lowered] = []
@@ -324,14 +336,13 @@ def _compile(netlist: Netlist) -> CompiledProgram:
             return zero_slot, False, 0  # floating operands read as constant 0
         return node_slot[node], node_inv[node], node_const[node]
 
-    for index, gate in enumerate(netlist.gates):
-        node_id = num_inputs + index
+    for node_id, gate in enumerate(netlist.gates, num_inputs):
         if not live[node_id]:
             continue  # dead-node elimination
         a_slot, a_inv, a_const = operand(gate.a)
         b_slot, b_inv, b_const = operand(gate.b)
 
-        mask = _effective_mask(gate.gate_type, a_inv, b_inv)
+        mask = _EFFECTIVE_MASKS[4 * gate.gate_type + 2 * a_inv + b_inv]
         # Constant operands (and same-slot operands) restrict the mask to a
         # sub-function of at most one variable.
         if a_const is not None and b_const is not None:
@@ -404,26 +415,20 @@ def _compile(netlist: Netlist) -> CompiledProgram:
                 if blockers[dependent] == 0:
                     ready.setdefault(lowered[dependent].opcode, []).append(dependent)
 
+    ordered = [lowered[position] for position in schedule]
+    destinations = first_op_slot + np.arange(len(ordered), dtype=np.int64)
     slot_remap = np.arange(first_op_slot + len(lowered), dtype=np.int64)
-    for new_position, old_position in enumerate(schedule):
-        slot_remap[lowered[old_position].dest] = first_op_slot + new_position
+    slot_remap[np.array([op.dest for op in ordered], dtype=np.int64)] = destinations
 
-    tape = np.empty((len(lowered), 4), dtype=np.int32)
-    for new_position, old_position in enumerate(schedule):
-        op = lowered[old_position]
-        tape[new_position] = (
-            op.opcode,
-            slot_remap[op.a],
-            slot_remap[op.b],
-            first_op_slot + new_position,
-        )
+    tape = np.empty((len(ordered), 4), dtype=np.int32)
+    tape[:, 0] = [op.opcode for op in ordered]
+    tape[:, 1] = slot_remap[np.array([op.a for op in ordered], dtype=np.int64)]
+    tape[:, 2] = slot_remap[np.array([op.b for op in ordered], dtype=np.int64)]
+    tape[:, 3] = destinations
 
     groups: List[OpGroup] = []
     for opcode, start, stop in group_bounds:
-        members = [lowered[schedule[i]] for i in range(start, stop)]
-        ab = slot_remap[
-            np.array([op.a for op in members] + [op.b for op in members], dtype=np.int64)
-        ]
+        ab = np.concatenate((tape[start:stop, 1], tape[start:stop, 2])).astype(np.int64)
         if np.array_equal(ab, np.arange(ab[0], ab[0] + ab.size, dtype=np.int64)):
             ab_index, ab_slice = None, (int(ab[0]), int(ab[0]) + int(ab.size))
         else:

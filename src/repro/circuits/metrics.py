@@ -7,13 +7,15 @@ in tests (an approximate circuit should never be *larger* than it claims).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from itertools import compress
+from typing import Dict, Iterable
 
 import numpy as np
 
-from .gates import GateType
-from .netlist import Netlist
+from .gates import CONSTANT_GATES, GateType
+from .netlist import Gate, Netlist
 
 
 @dataclass(frozen=True)
@@ -49,43 +51,53 @@ class StructuralMetrics:
         return flat
 
 
+def _tally(gates: Iterable[Gate]) -> Dict[str, int]:
+    """Number of ``gates`` of each type, keyed by type name in enum order."""
+    tally = Counter(gate.gate_type for gate in gates)
+    return {gate_type.name: tally[gate_type] for gate_type in GateType}
+
+
 def gate_type_counts(netlist: Netlist, live_only: bool = True) -> Dict[str, int]:
     """Number of gates of each type, optionally restricted to live logic."""
-    counts = {gate_type.name: 0 for gate_type in GateType}
-    if live_only:
-        mask = netlist.transitive_fanin()
-    for index, gate in enumerate(netlist.gates):
-        if live_only and not mask[netlist.gate_node_id(index)]:
-            continue
-        counts[gate.gate_type.name] += 1
-    return counts
+    if not live_only:
+        return _tally(netlist.gates)
+    live = netlist.transitive_fanin()[netlist.num_inputs :].tolist()
+    return _tally(compress(netlist.gates, live))
 
 
 def structural_metrics(netlist: Netlist) -> StructuralMetrics:
-    """Compute the full structural summary of a netlist."""
+    """Compute the full structural summary of a netlist.
+
+    The live mask is computed once; live-gate count, live gate-type counts
+    and the live fan-out statistics are all derived from it.
+    """
+    num_inputs = netlist.num_inputs
+    gates = netlist.gates
     fanouts = netlist.fanout_counts()
     live_mask = netlist.transitive_fanin()
+    live_gates = live_mask[num_inputs:].tolist()
     live_fanouts = fanouts[live_mask] if live_mask.any() else np.zeros(1)
 
+    # The fan-in sweep above rejected any output bit outside the node range.
     constant_outputs = 0
     passthrough_outputs = 0
     for bit in netlist.output_bits:
-        if netlist.is_input_node(bit):
+        if bit < num_inputs:
             passthrough_outputs += 1
             continue
-        gate = netlist.gate_of_node(bit)
-        if gate.gate_type in (GateType.CONST0, GateType.CONST1):
+        gate = gates[bit - num_inputs]
+        if gate.gate_type in CONSTANT_GATES:
             constant_outputs += 1
-        elif gate.gate_type == GateType.BUF and netlist.is_input_node(gate.a):
+        elif gate.gate_type == GateType.BUF and 0 <= gate.a < num_inputs:
             passthrough_outputs += 1
 
     return StructuralMetrics(
-        num_inputs=netlist.num_inputs,
+        num_inputs=num_inputs,
         num_outputs=netlist.num_outputs,
-        num_gates=netlist.num_gates,
-        live_gates=netlist.live_gate_count(),
+        num_gates=len(gates),
+        live_gates=sum(live_gates),
         depth=netlist.depth(),
-        gate_counts=gate_type_counts(netlist, live_only=True),
+        gate_counts=_tally(compress(gates, live_gates)),
         max_fanout=int(fanouts.max()) if fanouts.size else 0,
         mean_fanout=float(live_fanouts.mean()) if live_fanouts.size else 0.0,
         constant_outputs=constant_outputs,

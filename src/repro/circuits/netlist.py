@@ -73,6 +73,11 @@ class Netlist:
         Gates in topological order.
     meta:
         Free-form metadata (generator family, seed, bit-width, ...).
+
+    ``num_inputs`` and ``num_nodes`` are derived from ``input_words`` and
+    ``gates`` on every access (nothing but the fingerprint is memoised), so
+    a hot loop should read them once, before the loop.  Every structural
+    query below is one linear pass over the topologically ordered gates.
     """
 
     name: str
@@ -125,32 +130,33 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
         """Check structural invariants, raising :class:`NetlistError` if broken."""
+        num_inputs = self.num_inputs
         seen_inputs: set = set()
         for word, bits in self.input_words.items():
             for bit in bits:
-                if not (0 <= bit < self.num_inputs):
+                if not (0 <= bit < num_inputs):
                     raise NetlistError(
                         f"input word {word!r} references node {bit} outside the "
-                        f"primary-input range [0, {self.num_inputs})"
+                        f"primary-input range [0, {num_inputs})"
                     )
                 if bit in seen_inputs:
                     raise NetlistError(f"input node {bit} assigned to two word bits")
                 seen_inputs.add(bit)
-        if len(seen_inputs) != self.num_inputs:
+        if len(seen_inputs) != num_inputs:
             raise NetlistError("some primary inputs are not part of any input word")
 
-        for index, gate in enumerate(self.gates):
-            node_id = self.gate_node_id(index)
+        for node_id, gate in enumerate(self.gates, num_inputs):
             for operand in gate.operands():
                 if not (0 <= operand < node_id):
                     raise NetlistError(
-                        f"gate {index} ({gate.gate_type.name}) references node "
+                        f"gate {node_id - num_inputs} ({gate.gate_type.name}) references node "
                         f"{operand}, which is not defined before node {node_id}; "
                         "gates must be in topological order"
                     )
 
+        num_nodes = num_inputs + len(self.gates)
         for bit in self.output_bits:
-            if not (0 <= bit < self.num_nodes):
+            if not (0 <= bit < num_nodes):
                 raise NetlistError(f"output references undefined node {bit}")
 
     # ------------------------------------------------------------------ #
@@ -158,23 +164,31 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def fanout_counts(self) -> np.ndarray:
         """Number of gate/output references to each node."""
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        num_inputs = self.num_inputs
+        counts = [0] * (num_inputs + len(self.gates))
         for gate in self.gates:
-            for operand in gate.operands():
-                counts[operand] += 1
+            arity = GATE_ARITY[gate.gate_type]
+            if arity:
+                counts[gate.a] += 1
+                if arity == 2:
+                    counts[gate.b] += 1
         for bit in self.output_bits:
             counts[bit] += 1
-        return counts
+        return np.array(counts, dtype=np.int64)
 
     def node_depths(self) -> np.ndarray:
         """Logic depth of each node (primary inputs and constants are depth 0)."""
-        depths = np.zeros(self.num_nodes, dtype=np.int64)
-        for index, gate in enumerate(self.gates):
-            node_id = self.gate_node_id(index)
-            operands = gate.operands()
-            if operands:
-                depths[node_id] = 1 + max(int(depths[o]) for o in operands)
-        return depths
+        num_inputs = self.num_inputs
+        depths = [0] * (num_inputs + len(self.gates))
+        for node_id, gate in enumerate(self.gates, num_inputs):
+            arity = GATE_ARITY[gate.gate_type]
+            if arity == 2:
+                depth_a = depths[gate.a]
+                depth_b = depths[gate.b]
+                depths[node_id] = 1 + (depth_a if depth_a >= depth_b else depth_b)
+            elif arity:
+                depths[node_id] = 1 + depths[gate.a]
+        return np.array(depths, dtype=np.int64)
 
     def depth(self) -> int:
         """Logic depth of the deepest output (0 for a wire-only circuit)."""
@@ -187,19 +201,32 @@ class Netlist:
         """Boolean mask of nodes in the transitive fan-in of ``roots``.
 
         Defaults to the output bits, i.e. the *live* part of the circuit.
+        Raises :class:`NetlistError` for a root outside ``[0, num_nodes)``.
+        One reverse sweep: gates are topologically ordered, so a gate's
+        liveness is final by the time the sweep reaches it.  Floating
+        (``-1``) operands reference no node and mark nothing.
         """
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        if roots is None:
-            roots = self.output_bits
-        stack = [int(r) for r in roots]
-        while stack:
-            node = stack.pop()
-            if mask[node]:
-                continue
-            mask[node] = True
-            if node >= self.num_inputs:
-                stack.extend(self.gates[node - self.num_inputs].operands())
-        return mask
+        num_inputs = self.num_inputs
+        gates = self.gates
+        num_nodes = num_inputs + len(gates)
+        live = bytearray(num_nodes)
+        for root in self.output_bits if roots is None else roots:
+            node = int(root)
+            if not 0 <= node < num_nodes:
+                raise NetlistError(
+                    f"fan-in root {node} is outside the node range [0, {num_nodes})"
+                )
+            live[node] = 1
+        node_id = num_nodes
+        for gate in reversed(gates):
+            node_id -= 1
+            if live[node_id]:
+                arity = GATE_ARITY[gate.gate_type]
+                if arity and gate.a >= 0:
+                    live[gate.a] = 1
+                if arity == 2 and gate.b >= 0:
+                    live[gate.b] = 1
+        return np.frombuffer(live, dtype=bool)
 
     def live_gate_count(self) -> int:
         """Number of gates reachable from the outputs (dead logic excluded)."""
@@ -269,21 +296,21 @@ class Netlist:
         Gate ids are compacted; primary inputs are always retained so the
         word-level interface is unchanged.
         """
-        mask = self.transitive_fanin()
-        remap: Dict[int, int] = {i: i for i in range(self.num_inputs)}
+        num_inputs = self.num_inputs
+        live = self.transitive_fanin()
+        remap: Dict[int, int] = {i: i for i in range(num_inputs)}
         new_gates: List[Gate] = []
-        for index, gate in enumerate(self.gates):
-            node_id = self.gate_node_id(index)
-            if not mask[node_id]:
+        for node_id, gate in enumerate(self.gates, num_inputs):
+            if not live[node_id]:
                 continue
-            operands = tuple(remap[o] for o in gate.operands())
-            if gate.arity == 0:
+            arity = GATE_ARITY[gate.gate_type]
+            if arity == 0:
                 new_gate = Gate(gate.gate_type)
-            elif gate.arity == 1:
-                new_gate = Gate(gate.gate_type, operands[0])
+            elif arity == 1:
+                new_gate = Gate(gate.gate_type, remap[gate.a])
             else:
-                new_gate = Gate(gate.gate_type, operands[0], operands[1])
-            remap[node_id] = self.num_inputs + len(new_gates)
+                new_gate = Gate(gate.gate_type, remap[gate.a], remap[gate.b])
+            remap[node_id] = num_inputs + len(new_gates)
             new_gates.append(new_gate)
         return Netlist(
             name=self.name,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set
 
-from ..circuits import GateType, Netlist
+from ..circuits import GATE_ARITY, GateType, Netlist
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,11 @@ class LutMapping:
 def _constant_nodes(netlist: Netlist) -> Set[int]:
     """Nodes whose value is a constant (constants and gates fed only by constants)."""
     constants: Set[int] = set()
-    for index, gate in enumerate(netlist.gates):
-        node_id = netlist.gate_node_id(index)
-        if gate.gate_type in (GateType.CONST0, GateType.CONST1):
+    for node_id, gate in enumerate(netlist.gates, netlist.num_inputs):
+        arity = GATE_ARITY[gate.gate_type]
+        if arity == 0:
             constants.add(node_id)
-            continue
-        operands = gate.operands()
-        if operands and all(o in constants for o in operands):
+        elif gate.a in constants and (arity == 1 or gate.b in constants):
             constants.add(node_id)
     return constants
 
@@ -88,31 +86,35 @@ def map_to_luts(netlist: Netlist, lut_size: int = 6) -> LutMapping:
         raise ValueError("lut_size must be at least 2")
     num_inputs = netlist.num_inputs
     constants = _constant_nodes(netlist)
+    buf = GateType.BUF
 
-    # alias[n]: node whose logic value n simply forwards (through BUF chains).
+    # alias[n]: node whose logic value n simply forwards (through BUF
+    # chains).  A BUF is aliased to its already-resolved operand, so one
+    # lookup resolves any node.
     alias: Dict[int, int] = {}
 
     def resolve(node: int) -> int:
-        while node in alias:
-            node = alias[node]
-        return node
+        return alias.get(node, node)
 
     best_cut: Dict[int, FrozenSet[int]] = {}
-    level: Dict[int, int] = {}
+    # LUT level of every mapped node; primary inputs stay at level 0.
+    level = [0] * (num_inputs + len(netlist.gates))
 
-    def leaf_level(leaf: int) -> int:
-        if leaf < num_inputs:
-            return 0
-        return level[leaf]
-
-    for index, gate in enumerate(netlist.gates):
-        node_id = netlist.gate_node_id(index)
+    for node_id, gate in enumerate(netlist.gates, num_inputs):
         if node_id in constants:
             continue
-        if gate.gate_type == GateType.BUF:
+        if gate.gate_type == buf:
             alias[node_id] = resolve(gate.a)
             continue
-        operands = [resolve(o) for o in gate.operands() if resolve(o) not in constants]
+        # Constant gates were skipped above, so every gate here reads ``a``.
+        operands = []
+        a = resolve(gate.a)
+        if a not in constants:
+            operands.append(a)
+        if GATE_ARITY[gate.gate_type] == 2:
+            b = resolve(gate.b)
+            if b not in constants:
+                operands.append(b)
         if not operands:
             constants.add(node_id)
             continue
@@ -128,7 +130,7 @@ def map_to_luts(netlist: Netlist, lut_size: int = 6) -> LutMapping:
         else:
             cut = frozenset(operands)
         best_cut[node_id] = cut
-        level[node_id] = 1 + max((leaf_level(leaf) for leaf in cut), default=0)
+        level[node_id] = 1 + max(map(level.__getitem__, cut), default=0)
 
     # Cover extraction from the outputs downwards.
     selected: Dict[int, Lut] = {}

@@ -36,6 +36,7 @@ class TimingReport:
 def analyze_timing(mapping: LutMapping, device: FpgaDevice) -> TimingReport:
     """Compute the critical path of a LUT mapping on ``device``."""
     netlist = mapping.netlist
+    num_inputs = netlist.num_inputs
     fanouts = mapping.fanout_counts()
 
     arrival: Dict[int, float] = {}
@@ -45,10 +46,7 @@ def analyze_timing(mapping: LutMapping, device: FpgaDevice) -> TimingReport:
         if node in arrival:
             return arrival[node]
         # Primary input or constant feeding a LUT directly.
-        return device.input_delay_ns if node < netlist.num_inputs else 0.0
-
-    def source_logic(node: int) -> float:
-        return logic_component.get(node, 0.0)
+        return device.input_delay_ns if node < num_inputs else 0.0
 
     total_levels = 0
     for lut in sorted(mapping.luts, key=lambda l: l.level):
@@ -58,7 +56,7 @@ def analyze_timing(mapping: LutMapping, device: FpgaDevice) -> TimingReport:
             leaf_arrival = source_arrival(leaf)
             if leaf_arrival > worst_leaf:
                 worst_leaf = leaf_arrival
-                worst_logic = source_logic(leaf)
+                worst_logic = logic_component.get(leaf, 0.0)
         net_fanout = fanouts.get(lut.root, 1)
         routing = device.routing_delay_ns + device.routing_fanout_delay_ns * max(0, net_fanout - 1)
         arrival[lut.root] = worst_leaf + device.lut_delay_ns + routing
@@ -68,7 +66,7 @@ def analyze_timing(mapping: LutMapping, device: FpgaDevice) -> TimingReport:
     critical = 0.0
     critical_logic = 0.0
     for bit in netlist.output_bits:
-        bit_arrival = arrival.get(bit, source_arrival(bit) if bit < netlist.num_inputs else 0.0)
+        bit_arrival = arrival.get(bit, source_arrival(bit) if bit < num_inputs else 0.0)
         if bit_arrival > critical:
             critical = bit_arrival
             critical_logic = logic_component.get(bit, 0.0)

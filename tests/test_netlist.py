@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Gate, GateType, Netlist, NetlistBuilder, NetlistError
+from repro.generators import ripple_carry_adder
 
 
 def build_tiny_xor():
@@ -156,3 +157,26 @@ def test_gate_of_node_and_is_input(multiplier4):
 
 def test_live_gate_count_not_larger_than_total(multiplier8):
     assert 0 < multiplier8.live_gate_count() <= multiplier8.num_gates
+
+
+@pytest.mark.parametrize("root", [-1, -29, 29, 1000])
+def test_transitive_fanin_rejects_out_of_range_roots(root):
+    # A negative root must not wrap around to the last node (for ``[-1]`` on
+    # this 29-node adder: node 28 marked, its fan-in never followed), and a
+    # root >= num_nodes must not escape as a bare IndexError.
+    adder = ripple_carry_adder(4)
+    assert adder.num_nodes == 29
+    with pytest.raises(NetlistError, match="outside the node range"):
+        adder.transitive_fanin([root])
+    with pytest.raises(NetlistError):
+        adder.transitive_fanin([0, root])
+
+
+def test_transitive_fanin_checks_output_bits_too():
+    netlist = build_tiny_xor()
+    netlist.output_bits = (2, netlist.num_nodes)
+    with pytest.raises(NetlistError, match="outside the node range"):
+        netlist.transitive_fanin()
+    with pytest.raises(NetlistError):
+        netlist.live_gate_count()
+
