@@ -15,12 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExplorationSession
 from repro.asic import AsicSynthesizer
-from repro.autoax import components_from_library
-from repro.core import ApproxFpgasConfig, ApproxFpgasFlow
+from repro.core import ApproxFpgasConfig
 from repro.error import ErrorEvaluator
 from repro.fpga import FpgaSynthesizer
 from repro.generators import build_adder_library, build_multiplier_library
+from repro.workloads import components_from_library
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +105,7 @@ def flow_config_factory():
 
 @pytest.fixture(scope="session")
 def mult8_flow_result(mult8_library):
-    return ApproxFpgasFlow(mult8_library, config=_flow_config()).run()
+    return ExplorationSession().run_approxfpgas(mult8_library, _flow_config())
 
 
 # --------------------------------------------------------------------- #

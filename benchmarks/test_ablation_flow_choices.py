@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import ApproxFpgasConfig, ApproxFpgasFlow, fidelity
+from repro.api import ExplorationSession
+from repro.core import ApproxFpgasConfig, fidelity
 from repro.features import ASIC_FEATURE_NAMES, STRUCTURAL_FEATURE_NAMES, feature_matrix
 from repro.ml import BayesianRidgeRegression, ScaledRegressor, train_test_split
 
@@ -30,7 +31,7 @@ def test_ablation_training_fraction(benchmark, mult8_library):
                 seed=7,
                 evaluate_coverage=True,
             )
-            result = ApproxFpgasFlow(mult8_library, config=config).run()
+            result = ExplorationSession().run_approxfpgas(mult8_library, config)
             coverage = float(
                 np.mean([outcome.coverage for outcome in result.parameter_outcomes.values()])
             )

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ApproxFpgasFlow, ExplorationSummary, seconds_to_days
+from repro.api import ExplorationSession
+from repro.core import ExplorationSummary, seconds_to_days
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +26,14 @@ def exploration_summary(
 ):
     """Run the flow (without the oracle coverage pass) on all six libraries."""
     summary = ExplorationSummary()
+    session = ExplorationSession()
     config = flow_config_factory(evaluate_coverage=False, model_ids=["ML2", "ML4", "ML11", "ML14"])
     for library in (adder8_library, adder12_library, adder16_library):
-        summary.add(ApproxFpgasFlow(library, config=config).run().exploration_cost)
+        summary.add(session.run_approxfpgas(library, config).exploration_cost)
     # The 8x8 multiplier flow already ran with the full zoo; reuse its accounting.
     summary.add(mult8_flow_result.exploration_cost)
     for library in (mult12_library, mult16_library):
-        summary.add(ApproxFpgasFlow(library, config=config).run().exploration_cost)
+        summary.add(session.run_approxfpgas(library, config).exploration_cost)
     return summary
 
 

@@ -6,7 +6,7 @@ the validation split of the synthesized subset, i.e. the data behind Fig. 5.
 
 from __future__ import annotations
 
-from repro.ml import MODEL_DESCRIPTIONS, MODEL_IDS
+from repro.ml import MODEL_DESCRIPTIONS, MODELS
 
 
 def test_fig5_fidelity_of_all_models(benchmark, mult8_flow_result):
@@ -17,7 +17,7 @@ def test_fig5_fidelity_of_all_models(benchmark, mult8_flow_result):
 
     print("\n=== Fig. 5: fidelity of the S/ML models (8x8 multipliers, validation split) ===")
     print(f"{'model':<6}{'description':<38}{'latency':>9}{'power':>9}{'area':>9}")
-    for model_id in MODEL_IDS:
+    for model_id in MODELS:
         row = [fidelity_table[parameter].get(model_id, float('nan')) for parameter in ("latency", "power", "area")]
         print(
             f"{model_id:<6}{MODEL_DESCRIPTIONS[model_id]:<38}"
@@ -26,7 +26,7 @@ def test_fig5_fidelity_of_all_models(benchmark, mult8_flow_result):
 
     # Structural checks: every model evaluated on every parameter, fidelities valid.
     for parameter in ("latency", "power", "area"):
-        assert set(fidelity_table[parameter]) == set(MODEL_IDS)
+        assert set(fidelity_table[parameter]) == set(MODELS)
         for value in fidelity_table[parameter].values():
             assert 0.0 <= value <= 1.0
 

@@ -12,17 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ApproxFpgasFlow
+from repro.api import ExplorationSession
 
 
 @pytest.fixture(scope="module")
 def fig8_results(flow_config_factory, adder8_library, adder16_library, mult8_flow_result, mult16_library):
     config = flow_config_factory(model_ids=["ML2", "ML4", "ML5", "ML10", "ML11", "ML14", "ML18"])
+    session = ExplorationSession()
     results = {
-        "adders_8bit": ApproxFpgasFlow(adder8_library, config=config).run(),
-        "adders_16bit": ApproxFpgasFlow(adder16_library, config=config).run(),
+        "adders_8bit": session.run_approxfpgas(adder8_library, config),
+        "adders_16bit": session.run_approxfpgas(adder16_library, config),
         "multipliers_8x8": mult8_flow_result,
-        "multipliers_16x16": ApproxFpgasFlow(mult16_library, config=config).run(),
+        "multipliers_16x16": session.run_approxfpgas(mult16_library, config),
     }
     return results
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autoax import AutoAxConfig, AutoAxFpgaFlow
+from repro.api import ExplorationSession
+from repro.autoax import AutoAxConfig
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def autoax_result(autoax_components):
         image_size=48,
         seed=17,
     )
-    return AutoAxFpgaFlow(multipliers, adders, config=config).run()
+    return ExplorationSession(engine_mode="serial").run_autoax(multipliers, adders, config)
 
 
 def test_fig9_autoax_vs_random_search(benchmark, autoax_result):

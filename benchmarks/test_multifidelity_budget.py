@@ -32,18 +32,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autoax import (
-    GaussianFilterAccelerator,
-    HwCostEstimator,
-    QorEstimator,
-    collect_training_samples,
-    components_from_library,
-    default_image_set,
-)
+from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
 from repro.autoax.search import SEARCH_STRATEGIES
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache
 from repro.generators import build_adder_library, build_multiplier_library
+from repro.workloads import GaussianFilterAccelerator, components_from_library, default_image_set
 
 pytestmark = pytest.mark.multifidelity
 
@@ -71,12 +65,8 @@ WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 #: (an 8x8 centre crop of each input), 16 screened candidates, 7 promoted
 #: to full fidelity -- 16*192 + 7*3072 = 24576 patterns, exactly half of
 #: NSGA-II's 16 * 3072.
-SH_KNOBS = dict(
-    initial_cohort=16,
-    eta=2.5,
-    min_survivors=4,
-    fidelity_ladder=(96,),
-)
+SH_LADDER = (96,)
+SH_KNOBS = dict(initial_cohort=16, eta=2.5, min_survivors=4)
 
 
 def _record_section(section: str, payload: dict) -> None:
@@ -114,12 +104,16 @@ def workload():
         seed=17,
         engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
     )
-    return SimpleNamespace(
-        accelerator=accelerator,
-        images=images,
-        qor=QorEstimator().fit(samples),
-        hw=HwCostEstimator("area").fit(samples),
-    )
+    qor = QorEstimator().fit(samples)
+    hw = HwCostEstimator("area").fit(samples)
+
+    def ctx(**fields):
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        return SearchContext(
+            accelerator, qor, hw, images, engine, iterations=ITERATIONS, seed=SEED, **fields
+        )
+
+    return SimpleNamespace(images=images, ctx=ctx)
 
 
 def _points(entries) -> np.ndarray:
@@ -127,28 +121,24 @@ def _points(entries) -> np.ndarray:
 
 
 def test_sh_ehvi_matches_nsga2_hypervolume_at_half_the_exact_budget(benchmark, workload):
-    accelerator, images = workload.accelerator, workload.images
-    full_patterns = sum(image.size for image in images)
+    full_patterns = sum(image.size for image in workload.images)
 
     def run_both():
         timings = {}
 
+        ctx = workload.ctx()
         start = time.perf_counter()
         nsga = SEARCH_STRATEGIES.get("nsga2")(
-            accelerator, workload.qor, workload.hw,
-            iterations=ITERATIONS, archive_limit=ARCHIVE_LIMIT, seed=SEED,
-            population_size=POPULATION, images=images,
-            engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
+            ctx, archive_limit=ARCHIVE_LIMIT, population_size=POPULATION
         )
+        nsga = ctx.evaluate([entry.config for entry in nsga])
         timings["nsga2_s"] = time.perf_counter() - start
 
         telemetry = {}
         start = time.perf_counter()
         sh = SEARCH_STRATEGIES.get("sh_ehvi")(
-            accelerator, workload.qor, workload.hw,
-            iterations=ITERATIONS, archive_limit=ARCHIVE_LIMIT, seed=SEED,
-            images=images, engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
-            telemetry=telemetry, **SH_KNOBS,
+            workload.ctx(fidelity_ladder=SH_LADDER),
+            archive_limit=ARCHIVE_LIMIT, telemetry=telemetry, **SH_KNOBS,
         )
         timings["sh_ehvi_s"] = time.perf_counter() - start
         return timings, nsga, sh, telemetry
@@ -200,7 +190,7 @@ def test_sh_ehvi_matches_nsga2_hypervolume_at_half_the_exact_budget(benchmark, w
             "pattern_budget": sh_budget,
             "elapsed_s": timings["sh_ehvi_s"],
             "rungs": telemetry["rungs"],
-            "knobs": {k: list(v) if isinstance(v, tuple) else v for k, v in SH_KNOBS.items()},
+            "knobs": dict(SH_KNOBS, fidelity_ladder=list(SH_LADDER)),
         },
         "hypervolume_ratio": hv_ratio,
         "budget_ratio": budget_ratio,

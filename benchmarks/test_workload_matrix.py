@@ -42,10 +42,10 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExplorationSession
-from repro.autoax import SEARCH_STRATEGIES, AutoAxConfig, components_from_library
+from repro.autoax import SEARCH_STRATEGIES, AutoAxConfig
 from repro.engine import EvalCache, accelerator_token
 from repro.generators import build_adder_library, build_multiplier_library
-from repro.workloads import WORKLOADS, build_workload
+from repro.workloads import WORKLOADS, build_workload, components_from_library
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 

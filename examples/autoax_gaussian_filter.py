@@ -14,19 +14,14 @@ through the session cache, and the search strategy is picked from the
 ``"random_archive"`` for the mutation-free ablation).
 
 Run with:  python examples/autoax_gaussian_filter.py
-
-Back-compat note: the legacy entry point is still supported and produces
-bit-identical seeded results --
-
-    from repro.autoax import AutoAxConfig, AutoAxFpgaFlow
-    result = AutoAxFpgaFlow(multipliers, adders, config=config).run()
 """
 
 from __future__ import annotations
 
 from repro.api import ExplorationSession
-from repro.autoax import AutoAxConfig, components_from_library
+from repro.autoax import AutoAxConfig
 from repro.generators import build_adder_library, build_multiplier_library
+from repro.workloads import components_from_library
 
 
 def main() -> None:

@@ -24,9 +24,10 @@ import time
 import numpy as np
 
 from repro.api import ExplorationSession
-from repro.autoax import AutoAxConfig, components_from_library
+from repro.autoax import AutoAxConfig
 from repro.core import hypervolume_2d
 from repro.generators import build_adder_library, build_multiplier_library
+from repro.workloads import components_from_library
 
 
 def front_points(result, parameter: str) -> np.ndarray:

@@ -19,9 +19,9 @@ Run with:  python examples/autoax_sobel_search.py
 from __future__ import annotations
 
 from repro.api import ExplorationSession
-from repro.autoax import AutoAxConfig, components_from_library
+from repro.autoax import AutoAxConfig
 from repro.generators import build_adder_library, build_multiplier_library
-from repro.workloads import WORKLOADS, build_workload
+from repro.workloads import WORKLOADS, build_workload, components_from_library
 
 
 def main() -> None:

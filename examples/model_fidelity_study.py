@@ -17,7 +17,7 @@ from repro.core import fidelity
 from repro.features import feature_matrix
 from repro.fpga import FPGA_PARAMETERS, FpgaSynthesizer
 from repro.generators import build_adder_library
-from repro.ml import MODEL_DESCRIPTIONS, MODEL_IDS, build_model, train_test_split
+from repro.ml import MODEL_DESCRIPTIONS, MODELS, build_model, train_test_split
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
 
     print("\nFidelity on a held-out validation split:")
     print(f"{'model':<6}{'description':<38}" + "".join(f"{p:>10}" for p in FPGA_PARAMETERS))
-    for model_id in MODEL_IDS:
+    for model_id in MODELS:
         row = []
         for parameter in FPGA_PARAMETERS:
             y = np.array([report.parameter(parameter) for report in fpga_reports])

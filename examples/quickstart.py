@@ -10,12 +10,6 @@ owns the shared evaluation cache, reports per-stage progress and, when a
 run resumes where it left off.
 
 Run with:  python examples/quickstart.py
-
-Back-compat note: the legacy entry points are still supported and produce
-bit-identical seeded results --
-
-    from repro.core import ApproxFpgasConfig, ApproxFpgasFlow
-    result = ApproxFpgasFlow(library, config=config).run()
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ The package is organised as the paper's system diagram (Fig. 2):
 * :mod:`repro.error` -- error metrics (MED, WCE, ...),
 * :mod:`repro.asic` / :mod:`repro.fpga` -- the two synthesis substrates,
 * :mod:`repro.features` / :mod:`repro.ml` -- feature extraction and the Table I model zoo,
-* :mod:`repro.core` -- fidelity, Pareto machinery and the end-to-end flow,
+* :mod:`repro.core` -- fidelity, Pareto machinery and the staged ApproxFPGAs flow,
 * :mod:`repro.engine` -- the parallel cached evaluation engine (see below),
 * :mod:`repro.search` -- the shared Pareto archive, the generic
   resumable NSGA-II population search, and
@@ -33,7 +33,7 @@ The package is organised as the paper's system diagram (Fig. 2):
 
 Public API
 ----------
-New code should drive the flows through :mod:`repro.api`:
+The flows are driven through :mod:`repro.api`:
 
 * :class:`repro.api.ExplorationSession` owns the evaluation cache and
   engines, the synthesis substrates, RNG seeding and an artifact store
@@ -54,11 +54,8 @@ New code should drive the flows through :mod:`repro.api`:
   quality metrics and search strategies plug in by registering a key
   instead of editing flow internals.  Unknown keys raise
   :class:`repro.registry.RegistryError` listing the available keys.
-
-The historical entry points (:class:`repro.core.ApproxFpgasFlow`,
-:func:`repro.core.run_approxfpgas`, :class:`repro.autoax.AutoAxFpgaFlow`)
-remain supported as thin wrappers over the same stages; their seeded
-results are bit-identical to the original monolithic flows.
+  Search strategies share one calling convention, ``strategy(ctx,
+  **tuning)`` with a :class:`repro.autoax.SearchContext`.
 
 Evaluation engine
 -----------------
@@ -116,7 +113,7 @@ from .api import (
     StageEvent,
 )
 from .autoax.search import SEARCH_STRATEGIES
-from .core import ApproxFpgasConfig, ApproxFpgasFlow, run_approxfpgas
+from .core import ApproxFpgasConfig
 from .engine import BatchEvaluator, EvalCache
 from .generators import CircuitLibrary, build_adder_library, build_multiplier_library
 
@@ -124,8 +121,6 @@ __version__ = "1.9.0"
 
 __all__ = [
     "ApproxFpgasConfig",
-    "ApproxFpgasFlow",
-    "run_approxfpgas",
     "ExplorationSession",
     "Pipeline",
     "PipelineRun",

@@ -1,6 +1,6 @@
 """Public composable API: sessions, stage pipelines and plugin registries.
 
-This package is the recommended entry point for new code:
+This package is the entry point of every flow:
 
 * :class:`ExplorationSession` -- a facade owning the evaluation cache,
   engines, synthesizers, RNG seeding and the artifact store shared across
@@ -19,10 +19,6 @@ This package is the recommended entry point for new code:
   :func:`default_fidelity_ladder`) for building custom
   screen-cheap/promote-survivors searches outside the built-in
   ``"sh_ehvi"`` strategy.
-
-The legacy entry points (:class:`repro.core.ApproxFpgasFlow`,
-:func:`repro.core.run_approxfpgas`, :class:`repro.autoax.AutoAxFpgaFlow`)
-remain supported thin wrappers over the same stages.
 """
 
 from .pipeline import (

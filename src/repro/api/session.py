@@ -47,8 +47,7 @@ class ExplorationSession:
     seed:
         Session seed; used as the default ``seed`` of configurations the
         session builds (an explicitly passed config keeps its own seed, so
-        seeded results stay reproducible and bit-identical to the legacy
-        flow classes).
+        seeded results stay reproducible).
     workspace:
         Optional directory.  When given, the evaluation cache gains a disk
         backend under ``<workspace>/cache`` and stage artifacts are

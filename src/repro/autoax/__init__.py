@@ -3,50 +3,35 @@
 The accelerator behavioural models, components, quality metrics and input
 sets live in :mod:`repro.workloads` (the Gaussian filter is the registered
 ``"gaussian"`` workload; ``"sobel"`` and ``"sharpen"`` ship alongside it);
-this package keeps the case-study machinery -- estimators, search
-strategies, the staged flow -- and re-exports the workload names it
-historically owned.  Pick a workload with ``AutoAxConfig(workload=...)``.
+this package holds the case-study machinery -- estimators, search
+strategies and the staged flow.  Pick a workload with
+``AutoAxConfig(workload=...)`` and run a study with
+:meth:`repro.api.ExplorationSession.run_autoax`.
+
+Every :data:`SEARCH_STRATEGIES` entry is called as ``strategy(ctx,
+**tuning)`` with one :class:`SearchContext`; the flow re-evaluates the
+returned candidates exactly through ``ctx.evaluate``.
 """
 
-from .images import (
-    blob_image,
-    checkerboard_image,
-    default_image_set,
-    gradient_image,
-    noise_image,
-    texture_image,
-)
-from .quality import mean_ssim, psnr, ssim
-from .accelerator import (
-    GAUSSIAN_KERNEL_3X3,
-    KERNEL_SHIFT,
-    NUM_ADDER_SLOTS,
-    NUM_MULTIPLIER_SLOTS,
-    ApproxComponent,
-    Configuration,
-    GaussianFilterAccelerator,
-    build_component,
-    components_from_library,
-)
 from .estimators import (
     HwCostEstimator,
     QorEstimator,
     TrainingSample,
-    collect_training_samples,
     configuration_feature_matrix,
     configuration_features,
 )
 from .search import (
     SEARCH_STRATEGIES,
     EvaluatedConfiguration,
+    SearchContext,
     SearchEvalStats,
-    exact_reevaluation,
+    collect_training_samples,
     hill_climb_pareto,
     nsga2_pareto,
     random_archive,
     random_search,
 )
-from .flow import AutoAxConfig, AutoAxFlow, AutoAxFpgaFlow, AutoAxResult, ScenarioResult
+from .flow import AutoAxConfig, AutoAxResult, ScenarioResult
 from .stages import (
     AutoAxState,
     autoax_stages,
@@ -56,41 +41,21 @@ from .stages import (
 )
 
 __all__ = [
-    "blob_image",
-    "checkerboard_image",
-    "default_image_set",
-    "gradient_image",
-    "noise_image",
-    "texture_image",
-    "mean_ssim",
-    "psnr",
-    "ssim",
-    "GAUSSIAN_KERNEL_3X3",
-    "KERNEL_SHIFT",
-    "NUM_ADDER_SLOTS",
-    "NUM_MULTIPLIER_SLOTS",
-    "ApproxComponent",
-    "Configuration",
-    "GaussianFilterAccelerator",
-    "build_component",
-    "components_from_library",
     "HwCostEstimator",
     "QorEstimator",
     "TrainingSample",
-    "collect_training_samples",
     "configuration_feature_matrix",
     "configuration_features",
     "SEARCH_STRATEGIES",
     "EvaluatedConfiguration",
+    "SearchContext",
     "SearchEvalStats",
-    "exact_reevaluation",
+    "collect_training_samples",
     "hill_climb_pareto",
     "nsga2_pareto",
     "random_archive",
     "random_search",
     "AutoAxConfig",
-    "AutoAxFlow",
-    "AutoAxFpgaFlow",
     "AutoAxResult",
     "ScenarioResult",
     "AutoAxState",

@@ -110,48 +110,6 @@ class TrainingSample:
     cost: Dict[str, float]
 
 
-def collect_training_samples(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    num_samples: int,
-    seed: int = 17,
-    engine: Optional["BatchEvaluator"] = None,  # noqa: F821
-) -> List[TrainingSample]:
-    """Exactly evaluate ``num_samples`` random configurations.
-
-    With an ``engine`` (:class:`repro.engine.BatchEvaluator`), the whole
-    sample is evaluated as one cached, generation-batched call -- the
-    per-image shared work is paid once and results land in the engine's
-    cache under the same keys the search's exact evaluations use.  The
-    configurations are drawn before any evaluation either way, so seeded
-    samples are bit-identical with and without an engine.
-    """
-    if num_samples < 2:
-        raise ValueError("need at least two training samples")
-    rng = np.random.default_rng(seed)
-    configs = [accelerator.random_configuration(rng) for _ in range(num_samples)]
-    if engine is not None:
-        payloads = engine.evaluate_configurations(accelerator, images, configs)
-        measured = [
-            (float(payload["quality"]), {k: float(v) for k, v in payload["cost"].items()})
-            for payload in payloads
-        ]
-    else:
-        measured = [
-            (accelerator.quality(images, config), accelerator.hw_cost(config))
-            for config in configs
-        ]
-    return [
-        TrainingSample(
-            config=config,
-            features=configuration_features(accelerator, config),
-            quality=quality,
-            cost=cost,
-        )
-        for config, (quality, cost) in zip(configs, measured)
-    ]
-
-
 def _batch_with_std(
     model: Regressor, features: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""The end-to-end AutoAx-FPGA flow (the paper's case study, Fig. 9).
+"""Configuration and results of the AutoAx-FPGA flow (the paper's case study, Fig. 9).
 
 Given the Pareto-optimal FPGA approximate components produced by the
 ApproxFPGAs methodology (9 multipliers and 8 adders in the paper), the flow:
@@ -6,10 +6,13 @@ ApproxFPGAs methodology (9 multipliers and 8 adders in the paper), the flow:
 1. evaluates a random sample of accelerator configurations exactly
    (behavioural SSIM + composed FPGA cost) to build a training set;
 2. trains a QoR estimator and a HW-cost estimator per FPGA parameter;
-3. runs the Pareto-archive hill climber in each (parameter, SSIM) plane to
+3. runs the configured search strategy in each (parameter, SSIM) plane to
    select a small set of candidate configurations;
 4. re-evaluates the candidates exactly and reports, per scenario, the final
    Pareto front next to a plain random-search baseline.
+
+The stages live in :mod:`repro.autoax.stages`; run the flow with
+:meth:`repro.api.ExplorationSession.run_autoax`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.pareto import hypervolume_2d
-from ..engine import EvalCache
 from ..search import ParetoArchive
-from ..workloads import WORKLOADS, build_workload
-from .accelerator import ApproxComponent
+from ..workloads import WORKLOADS
 from .search import SEARCH_STRATEGIES, EvaluatedConfiguration
 
 
@@ -42,7 +43,7 @@ class AutoAxConfig:
     candidate configurations are searched per scenario (built-ins:
     ``"hill_climb"``, ``"random_archive"`` and the population-based
     ``"nsga2"``, which scores whole generations through the estimators in
-    one batched call)."""
+    one batched call, and the multi-fidelity ``"sh_ehvi"``)."""
     workload: str = "gaussian"
     """Key into :data:`repro.workloads.WORKLOADS` selecting which
     accelerator case study the flow optimises (built-ins: the image trio
@@ -55,8 +56,8 @@ class AutoAxConfig:
     (``"sh_ehvi"``); each rung evaluates on a centre-cropped input set of
     at most that many total pixels, and the full-fidelity rung is always
     appended by the strategy.  ``None`` lets the strategy derive its
-    default geometric ladder; strategies without a ``fidelity_ladder``
-    parameter ignore the knob."""
+    default geometric ladder; single-fidelity strategies ignore the
+    knob."""
 
     def __post_init__(self) -> None:
         if self.num_training_samples < 2:
@@ -133,55 +134,3 @@ class AutoAxResult:
             "autoax": hypervolume_2d(autoax_points, reference),
             "random": hypervolume_2d(baseline_points, reference),
         }
-
-
-class AutoAxFpgaFlow:
-    """Backwards-compatible facade over the staged AutoAx-FPGA pipeline.
-
-    The constructor signature and :meth:`run` are unchanged from the
-    original monolithic implementation, and seeded results are
-    bit-identical; the work is delegated to the :mod:`repro.autoax.stages`
-    pipeline.  New code that wants shared caches, checkpointing or progress
-    callbacks should use :class:`repro.api.ExplorationSession` instead.
-    """
-
-    def __init__(
-        self,
-        multipliers: Sequence[ApproxComponent],
-        adders: Sequence[ApproxComponent],
-        config: Optional[AutoAxConfig] = None,
-        images: Optional[Sequence[np.ndarray]] = None,
-        cache: Optional[EvalCache] = None,
-    ):
-        self.config = config or AutoAxConfig()
-        self.accelerator = build_workload(self.config.workload, multipliers, adders)
-        self.images = (
-            list(images)
-            if images is not None
-            else self.accelerator.default_inputs(self.config.image_size)
-        )
-        # One cache for the whole case study: exact evaluations are shared
-        # between the per-parameter re-evaluation passes and the random
-        # baseline, estimated ones between hill-climbing iterations.
-        self.cache = cache if cache is not None else EvalCache()
-
-    def run(self) -> AutoAxResult:
-        """Execute the case study and return the per-scenario results."""
-        import time
-
-        from .stages import AutoAxState, autoax_stages, build_autoax_result
-
-        state = AutoAxState(
-            accelerator=self.accelerator,
-            images=self.images,
-            config=self.config,
-            cache=self.cache,
-        )
-        start = time.perf_counter()
-        for stage in autoax_stages(self.config):
-            stage.absorb(state, stage.compute(state))
-        return build_autoax_result(state, time.perf_counter() - start)
-
-
-#: Short alias used throughout the documentation.
-AutoAxFlow = AutoAxFpgaFlow

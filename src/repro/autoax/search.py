@@ -4,8 +4,9 @@ AutoAx-FPGA uses a Pareto-archive hill climber driven by the estimators;
 the baseline it is compared against in Fig. 9 is plain random search with
 exact evaluation.  A population-based NSGA-II strategy (``"nsga2"``) built
 on the generic :mod:`repro.search` subsystem scores whole generations
-through the estimators in one batched call and exactly re-evaluates the
-surviving front through :meth:`repro.engine.BatchEvaluator.evaluate_configurations`.
+through the estimators in one batched call, and the multi-fidelity
+``"sh_ehvi"`` strategy promotes an EHVI-screened cohort up a fidelity
+ladder of exact evaluations.
 
 All strategies keep their candidate front in a shared
 :class:`repro.search.ParetoArchive` (incremental non-dominated insertion)
@@ -13,32 +14,29 @@ instead of hand-rolled filtering; seeded trajectories are bit-identical to
 the historical list-based implementations (pinned by
 ``tests/test_search_regression.py``).
 
-All configuration evaluation is routed through the evaluation engine's
-cache when one is passed: exact evaluations are keyed by the accelerator's
-component set, the image set and the configuration, so hits are shared
-between :func:`random_search` and :func:`exact_reevaluation` (and across
-repeated searches over the same accelerator); estimated evaluations inside
-:func:`hill_climb_pareto` are additionally keyed by the fitted estimator
-state, so revisited configurations are scored once.  Independently of the
-cache, every estimator-driven strategy memoises scores per configuration
+Every exact evaluation goes through the evaluation engine
+(:meth:`repro.engine.BatchEvaluator.evaluate_configurations`), batched and
+cached under ``axq`` keys scoped to the workload, its components and the
+input set.  Estimated evaluations inside the estimator-driven strategies
+are cached in the same :class:`~repro.engine.EvalCache` under ``axe`` keys
+versioned by the fitted estimator state, and memoised per configuration
 within one run, so revisiting a configuration never recomputes the
 estimators.  Caching never changes results -- every evaluation is a
 deterministic function of its key -- and random-number consumption is
-independent of hits, so seeded searches are reproducible with or without a
+independent of hits, so seeded searches are reproducible on a cold or warm
 cache.
 """
 
 from __future__ import annotations
 
 import uuid
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine import (
-    EvalCache,
-    accelerator_context,
+    BatchEvaluator,
     accelerator_token,
     blake_token,
     cache_key,
@@ -56,18 +54,23 @@ from ..search import (
     run_successive_halving,
 )
 from ..workloads import ApproxAccelerator, SlotConfiguration, fidelity_inputs
-from .estimators import HwCostEstimator, QorEstimator
+from .estimators import (
+    HwCostEstimator,
+    QorEstimator,
+    TrainingSample,
+    configuration_feature_matrix,
+    configuration_features,
+)
 
-#: Registry of configuration-space search strategies.  Each entry is a
-#: callable ``(accelerator, qor_estimator, hw_estimator, *, iterations,
-#: seed, cache) -> List[EvaluatedConfiguration]`` returning the estimated
-#: Pareto-optimal candidates; :class:`~repro.autoax.flow.AutoAxFpgaFlow`
-#: resolves ``AutoAxConfig.search_strategy`` here, so new searches plug in
-#: by registering a key.  Every strategy returns *estimated* candidates;
-#: callers perform the exact re-evaluation pass (the staged flow batches it
-#: through the state engine).  Strategies may additionally accept ``images``
-#: and ``engine`` keyword arguments for direct API users who want the
-#: survivors re-evaluated exactly inside the strategy call.
+#: Registry of configuration-space search strategies.  Every entry is
+#: called as ``strategy(ctx, **tuning) -> List[EvaluatedConfiguration]``:
+#: ``ctx`` is the :class:`SearchContext` the flow builds per scenario and
+#: ``tuning`` holds only the strategy's own keyword-only knobs
+#: (``archive_limit``, ``population_size``, ...), all defaulted.
+#: ``AutoAxConfig.search_strategy`` is resolved here, so new searches plug
+#: in by registering a key.  A strategy returns its candidates (estimated or
+#: exact); the flow then re-evaluates them exactly in one pass through
+#: :meth:`SearchContext.evaluate`.
 SEARCH_STRATEGIES = Registry("search strategy")
 
 
@@ -83,6 +86,79 @@ class EvaluatedConfiguration:
         """(cost, quality loss) pair, both minimised."""
         return (self.cost[parameter], 1.0 - self.quality)
 
+    @classmethod
+    def from_payload(cls, config: SlotConfiguration, payload: dict) -> "EvaluatedConfiguration":
+        """``config`` with the values of a JSON-able ``{"quality", "cost"}``
+        payload (engine results, cached estimates, checkpoints)."""
+        return cls(
+            config=config,
+            quality=float(payload["quality"]),
+            cost={name: float(value) for name, value in payload["cost"].items()},
+        )
+
+
+def _exact_evaluation(
+    engine: BatchEvaluator,
+    accelerator: ApproxAccelerator,
+    images: Sequence[np.ndarray],
+    configs: Sequence[SlotConfiguration],
+    fidelity: Optional[int] = None,
+) -> List[EvaluatedConfiguration]:
+    """Exactly evaluate configurations as one engine batch (``axq`` cache keys)."""
+    payloads = engine.evaluate_configurations(accelerator, images, configs, fidelity=fidelity)
+    return [
+        EvaluatedConfiguration.from_payload(config, payload)
+        for config, payload in zip(configs, payloads)
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class SearchContext:
+    """Everything a search strategy works with, supplied by the flow.
+
+    One explicit parameter object for every strategy (the scenario stage
+    builds one per FPGA parameter): the accelerator, the fitted estimators
+    (``hw`` names the optimised cost parameter), the exact-evaluation
+    inputs and engine, the evaluation budget and seed, plus the optional
+    checkpoint plumbing of resumable strategies.
+    """
+
+    accelerator: ApproxAccelerator
+    qor: QorEstimator
+    hw: HwCostEstimator
+    images: Sequence[np.ndarray]
+    engine: BatchEvaluator
+    iterations: int = 400
+    """Evaluation budget (estimator calls for the surrogate strategies)."""
+    seed: int = 31
+    fidelity_ladder: Optional[Tuple[int, ...]] = None
+    """Ascending reduced-rung pixel budgets of multi-fidelity strategies;
+    ``None`` lets the strategy derive its default ladder."""
+    store: Optional[object] = None
+    """Optional artifact store (``get``/``put``); resumable strategies
+    checkpoint every generation (rung) here under :attr:`run_id`."""
+    run_id: str = ""
+    on_generation: Optional[Callable[[dict], None]] = None
+    """Fired with the stats dict of every freshly computed generation
+    (rung) of generation-aware strategies; service workers renew their job
+    leases here."""
+    _study: str = field(default="", repr=False)
+    """Identity of the study the search serves, set by the flow (its
+    :func:`repro.autoax.stages.autoax_run_token`) rather than by callers.
+    Mixed into checkpoint tokens, so a finished study's checkpoint is never
+    restored into a different study that reuses the run id."""
+
+    def evaluate(
+        self, configs: Sequence[SlotConfiguration], fidelity: Optional[int] = None
+    ) -> List[EvaluatedConfiguration]:
+        """Exact values of ``configs`` through :attr:`engine`, in one batch.
+
+        ``fidelity`` is a multi-fidelity rung: a total-pixel budget applied
+        by centre-cropping :attr:`images` (a budget at or above the full
+        pixel count is an exact full-fidelity evaluation).
+        """
+        return _exact_evaluation(self.engine, self.accelerator, self.images, configs, fidelity)
+
 
 def _non_dominated(
     archive: List[EvaluatedConfiguration], parameter: str
@@ -94,98 +170,48 @@ def _non_dominated(
     return pruned.items()
 
 
-def _exact_context(accelerator: ApproxAccelerator, images: Sequence[np.ndarray]) -> str:
-    return accelerator_context(accelerator, images)
-
-
-def _through_cache(
-    cache: Optional[EvalCache],
-    domain: str,
-    context: str,
-    config: SlotConfiguration,
-    compute,
-) -> EvaluatedConfiguration:
-    """Evaluate one configuration via the cache when one is available.
-
-    ``compute`` returns a ``(quality, cost)`` pair; the cached payload is the
-    JSON-able ``{"quality", "cost"}`` dictionary so disk backends work.
-    """
-    key = None
-    if cache is not None:
-        key = cache_key(
-            domain, context, configuration_token(config.multiplier_indices, config.adder_indices)
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return EvaluatedConfiguration(
-                config=config,
-                quality=float(hit["quality"]),
-                cost={name: float(value) for name, value in hit["cost"].items()},
-            )
-    quality, cost = compute()
-    if cache is not None:
-        cache.put(key, {"quality": quality, "cost": dict(cost)})
-    return EvaluatedConfiguration(config=config, quality=quality, cost=cost)
-
-
-def _cached_exact_evaluation(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    config: SlotConfiguration,
-    cache: Optional[EvalCache],
-    context: str,
-) -> EvaluatedConfiguration:
-    """Exactly evaluate one configuration, via the cache when available."""
-    return _through_cache(
-        cache,
-        "axq",
-        context,
-        config,
-        lambda: (accelerator.quality(images, config), accelerator.hw_cost(config)),
-    )
-
-
-def _batched_exact_evaluation(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    configs: Sequence[SlotConfiguration],
-    engine: "BatchEvaluator",  # noqa: F821
-) -> List[EvaluatedConfiguration]:
-    """Exactly evaluate configurations as one engine batch (same cache keys)."""
-    payloads = engine.evaluate_configurations(accelerator, images, configs)
-    return [
-        EvaluatedConfiguration(
-            config=config,
-            quality=float(payload["quality"]),
-            cost={name: float(value) for name, value in payload["cost"].items()},
-        )
-        for config, payload in zip(configs, payloads)
-    ]
-
-
 def random_search(
     accelerator: ApproxAccelerator,
     images: Sequence[np.ndarray],
     num_samples: int,
     seed: int = 23,
-    cache: Optional[EvalCache] = None,
-    engine: Optional["BatchEvaluator"] = None,  # noqa: F821
+    *,
+    engine: BatchEvaluator,
 ) -> List[EvaluatedConfiguration]:
     """Exactly evaluate ``num_samples`` uniformly random configurations.
 
-    With an ``engine``, the whole sample is evaluated as one batched,
-    cached, optionally process-parallel call; configurations are drawn
-    before any evaluation either way, so seeded results are bit-identical
-    across both paths.
+    The configurations are drawn first and then evaluated as one batched,
+    cached engine call, so seeded results do not depend on cache hits.
     """
     rng = np.random.default_rng(seed)
     configs = [accelerator.random_configuration(rng) for _ in range(num_samples)]
-    if engine is not None:
-        return _batched_exact_evaluation(accelerator, images, configs, engine)
-    context = _exact_context(accelerator, images)
+    return _exact_evaluation(engine, accelerator, images, configs)
+
+
+def collect_training_samples(
+    accelerator: ApproxAccelerator,
+    images: Sequence[np.ndarray],
+    num_samples: int,
+    seed: int = 17,
+    *,
+    engine: BatchEvaluator,
+) -> List[TrainingSample]:
+    """The estimators' training set: a :func:`random_search` of
+    ``num_samples`` exactly evaluated configurations plus their features.
+
+    The sample lands in the engine's cache under the same ``axq`` keys as
+    every other exact evaluation of the study.
+    """
+    if num_samples < 2:
+        raise ValueError("need at least two training samples")
     return [
-        _cached_exact_evaluation(accelerator, images, config, cache, context)
-        for config in configs
+        TrainingSample(
+            config=entry.config,
+            features=configuration_features(accelerator, entry.config),
+            quality=entry.quality,
+            cost=entry.cost,
+        )
+        for entry in random_search(accelerator, images, num_samples, seed, engine=engine)
     ]
 
 
@@ -229,32 +255,35 @@ class SearchEvalStats:
         return self.memo_hits / self.evaluations if self.evaluations else 0.0
 
 
-def _estimated_evaluator(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-    cache: Optional[EvalCache],
-):
+def _estimated_evaluator(ctx: SearchContext):
     """A ``config -> EvaluatedConfiguration`` closure scoring via the estimators.
 
     Scores are memoised per configuration for the lifetime of the closure
-    (keyed under the accelerator/estimator context the closure is bound
-    to), so a search that revisits a configuration -- the hill climber
-    mutating a slot back to its parent's component, for instance -- never
-    pays the estimators twice.  Memo hits return the identical values a
-    recomputation would, so seeded trajectories are unchanged; the
-    ``stats`` attribute of the closure reports the hit accounting.
+    and cached in the engine's cache under ``axe`` keys (keyed by the
+    accelerator/estimator context the closure is bound to), so a search
+    that revisits a configuration -- the hill climber mutating a slot back
+    to its parent's component, for instance -- never pays the estimators
+    twice.  Hits return the identical values a recomputation would, so
+    seeded trajectories are unchanged; the ``stats`` attribute of the
+    closure reports the memo accounting.
     """
+    accelerator, qor_estimator, hw_estimator = ctx.accelerator, ctx.qor, ctx.hw
     parameter = hw_estimator.parameter
     context = _estimator_context(accelerator, qor_estimator, hw_estimator)
+    cache = ctx.engine.cache
     memo: Dict[str, EvaluatedConfiguration] = {}
     stats = SearchEvalStats()
 
-    def estimate(config: SlotConfiguration):
+    def estimate(config: SlotConfiguration, token: str) -> EvaluatedConfiguration:
+        key = cache_key("axe", context, token)
+        hit = cache.get(key)
+        if hit is not None:
+            return EvaluatedConfiguration.from_payload(config, hit)
         quality = float(np.clip(qor_estimator.estimate(accelerator, config), 0.0, 1.0))
         cost = dict(accelerator.hw_cost(config))
         cost[parameter] = hw_estimator.estimate(accelerator, config)
-        return quality, cost
+        cache.put(key, {"quality": quality, "cost": dict(cost)})
+        return EvaluatedConfiguration(config=config, quality=quality, cost=cost)
 
     def evaluate(config: SlotConfiguration) -> EvaluatedConfiguration:
         stats.evaluations += 1
@@ -263,8 +292,7 @@ def _estimated_evaluator(
         if hit is not None:
             return hit
         stats.computed += 1
-        result = _through_cache(cache, "axe", context, config, lambda: estimate(config))
-        memo[token] = result
+        result = memo[token] = estimate(config, token)
         return result
 
     evaluate.stats = stats
@@ -278,38 +306,33 @@ def _spread_limited(archive: ParetoArchive, limit: int) -> None:
 
 @SEARCH_STRATEGIES.register("hill_climb")
 def hill_climb_pareto(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-    iterations: int = 400,
-    archive_limit: int = 64,
-    seed: int = 31,
-    cache: Optional[EvalCache] = None,
+    ctx: SearchContext, *, archive_limit: int = 64
 ) -> List[EvaluatedConfiguration]:
     """Estimator-driven Pareto-archive hill climbing.
 
-    Starting from a small random archive, each iteration mutates one slot of
-    a randomly chosen archive member, scores the child with the estimators
-    and keeps the archive non-dominated in the (estimated cost, estimated
-    quality loss) plane.  Returns the final archive of *estimated*
-    Pareto-optimal configurations; callers re-evaluate them exactly.
+    Starting from a small random archive, each of ``ctx.iterations``
+    iterations mutates one slot of a randomly chosen archive member, scores
+    the child with the estimators and keeps the archive non-dominated in
+    the (estimated cost, estimated quality loss) plane.  Returns the final
+    archive of *estimated* Pareto-optimal configurations.
 
     Revisited configurations are served from the evaluator's in-run memo
-    (and the cross-run cache when one is passed); archive membership is
-    maintained incrementally by :class:`repro.search.ParetoArchive` with
+    (and the engine cache across runs); archive membership is maintained
+    incrementally by :class:`repro.search.ParetoArchive` with
     ``dedupe_keys`` off, preserving the historical semantics where a
     revisited candidate occupies one archive slot per visit.
     """
-    rng = np.random.default_rng(seed)
-    parameter = hw_estimator.parameter
-    evaluate = _estimated_evaluator(accelerator, qor_estimator, hw_estimator, cache)
+    accelerator = ctx.accelerator
+    rng = np.random.default_rng(ctx.seed)
+    parameter = ctx.hw.parameter
+    evaluate = _estimated_evaluator(ctx)
 
     archive = ParetoArchive(num_objectives=2, dedupe_keys=False)
     for _ in range(8):
         entry = evaluate(accelerator.random_configuration(rng))
         archive.insert(None, entry.objectives(parameter), item=entry)
 
-    for _ in range(iterations):
+    for _ in range(ctx.iterations):
         parent = archive.entries()[int(rng.integers(0, len(archive)))].item
         child = evaluate(accelerator.mutate_configuration(parent.config, rng))
         archive.insert(None, child.objectives(parameter), item=child)
@@ -321,29 +344,23 @@ def hill_climb_pareto(
 
 @SEARCH_STRATEGIES.register("random_archive")
 def random_archive(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-    iterations: int = 400,
-    archive_limit: int = 64,
-    seed: int = 31,
-    cache: Optional[EvalCache] = None,
+    ctx: SearchContext, *, archive_limit: int = 64
 ) -> List[EvaluatedConfiguration]:
     """Estimator-scored uniform random sampling, pruned to a Pareto archive.
 
-    The mutation-free counterpart of :func:`hill_climb_pareto`: ``iterations``
-    uniformly random configurations are scored with the estimators and the
-    non-dominated subset (spread-limited to ``archive_limit`` members along
-    the cost axis) is returned.  Useful as an ablation baseline for the
-    search itself, with the same strategy signature.
+    The mutation-free counterpart of :func:`hill_climb_pareto`:
+    ``ctx.iterations`` uniformly random configurations are scored with the
+    estimators and the non-dominated subset (spread-limited to
+    ``archive_limit`` members along the cost axis) is returned.  Useful as
+    an ablation baseline for the search itself.
     """
-    rng = np.random.default_rng(seed)
-    parameter = hw_estimator.parameter
-    evaluate = _estimated_evaluator(accelerator, qor_estimator, hw_estimator, cache)
+    rng = np.random.default_rng(ctx.seed)
+    parameter = ctx.hw.parameter
+    evaluate = _estimated_evaluator(ctx)
 
     archive = ParetoArchive(num_objectives=2, dedupe_keys=False)
-    for _ in range(iterations):
-        entry = evaluate(accelerator.random_configuration(rng))
+    for _ in range(ctx.iterations):
+        entry = evaluate(ctx.accelerator.random_configuration(rng))
         archive.insert(None, entry.objectives(parameter), item=entry)
     if len(archive) > archive_limit:
         _spread_limited(archive, archive_limit)
@@ -352,21 +369,12 @@ def random_archive(
 
 @SEARCH_STRATEGIES.register("nsga2")
 def nsga2_pareto(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-    iterations: int = 400,
+    ctx: SearchContext,
+    *,
     archive_limit: int = 64,
-    seed: int = 31,
-    cache: Optional[EvalCache] = None,
     population_size: int = 32,
     crossover_rate: float = 0.9,
     mutation_rate: float = 1.0,
-    images: Optional[Sequence[np.ndarray]] = None,
-    engine: Optional["BatchEvaluator"] = None,  # noqa: F821
-    store=None,
-    run_id: str = "nsga2-search",
-    on_generation=None,
 ) -> List[EvaluatedConfiguration]:
     """Population-based NSGA-II over the configuration space.
 
@@ -381,29 +389,25 @@ def nsga2_pareto(
     non-dominated front accumulates in a shared
     :class:`repro.search.ParetoArchive` truncated by crowding distance.
 
-    ``iterations`` is the surrogate-evaluation budget: the population size
-    adapts down for small budgets and ``generations`` is derived so that
-    ``population * (generations + 1) <= iterations``, making budgets
-    directly comparable with :func:`hill_climb_pareto`.
+    ``ctx.iterations`` is the surrogate-evaluation budget: the population
+    size adapts down for small budgets and ``generations`` is derived so
+    that ``population * (generations + 1) <= iterations``, making budgets
+    directly comparable with :func:`hill_climb_pareto`.  The returned
+    candidates carry *estimated* values; the flow's exact pass re-evaluates
+    the surviving front (the paper's surrogate-assisted pattern).
 
-    Survivor handling implements the paper's surrogate-assisted pattern:
-    estimators pre-filter the design space and, when ``images`` are given,
-    the surviving front is re-evaluated **exactly** before being returned
-    -- generation-batched through ``engine`` when one is passed (shared
-    ``axq`` cache keys), serially through ``cache`` otherwise.  Without
-    ``images`` the candidates carry estimated values like the other
-    strategies and the caller re-evaluates them.
-
-    With a ``store`` (``get``/``put``), the search state -- population,
-    archive and RNG stream -- is checkpointed every generation and a rerun
-    with the same ``run_id`` resumes bit-identically (pass the *same
-    fitted estimator instances*: the checkpoint token covers accelerator
-    and search knobs, not the estimators' fitted state).  ``on_generation``
-    is forwarded to :func:`repro.search.run_nsga2`: it fires with the stats
-    dict of every freshly computed generation, after that generation's
-    checkpoint is persisted (service workers heartbeat their leases there).
+    With ``ctx.store``, the search state -- population, archive and RNG
+    stream -- is checkpointed every generation and a rerun with the same
+    ``ctx.run_id`` resumes bit-identically (pass the *same fitted estimator
+    instances*: the checkpoint token covers the accelerator, the search
+    knobs and the flow's study identity, not the estimators' fitted state).
+    ``ctx.on_generation`` is forwarded to :func:`repro.search.run_nsga2`:
+    it fires with the stats dict of every freshly computed generation,
+    after that generation's checkpoint is persisted.
     """
-    parameter = hw_estimator.parameter
+    accelerator = ctx.accelerator
+    iterations = ctx.iterations
+    parameter = ctx.hw.parameter
     slots_m = accelerator.num_multiplier_slots
 
     population = min(population_size, max(4, iterations // 4))
@@ -414,7 +418,7 @@ def nsga2_pareto(
         crossover_rate=crossover_rate,
         mutation_rate=mutation_rate,
         archive_limit=archive_limit,
-        seed=seed,
+        seed=ctx.seed,
     )
 
     def to_config(genome) -> SlotConfiguration:
@@ -443,12 +447,10 @@ def nsga2_pareto(
         )
 
     def evaluate(genomes):
-        from .estimators import configuration_feature_matrix
-
         configs = [to_config(genome) for genome in genomes]
         features = configuration_feature_matrix(accelerator, configs)
-        qualities = np.clip(batch_scores(qor_estimator, configs, features), 0.0, 1.0)
-        costs = batch_scores(hw_estimator, configs, features)
+        qualities = np.clip(batch_scores(ctx.qor, configs, features), 0.0, 1.0)
+        costs = batch_scores(ctx.hw, configs, features)
         return [
             (float(cost), float(1.0 - quality))
             for cost, quality in zip(costs, qualities)
@@ -462,7 +464,8 @@ def nsga2_pareto(
         crossover_rate,
         mutation_rate,
         archive_limit,
-        seed,
+        ctx.seed,
+        ctx._study,
     )
     result = run_nsga2(
         random_genome=random_genome,
@@ -470,13 +473,12 @@ def nsga2_pareto(
         crossover=crossover,
         evaluate=evaluate,
         config=config,
-        store=store,
-        run_id=run_id,
+        store=ctx.store,
+        run_id=ctx.run_id,
         token=token,
-        on_generation=on_generation,
+        on_generation=ctx.on_generation,
     )
-
-    candidates = [
+    return [
         EvaluatedConfiguration(
             config=to_config(entry.item),
             quality=1.0 - entry.objectives[1],
@@ -484,78 +486,25 @@ def nsga2_pareto(
         )
         for entry in result.archive
     ]
-    if images is not None:
-        if engine is not None:
-            return _batched_exact_evaluation(
-                accelerator, images, [candidate.config for candidate in candidates], engine
-            )
-        return exact_reevaluation(accelerator, images, candidates, cache=cache)
-    return candidates
-
-
-def _fidelity_exact_evaluation(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    configs: Sequence[SlotConfiguration],
-    cache: Optional[EvalCache],
-    fidelity: Optional[int],
-) -> List[dict]:
-    """Serial counterpart of ``BatchEvaluator.evaluate_configurations(fidelity=...)``.
-
-    Applies the same centre-crop pixel budget and derives the same
-    fidelity-namespaced ``axq`` context, so serial (cache-only) and engine
-    paths share cache entries bit for bit at every rung -- including the
-    full-fidelity rung, which aliases plain exact evaluation.
-    """
-    reduced = False
-    if fidelity is not None:
-        images, reduced = fidelity_inputs(images, int(fidelity))
-    context = accelerator_context(
-        accelerator, images, fidelity=int(fidelity) if reduced else None
-    )
-    payloads = []
-    for config in configs:
-        entry = _through_cache(
-            cache,
-            "axq",
-            context,
-            config,
-            lambda config=config: (
-                accelerator.quality(images, config),
-                accelerator.hw_cost(config),
-            ),
-        )
-        payloads.append({"quality": entry.quality, "cost": dict(entry.cost)})
-    return payloads
 
 
 @SEARCH_STRATEGIES.register("sh_ehvi")
 def successive_halving_ehvi(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-    iterations: int = 400,
+    ctx: SearchContext,
+    *,
     archive_limit: int = 64,
-    seed: int = 31,
-    cache: Optional[EvalCache] = None,
-    images: Optional[Sequence[np.ndarray]] = None,
-    engine: Optional["BatchEvaluator"] = None,  # noqa: F821
-    fidelity_ladder: Optional[Sequence[int]] = None,
     initial_cohort: Optional[int] = None,
     acquisition_pool: Optional[int] = None,
     eta: float = 2.0,
     min_survivors: int = 4,
     mc_samples: int = 128,
-    store=None,
-    run_id: str = "sh-ehvi-search",
-    on_generation=None,
     telemetry: Optional[dict] = None,
 ) -> List[EvaluatedConfiguration]:
     """EHVI-screened successive halving over an explicit fidelity ladder.
 
     The multi-fidelity, uncertainty-aware strategy: instead of spending the
-    whole budget on exact evaluation (NSGA-II) or none of it (the
-    estimator-only strategies), it
+    whole budget on exact evaluation or none of it (the estimator-only
+    strategies), it
 
     1. **screens** an ``acquisition_pool`` of random configurations with the
        estimators' predictive uncertainty (``estimate_batch_with_std``) and
@@ -564,75 +513,58 @@ def successive_halving_ehvi(
        before the next pick -- the standard believer-style batch rule, fully
        deterministic);
     2. **runs successive halving** over the fidelity ladder: the cohort is
-       exactly evaluated at the cheapest rung (a total-pixel budget applied
-       by centre-cropping the inputs, see
+       exactly evaluated through ``ctx.evaluate`` at the cheapest rung (a
+       total-pixel budget applied by centre-cropping the inputs, see
        :func:`repro.workloads.fidelity_inputs`), survivors selected by
        NSGA-II environmental selection are promoted to the next rung, and
        the final rung is always full fidelity -- so every returned candidate
-       carries *exact* measurements, and the flow's subsequent
-       re-evaluation pass is pure cache hits.
+       carries *exact* measurements, and the flow's subsequent exact pass
+       is pure cache hits.
 
-    ``fidelity_ladder`` lists the reduced-rung pixel budgets in ascending
-    order (default: ``total_pixels/16, total_pixels/4`` via
+    ``ctx.fidelity_ladder`` lists the reduced-rung pixel budgets in
+    ascending order (default: ``total_pixels/16, total_pixels/4`` via
     :func:`repro.search.default_fidelity_ladder`); the full-fidelity rung is
-    appended automatically.  Rung evaluations run through ``engine`` when
-    one is passed (batched, process-parallel, shared ``axq`` keys) and
-    serially through ``cache`` otherwise -- both paths are bit-identical.
+    appended automatically.
 
-    With a ``store``, rung survivors are checkpointed through the same
+    With ``ctx.store``, rung survivors are checkpointed through the same
     store/run_id plumbing NSGA-II uses (see
     :func:`repro.search.run_successive_halving`): a service worker killed
     mid-rung is taken over and finishes to a bit-identical payload.
-    ``on_generation`` fires per completed rung.  ``telemetry``, when a dict
-    is passed, is filled with the realised pattern budget per rung -- the
-    numbers behind the benchmark's budget-vs-hypervolume gate.
-
-    The strategy needs the workload inputs to evaluate exactly, so it sets
-    ``needs_exact_inputs`` and the staged flow passes ``images``/``engine``.
+    ``ctx.on_generation`` fires per completed rung.  ``telemetry``, when a
+    dict is passed, is filled with the realised pattern budget per rung --
+    the numbers behind the benchmark's budget-vs-hypervolume gate.
     """
-    if images is None:
-        raise ValueError(
-            "sh_ehvi is a multi-fidelity exact strategy and needs the workload's "
-            "input images (pass images=..., and ideally engine=...)"
-        )
-    parameter = hw_estimator.parameter
+    accelerator, images, seed = ctx.accelerator, ctx.images, ctx.seed
+    parameter = ctx.hw.parameter
     rng = np.random.default_rng(seed)
-    images = [np.asarray(image) for image in images]
-    full_patterns = int(sum(int(image.size) for image in images))
+    full_patterns = int(sum(int(np.asarray(image).size) for image in images))
 
     # ---- 1. uncertainty-aware screening ----------------------------------
-    from .estimators import configuration_feature_matrix
-
-    pool_size = int(acquisition_pool or max(64, iterations))
+    pool_size = int(acquisition_pool or max(64, ctx.iterations))
     pool = [accelerator.random_configuration(rng) for _ in range(pool_size)]
     # EHVI can only pick what the pool contains, and random sampling alone
     # rarely reaches the estimated Pareto region, so the pool is seeded with
-    # surrogate-optimised candidates too: an estimator-only NSGA-II run (no
-    # images/engine, hence zero exact evaluations) contributes its archive.
-    # This is the usual "optimise the acquisition on the surrogate" move.
+    # surrogate-optimised candidates too: an estimator-only NSGA-II run
+    # contributes its archive.  This is the usual "optimise the acquisition
+    # on the surrogate" move.  It neither checkpoints nor reports
+    # generations: this strategy's run id and callback belong to its rungs.
     surrogate = nsga2_pareto(
-        accelerator,
-        qor_estimator,
-        hw_estimator,
-        iterations=iterations,
+        replace(ctx, store=None, run_id="", on_generation=None),
         archive_limit=max(32, 2 * int(initial_cohort or 0)),
-        seed=seed,
     )
     pool.extend(entry.config for entry in surrogate)
     pool_size = len(pool)
     features = configuration_feature_matrix(accelerator, pool)
-    quality_mean, quality_std = qor_estimator.estimate_batch_with_std(
+    quality_mean, quality_std = ctx.qor.estimate_batch_with_std(
         accelerator, pool, features=features
     )
-    cost_mean, cost_std = hw_estimator.estimate_batch_with_std(
-        accelerator, pool, features=features
-    )
+    cost_mean, cost_std = ctx.hw.estimate_batch_with_std(accelerator, pool, features=features)
     means = np.stack([cost_mean, 1.0 - np.clip(quality_mean, 0.0, 1.0)], axis=1)
     stds = np.stack([np.abs(cost_std), np.abs(quality_std)], axis=1)
     maxima = means.max(axis=0)
     reference = maxima + 0.05 * np.abs(maxima) + 1e-9
 
-    cohort_size = int(initial_cohort or min(pool_size, max(8, iterations // 8)))
+    cohort_size = int(initial_cohort or min(pool_size, max(8, ctx.iterations // 8)))
     selected: List[int] = []
     believer_front: List[np.ndarray] = []
     remaining = list(range(pool_size))
@@ -649,10 +581,10 @@ def successive_halving_ehvi(
     cohort = [pool[i] for i in selected]
 
     # ---- 2. successive halving up the fidelity ladder --------------------
-    if fidelity_ladder is None:
+    if ctx.fidelity_ladder is None:
         ladder = default_fidelity_ladder(full_patterns)
     else:
-        ladder = tuple(int(f) for f in fidelity_ladder)
+        ladder = tuple(int(f) for f in ctx.fidelity_ladder)
     rungs = tuple(f for f in ladder if f < full_patterns) + (None,)
 
     def encode(config: SlotConfiguration) -> dict:
@@ -667,10 +599,10 @@ def successive_halving_ehvi(
         )
 
     def evaluate(rung: int, fidelity: Optional[int], batch: List[dict]) -> List[dict]:
-        configs = [decode(payload) for payload in batch]
-        if engine is not None:
-            return engine.evaluate_configurations(accelerator, images, configs, fidelity=fidelity)
-        return _fidelity_exact_evaluation(accelerator, images, configs, cache, fidelity)
+        return [
+            {"quality": entry.quality, "cost": entry.cost}
+            for entry in ctx.evaluate([decode(payload) for payload in batch], fidelity)
+        ]
 
     def objectives(payload: dict) -> Tuple[float, float]:
         return (float(payload["cost"][parameter]), 1.0 - float(payload["quality"]))
@@ -688,25 +620,22 @@ def successive_halving_ehvi(
         archive_limit,
         mc_samples,
         seed,
+        ctx._study,
     )
     result = run_successive_halving(
         candidates=[encode(config) for config in cohort],
         evaluate=evaluate,
         objectives=objectives,
         config=SuccessiveHalvingConfig(rungs=rungs, eta=eta, min_survivors=min_survivors),
-        store=store,
-        run_id=run_id,
+        store=ctx.store,
+        run_id=ctx.run_id,
         token=token,
-        on_rung=on_generation,
+        on_rung=ctx.on_generation,
     )
 
     archive = ParetoArchive(num_objectives=2, dedupe_keys=False)
     for payload, evaluation in zip(result.survivors, result.evaluations):
-        entry = EvaluatedConfiguration(
-            config=decode(payload),
-            quality=float(evaluation["quality"]),
-            cost={name: float(v) for name, v in evaluation["cost"].items()},
-        )
+        entry = EvaluatedConfiguration.from_payload(decode(payload), evaluation)
         archive.insert(None, entry.objectives(parameter), item=entry)
     if len(archive) > archive_limit:
         archive.truncate_crowding(archive_limit)
@@ -734,31 +663,3 @@ def successive_halving_ehvi(
             }
         )
     return archive.items()
-
-
-successive_halving_ehvi.needs_exact_inputs = True
-
-
-def exact_reevaluation(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    candidates: Sequence[EvaluatedConfiguration],
-    cache: Optional[EvalCache] = None,
-    engine: Optional["BatchEvaluator"] = None,  # noqa: F821
-) -> List[EvaluatedConfiguration]:
-    """Replace estimated quality/cost of candidates with exact measurements.
-
-    With an ``engine``, the candidate set is evaluated as one batched call
-    through :meth:`repro.engine.BatchEvaluator.evaluate_configurations`
-    (bit-identical values, same cache keys, process-pool fan-out for large
-    fronts); otherwise each candidate is evaluated serially via ``cache``.
-    """
-    if engine is not None:
-        return _batched_exact_evaluation(
-            accelerator, images, [candidate.config for candidate in candidates], engine
-        )
-    context = _exact_context(accelerator, images)
-    return [
-        _cached_exact_evaluation(accelerator, images, candidate.config, cache, context)
-        for candidate in candidates
-    ]

@@ -14,30 +14,29 @@ resumed run still matches an uninterrupted one exactly.
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.pipeline import Pipeline, PipelineRun, Stage
-from ..engine import BatchEvaluator, EvalCache, blake_token, images_token
+from ..engine import BatchEvaluator, blake_token, images_token
 from ..search import ParetoArchive
-from ..workloads import ApproxAccelerator, build_workload
-from .accelerator import ApproxComponent
+from ..workloads import ApproxAccelerator, ApproxComponent, build_workload
 from .estimators import (
     HwCostEstimator,
     QorEstimator,
     TrainingSample,
-    collect_training_samples,
     configuration_features,
 )
 from .search import (
     SEARCH_STRATEGIES,
     EvaluatedConfiguration,
+    SearchContext,
     accelerator_token,
-    exact_reevaluation,
+    collect_training_samples,
     random_search,
 )
 
@@ -68,14 +67,10 @@ def _evaluated_to_payload(entry: EvaluatedConfiguration) -> dict:
 
 
 def _evaluated_from_payload(payload: dict, accelerator: ApproxAccelerator) -> EvaluatedConfiguration:
-    return EvaluatedConfiguration(
-        config=accelerator.make_configuration(
-            [int(i) for i in payload["multipliers"]],
-            [int(i) for i in payload["adders"]],
-        ),
-        quality=float(payload["quality"]),
-        cost={name: float(value) for name, value in payload["cost"].items()},
+    config = accelerator.make_configuration(
+        [int(i) for i in payload["multipliers"]], [int(i) for i in payload["adders"]]
     )
+    return EvaluatedConfiguration.from_payload(config, payload)
 
 
 # --------------------------------------------------------------------- #
@@ -88,13 +83,12 @@ class AutoAxState:
     accelerator: ApproxAccelerator
     images: List[np.ndarray]
     config: "AutoAxConfig"  # noqa: F821 - imported lazily to avoid a cycle
-    cache: EvalCache
-    engine: Optional[BatchEvaluator] = None
-    """Optional evaluation engine sharing :attr:`cache`.  When present,
-    exact configuration evaluations (training samples, candidate
-    re-evaluation, the random baseline) run generation-batched through
-    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations` -- results
-    are bit-identical to the serial path and share its cache keys."""
+    engine: BatchEvaluator
+    """The evaluation engine: every exact configuration evaluation
+    (training samples, candidate re-evaluation, the random baseline) runs
+    generation-batched through
+    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations`, and the
+    search's estimated evaluations share its cache."""
 
     samples: List[TrainingSample] = field(default_factory=list)
     qor_estimator: Optional[QorEstimator] = None
@@ -103,7 +97,7 @@ class AutoAxState:
 
     store: Optional[object] = None
     """Optional artifact store (``get``/``put``).  Strategies that support
-    mid-stage checkpointing (currently ``"nsga2"``) persist their
+    mid-stage checkpointing (``"nsga2"``, ``"sh_ehvi"``) persist their
     per-generation state here under ``<run_id>:scenario-<parameter>``, so a
     run killed *inside* a scenario stage resumes from the last completed
     generation instead of the last completed stage."""
@@ -118,6 +112,13 @@ class AutoAxState:
     callback is too coarse for liveness signals during a long search, so
     service workers renew their job leases here."""
 
+    @cached_property
+    def run_token(self) -> str:
+        """:func:`autoax_run_token` of this study: the pipeline's manifest
+        token and the study identity the search mixes into its checkpoint
+        tokens."""
+        return autoax_run_token(self)
+
     @classmethod
     def create(
         cls,
@@ -125,11 +126,10 @@ class AutoAxState:
         adders: Sequence[ApproxComponent],
         config: Optional["AutoAxConfig"] = None,  # noqa: F821
         *,
+        engine: BatchEvaluator,
         images: Optional[Sequence[np.ndarray]] = None,
-        cache: Optional[EvalCache] = None,
-        engine: Optional[BatchEvaluator] = None,
     ) -> "AutoAxState":
-        """Build a state with the same component defaults as the legacy flow.
+        """Build a state for one study.
 
         The accelerator is resolved from :data:`repro.workloads.WORKLOADS`
         via ``config.workload`` (``"gaussian"`` by default), and the default
@@ -139,10 +139,6 @@ class AutoAxState:
 
         config = config or AutoAxConfig()
         accelerator = build_workload(config.workload, multipliers, adders)
-        if engine is not None and cache is not None and engine.cache is not cache:
-            raise ValueError("engine and cache must share one EvalCache; pass one or the other")
-        if engine is not None and cache is None:
-            cache = engine.cache
         return cls(
             accelerator=accelerator,
             images=(
@@ -151,7 +147,6 @@ class AutoAxState:
                 else accelerator.default_inputs(config.image_size)
             ),
             config=config,
-            cache=cache if cache is not None else EvalCache(),
             engine=engine,
         )
 
@@ -222,46 +217,25 @@ class ScenarioStage(Stage):
 
     def compute(self, state: AutoAxState) -> dict:
         config = state.config
-        hw_estimator = HwCostEstimator(self.parameter).fit(state.samples)
-        strategy = SEARCH_STRATEGIES.get(config.search_strategy)
-        # Every strategy returns *estimated* candidates; the single exact
-        # pass below re-evaluates the survivors -- generation-batched
-        # through the state engine when one is attached.  (The nsga2
-        # strategy's own ``images``/``engine`` parameters serve direct API
-        # users; forwarding them here would duplicate the exact pass.)
-        # Checkpoint stores and generation callbacks are threaded only into
-        # strategies whose signature accepts them; either way the candidate
-        # values are identical (checkpointing never changes the RNG stream).
-        supported = inspect.signature(strategy).parameters
-        extra: Dict[str, object] = {}
-        if state.store is not None and "store" in supported and "run_id" in supported:
-            extra["store"] = state.store
-            extra["run_id"] = f"{state.run_id}:{self.name}" if state.run_id else self.name
-        if state.on_generation is not None and "on_generation" in supported:
-            extra["on_generation"] = state.on_generation
-        # Multi-fidelity strategies (sh_ehvi) evaluate *exactly* inside the
-        # strategy -- their final rung is full fidelity -- so they get the
-        # inputs and engine; the exact pass below then costs nothing (pure
-        # cache hits on the same axq keys).
-        if getattr(strategy, "needs_exact_inputs", False):
-            extra["images"] = state.images
-            if state.engine is not None and "engine" in supported:
-                extra["engine"] = state.engine
-        ladder = getattr(config, "fidelity_ladder", None)
-        if ladder is not None and "fidelity_ladder" in supported:
-            extra["fidelity_ladder"] = tuple(int(f) for f in ladder)
-        candidates = strategy(
-            state.accelerator,
-            state.qor_estimator,
-            hw_estimator,
+        ctx = SearchContext(
+            accelerator=state.accelerator,
+            qor=state.qor_estimator,
+            hw=HwCostEstimator(self.parameter).fit(state.samples),
+            images=state.images,
+            engine=state.engine,
             iterations=config.hill_climb_iterations,
             seed=config.seed + 100 + self.offset,
-            cache=state.cache,
-            **extra,
+            fidelity_ladder=config.fidelity_ladder,
+            store=state.store,
+            run_id=f"{state.run_id}:{self.name}" if state.run_id else self.name,
+            on_generation=state.on_generation,
+            _study=state.run_token,
         )
-        evaluated = exact_reevaluation(
-            state.accelerator, state.images, candidates, cache=state.cache, engine=state.engine
-        )
+        candidates = SEARCH_STRATEGIES.get(config.search_strategy)(ctx)
+        # The one exact pass: every strategy's survivors are re-evaluated as
+        # a single engine batch (pure cache hits for strategies that already
+        # measured them exactly, such as sh_ehvi's full-fidelity rung).
+        evaluated = ctx.evaluate([candidate.config for candidate in candidates])
         return {"candidates": [_evaluated_to_payload(entry) for entry in evaluated]}
 
     def absorb(self, state: AutoAxState, payload: dict) -> None:
@@ -292,7 +266,6 @@ class RandomBaselineStage(Stage):
             state.images,
             state.config.num_random_baseline,
             seed=state.config.seed + 999,
-            cache=state.cache,
             engine=state.engine,
         )
         return [_evaluated_to_payload(entry) for entry in baseline]
@@ -362,9 +335,8 @@ def run_autoax_pipeline(
     adders: Sequence[ApproxComponent],
     config=None,
     *,
+    engine: BatchEvaluator,
     images: Optional[Sequence[np.ndarray]] = None,
-    cache: Optional[EvalCache] = None,
-    engine: Optional[BatchEvaluator] = None,
     store: Optional[object] = None,
     run_id: Optional[str] = None,
     progress=None,
@@ -373,21 +345,21 @@ def run_autoax_pipeline(
 ) -> Tuple["AutoAxResult", PipelineRun]:  # noqa: F821
     """Run the staged AutoAx-FPGA case study, optionally checkpointing.
 
-    Pass an ``engine`` (sharing its cache with ``cache`` or replacing it) to
-    evaluate training samples, baselines and candidate re-evaluations as
-    generation batches -- bit-identical results, amortised per-image work
-    and optional process-pool fan-out.
+    ``engine`` evaluates training samples, baselines and candidate
+    re-evaluations as generation batches (amortised per-image work,
+    optional process-pool fan-out) and its cache serves the search's
+    estimates; :meth:`repro.api.ExplorationSession.run_autoax` passes the
+    session's accelerator engine.
 
     With a ``store``, checkpoints are written at two granularities: the
     pipeline checkpoints every completed stage, and generation-aware
-    strategies (``"nsga2"``) additionally checkpoint every completed
-    generation inside their scenario stage, so a run killed mid-search loses
-    at most one generation.  ``on_generation`` (stats dict per freshly
-    computed generation) is forwarded to such strategies.
+    strategies (``"nsga2"``, ``"sh_ehvi"``) additionally checkpoint every
+    completed generation (rung) inside their scenario stage, so a run
+    killed mid-search loses at most one generation.  ``on_generation``
+    (stats dict per freshly computed generation) is forwarded to such
+    strategies through the :class:`~repro.autoax.search.SearchContext`.
     """
-    state = AutoAxState.create(
-        multipliers, adders, config, images=images, cache=cache, engine=engine
-    )
+    state = AutoAxState.create(multipliers, adders, config, engine=engine, images=images)
     run_id = run_id or default_autoax_run_id(state.config.workload)
     state.store = store
     state.run_id = run_id
@@ -396,7 +368,7 @@ def run_autoax_pipeline(
         autoax_stages(state.config),
         store=store,
         run_id=run_id,
-        token=autoax_run_token(state),
+        token=state.run_token,
         progress=progress,
     )
     started = time.perf_counter()

@@ -21,7 +21,7 @@ from .results import (
     ModelEvaluation,
     ParameterOutcome,
 )
-from .methodology import ApproxFpgasConfig, ApproxFpgasFlow, run_approxfpgas
+from .methodology import ApproxFpgasConfig
 from .stages import (
     ApproxFpgasState,
     approxfpgas_stages,
@@ -48,8 +48,6 @@ __all__ = [
     "ModelEvaluation",
     "ParameterOutcome",
     "ApproxFpgasConfig",
-    "ApproxFpgasFlow",
-    "run_approxfpgas",
     "ApproxFpgasState",
     "approxfpgas_stages",
     "build_approxfpgas_result",

@@ -10,7 +10,6 @@ per-circuit synthesis time of :func:`repro.fpga.estimate_synthesis_time`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -20,62 +19,14 @@ from ..fpga import FpgaDevice, estimate_synthesis_time
 
 @dataclass(frozen=True)
 class ExplorationCost:
-    """Synthesis-time accounting for one circuit library.
-
-    The re-synthesis field is spelled ``resynthesis_time_s``, matching the
-    key emitted by :meth:`as_dict`.  The historical camel-case spelling
-    ``reSynthesis_time_s`` is still accepted as a constructor keyword and
-    readable as an attribute, but both emit a :class:`DeprecationWarning`.
-    """
+    """Synthesis-time accounting for one circuit library."""
 
     library_name: str
     num_circuits: int
     exhaustive_time_s: float
     training_time_s: float
     resynthesis_time_s: float
-    model_time_s: float
-
-    def __init__(
-        self,
-        library_name: str,
-        num_circuits: int,
-        exhaustive_time_s: float,
-        training_time_s: float,
-        resynthesis_time_s: Optional[float] = None,
-        model_time_s: float = 0.0,
-        **legacy: float,
-    ):
-        if "reSynthesis_time_s" in legacy:
-            warnings.warn(
-                "the 'reSynthesis_time_s' keyword is deprecated; "
-                "use 'resynthesis_time_s'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            value = legacy.pop("reSynthesis_time_s")
-            if resynthesis_time_s is None:
-                resynthesis_time_s = value
-        if legacy:
-            raise TypeError(f"unexpected keyword arguments: {sorted(legacy)}")
-        if resynthesis_time_s is None:
-            raise TypeError("missing required argument: 'resynthesis_time_s'")
-        object.__setattr__(self, "library_name", library_name)
-        object.__setattr__(self, "num_circuits", num_circuits)
-        object.__setattr__(self, "exhaustive_time_s", exhaustive_time_s)
-        object.__setattr__(self, "training_time_s", training_time_s)
-        object.__setattr__(self, "resynthesis_time_s", resynthesis_time_s)
-        object.__setattr__(self, "model_time_s", model_time_s)
-
-    @property
-    def reSynthesis_time_s(self) -> float:
-        """Deprecated alias of :attr:`resynthesis_time_s`."""
-        warnings.warn(
-            "the 'reSynthesis_time_s' attribute is deprecated; "
-            "use 'resynthesis_time_s'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.resynthesis_time_s
+    model_time_s: float = 0.0
 
     @property
     def approxfpgas_time_s(self) -> float:

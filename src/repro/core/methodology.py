@@ -16,34 +16,19 @@ small fraction of the library:
 8. report the measured Pareto front, the synthesis-time accounting, and
    (optionally, for evaluation) the coverage of the true Pareto front.
 
-The staged implementation lives in :mod:`repro.core.stages` on top of the
-:mod:`repro.api` pipeline; :class:`ApproxFpgasFlow` and
-:func:`run_approxfpgas` are kept as thin backwards-compatible wrappers whose
-seeded results are bit-identical to the historical monolithic flow.  New
-code should prefer :class:`repro.api.ExplorationSession`, which adds shared
-caching, artifact checkpointing and resumable runs on the same stages.
+The stages live in :mod:`repro.core.stages` on top of the :mod:`repro.api`
+pipeline; run the flow with :meth:`repro.api.ExplorationSession.run_approxfpgas`,
+which adds shared caching, artifact checkpointing and resumable runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
-import numpy as np
-
-from ..asic import AsicSynthesizer
-from ..engine import BatchEvaluator
-from ..error import ERROR_METRICS, ErrorEvaluator
-from ..fpga import FPGA_PARAMETERS, FpgaSynthesizer
-from ..generators import CircuitLibrary
-from ..ml import MODEL_IDS
-from .results import ApproxFpgasResult, CircuitRecord
-from .stages import (
-    ApproxFpgasState,
-    approxfpgas_stages,
-    build_approxfpgas_result,
-    select_training_subset,
-)
+from ..error import ERROR_METRICS
+from ..fpga import FPGA_PARAMETERS
+from ..ml import MODELS
 
 
 @dataclass
@@ -61,7 +46,7 @@ class ApproxFpgasConfig:
     min_training_circuits: int = 20
     num_pseudo_fronts: int = 3
     top_k_models: int = 3
-    model_ids: Sequence[str] = field(default_factory=lambda: list(MODEL_IDS))
+    model_ids: Sequence[str] = field(default_factory=lambda: list(MODELS))
     fpga_parameters: Sequence[str] = FPGA_PARAMETERS
     error_metric: str = "med"
     seed: int = 42
@@ -91,79 +76,3 @@ class ApproxFpgasConfig:
                 f"unknown error metric {self.error_metric!r}; "
                 f"available: {ERROR_METRICS.keys()}"
             )
-
-
-class ApproxFpgasFlow:
-    """Backwards-compatible facade over the staged ApproxFPGAs pipeline.
-
-    The constructor signature and the public helpers (:meth:`build_records`,
-    :meth:`select_training_subset`, :meth:`run`) are unchanged from the
-    original monolithic implementation, and seeded results are
-    bit-identical; the work itself is delegated to the
-    :mod:`repro.core.stages` pipeline.  New code that wants shared caches,
-    checkpointing or progress callbacks should use
-    :class:`repro.api.ExplorationSession` instead.
-    """
-
-    def __init__(
-        self,
-        library: CircuitLibrary,
-        config: Optional[ApproxFpgasConfig] = None,
-        fpga_synthesizer: Optional[FpgaSynthesizer] = None,
-        asic_synthesizer: Optional[AsicSynthesizer] = None,
-        error_evaluator: Optional[ErrorEvaluator] = None,
-        engine: Optional[BatchEvaluator] = None,
-    ):
-        if len(library) == 0:
-            raise ValueError("the circuit library is empty")
-        self.library = library
-        self.config = config or ApproxFpgasConfig()
-        self.fpga = fpga_synthesizer or FpgaSynthesizer()
-        self.asic = asic_synthesizer or AsicSynthesizer()
-        self.error_evaluator = error_evaluator or ErrorEvaluator(library.reference())
-        # All circuit evaluation (error metrics, ASIC cost models, FPGA
-        # synthesis) is routed through one engine so structurally identical
-        # circuits and repeated flow stages share cached results.
-        self.engine = engine or BatchEvaluator(
-            error_evaluator=self.error_evaluator,
-            asic_synthesizer=self.asic,
-            fpga_synthesizer=self.fpga,
-        )
-
-    def _state(self) -> ApproxFpgasState:
-        return ApproxFpgasState(library=self.library, config=self.config, engine=self.engine)
-
-    # ------------------------------------------------------------------ #
-    # Individual stages (public so benchmarks and ablations can reuse them)
-    # ------------------------------------------------------------------ #
-    def build_records(self) -> Tuple[Dict[str, CircuitRecord], np.ndarray, List[str]]:
-        """Stage 1-2: error metrics, ASIC reports and feature vectors for the library."""
-        from .stages import EvaluateLibraryStage
-
-        state = self._state()
-        stage = EvaluateLibraryStage()
-        stage.absorb(state, stage.compute(state))
-        return state.records, state.features, state.feature_names
-
-    def select_training_subset(self) -> List[str]:
-        """Stage 3 selection: the random subset that will be synthesized first."""
-        return select_training_subset(self.library, self.config)
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> ApproxFpgasResult:
-        """Execute the full flow and return the collected results."""
-        state = self._state()
-        # Route stages 1-3 through the public helper methods so subclasses
-        # that override them (the advertised ablation hooks) keep taking
-        # effect inside run(), exactly as in the monolithic implementation.
-        state.records_builder = self.build_records
-        state.subset_selector = self.select_training_subset
-        for stage in approxfpgas_stages(self.config):
-            stage.absorb(state, stage.compute(state))
-        return build_approxfpgas_result(state)
-
-
-def run_approxfpgas(library: CircuitLibrary, **config_kwargs) -> ApproxFpgasResult:
-    """Convenience wrapper: run the flow with keyword-configured settings."""
-    config = ApproxFpgasConfig(**config_kwargs) if config_kwargs else ApproxFpgasConfig()
-    return ApproxFpgasFlow(library, config=config).run()

@@ -64,7 +64,7 @@ class ParameterOutcome:
 
 @dataclass
 class ApproxFpgasResult:
-    """Full outcome of :class:`repro.core.methodology.ApproxFpgasFlow`."""
+    """Full outcome of one ApproxFPGAs run (:mod:`repro.core.stages`)."""
 
     library_name: str
     kind: str

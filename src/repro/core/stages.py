@@ -6,23 +6,17 @@ The eight-step methodology of Fig. 2 is expressed as five/six named
 reuses the evaluation engine's cache encodings), so a pipeline with an
 artifact store checkpoints after each stage and an interrupted run resumes
 from the last completed stage with bit-identical results.
-
-The legacy :class:`~repro.core.methodology.ApproxFpgasFlow` is a thin
-wrapper over this module; the stage order, RNG seeding and evaluation
-batching reproduce the original monolithic ``run()`` exactly, so seeded
-results are unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..api.pipeline import Pipeline, PipelineRun, Stage
-from ..asic import AsicSynthesizer
 from ..engine import (
     BatchEvaluator,
     asic_report_from_payload,
@@ -33,7 +27,7 @@ from ..engine import (
     fpga_report_from_payload,
     fpga_report_to_payload,
 )
-from ..error import ERROR_METRICS, ErrorEvaluator
+from ..error import ERROR_METRICS
 from ..features import feature_matrix
 from ..fpga import FpgaSynthesizer, estimate_synthesis_time
 from ..generators import CircuitLibrary
@@ -86,38 +80,20 @@ class ApproxFpgasState:
     resynthesis_time_s: float = 0.0
     model_time_s: float = 0.0
 
-    records_builder: Optional[Callable[[], Tuple[Dict[str, CircuitRecord], np.ndarray, List[str]]]] = None
-    """Optional override of stage 1-2 (the legacy flow wires its public
-    ``build_records`` method here so subclass overrides keep taking effect)."""
-
-    subset_selector: Optional[Callable[[], List[str]]] = None
-    """Optional override of the stage 3 subset selection (the legacy flow
-    wires its public ``select_training_subset`` method here)."""
-
     @classmethod
     def create(
         cls,
         library: CircuitLibrary,
         config: Optional["ApproxFpgasConfig"] = None,  # noqa: F821
         *,
-        engine: Optional[BatchEvaluator] = None,
-        error_evaluator: Optional[ErrorEvaluator] = None,
-        fpga_synthesizer: Optional[FpgaSynthesizer] = None,
-        asic_synthesizer: Optional[AsicSynthesizer] = None,
+        engine: BatchEvaluator,
     ) -> "ApproxFpgasState":
-        """Build a state with the same component defaults as the legacy flow."""
+        """Build a state for one run of ``library`` through ``engine``."""
         from .methodology import ApproxFpgasConfig
 
         if len(library) == 0:
             raise ValueError("the circuit library is empty")
-        config = config or ApproxFpgasConfig()
-        if engine is None:
-            engine = BatchEvaluator(
-                error_evaluator=error_evaluator or ErrorEvaluator(library.reference()),
-                asic_synthesizer=asic_synthesizer or AsicSynthesizer(),
-                fpga_synthesizer=fpga_synthesizer or FpgaSynthesizer(),
-            )
-        return cls(library=library, config=config, engine=engine)
+        return cls(library=library, config=config or ApproxFpgasConfig(), engine=engine)
 
     # ------------------------------------------------------------------ #
     @property
@@ -157,16 +133,10 @@ class EvaluateLibraryStage(Stage):
     name = "evaluate-library"
 
     def compute(self, state: ApproxFpgasState) -> dict:
-        if state.records_builder is not None:
-            records, features, feature_names = state.records_builder()
-            names = [circuit.name for circuit in state.library]
-            error_reports = [records[name].error for name in names]
-            asic_reports = [records[name].asic for name in names]
-        else:
-            circuits = list(state.library)
-            error_reports = state.engine.evaluate_errors(circuits)
-            asic_reports = state.engine.evaluate_asic(circuits)
-            features, feature_names = feature_matrix(circuits, asic_reports=asic_reports)
+        circuits = list(state.library)
+        error_reports = state.engine.evaluate_errors(circuits)
+        asic_reports = state.engine.evaluate_asic(circuits)
+        features, feature_names = feature_matrix(circuits, asic_reports=asic_reports)
         return {
             "errors": [error_report_to_payload(report) for report in error_reports],
             "asic": [asic_report_to_payload(report) for report in asic_reports],
@@ -194,10 +164,7 @@ class SynthesizeTrainingSubsetStage(Stage):
     name = "synthesize-training-subset"
 
     def compute(self, state: ApproxFpgasState) -> dict:
-        if state.subset_selector is not None:
-            subset_names = list(state.subset_selector())
-        else:
-            subset_names = select_training_subset(state.library, state.config)
+        subset_names = select_training_subset(state.library, state.config)
         circuits = [state.library.get(name) for name in subset_names]
         reports = state.engine.evaluate_fpga(circuits)
         device = state.fpga_synthesizer.device
@@ -520,15 +487,18 @@ def run_approxfpgas_pipeline(
     library: CircuitLibrary,
     config=None,
     *,
-    engine: Optional[BatchEvaluator] = None,
+    engine: BatchEvaluator,
     store: Optional[object] = None,
     run_id: Optional[str] = None,
     progress=None,
     resume: bool = True,
 ) -> Tuple[ApproxFpgasResult, PipelineRun]:
-    """Run the staged ApproxFPGAs flow, optionally checkpointing to ``store``.
+    """Run the staged ApproxFPGAs flow through ``engine``, optionally
+    checkpointing to ``store``.
 
-    Returns the result together with the :class:`~repro.api.pipeline.PipelineRun`
+    :meth:`repro.api.ExplorationSession.run_approxfpgas` passes the
+    session's engine for the library's golden reference.  Returns the
+    result together with the :class:`~repro.api.pipeline.PipelineRun`
     carrying per-stage timings and which stages were restored from
     checkpoints.
     """

@@ -144,19 +144,6 @@ def _worker_fpga(task: Tuple[str, FpgaSynthesizer, List[Netlist]]) -> List[dict]
     return [_fpga_report_to_payload(cached.synthesize(circuit)) for circuit in circuits]
 
 
-def _prepare_accelerator_inputs(accelerator, inputs):
-    """Prepared per-input planes/references via the workload protocol.
-
-    Prefers the :class:`repro.workloads.ApproxAccelerator` method name
-    (``prepare_inputs``) and falls back to the legacy ``prepare_images``
-    spelling for foreign duck-typed accelerators.
-    """
-    prepare = getattr(accelerator, "prepare_inputs", None)
-    if prepare is None:
-        prepare = accelerator.prepare_images
-    return prepare(inputs)
-
-
 def _worker_configurations(task) -> List[dict]:
     """Exactly evaluate accelerator configurations against prepared images.
 
@@ -167,7 +154,7 @@ def _worker_configurations(task) -> List[dict]:
     context, accelerator, images, configurations = task
     prepared = _WORKER_STATE.get(context)
     if prepared is None:
-        prepared = _prepare_accelerator_inputs(accelerator, images)
+        prepared = accelerator.prepare_inputs(images)
         _WORKER_STATE[context] = prepared
     payloads = []
     for configuration in configurations:
@@ -538,15 +525,15 @@ class BatchEvaluator:
     ) -> List[dict]:
         """Exact ``{"quality", "cost"}`` payloads for accelerator configurations.
 
-        The generation-batched counterpart of the per-configuration exact
-        evaluation in :mod:`repro.autoax.search`: per-image work (shifted
+        The one exact-evaluation path of accelerator configurations (the
+        AutoAx flow and its search strategies reach it through
+        :meth:`repro.autoax.SearchContext.evaluate`): per-image work (shifted
         planes, golden reference outputs) is prepared once and shared by the
         whole batch, repeated configurations within one call are computed
         once, and large miss sets fan out over the process pool.  Results
-        are cached under the same ``axq`` keys the serial path uses
+        are cached under ``axq`` keys
         (:func:`repro.engine.keys.accelerator_context`, which namespaces by
-        workload identity), so hits flow in both directions and values are
-        bit-identical by construction.
+        workload identity), so repeated studies and scenarios share them.
 
         ``fidelity`` is the multi-fidelity ladder rung: a total-pixel
         budget applied by centre-cropping the input images
@@ -558,9 +545,9 @@ class BatchEvaluator:
         results.
 
         The accelerator only needs ``multipliers``/``adders`` component
-        lists plus ``prepare_inputs`` (or the legacy ``prepare_images``
-        spelling) and ``evaluate_prepared`` -- the engine stays decoupled
-        from the concrete workload classes in :mod:`repro.workloads`.
+        lists plus ``prepare_inputs`` and ``evaluate_prepared`` -- the
+        engine stays decoupled from the concrete workload classes in
+        :mod:`repro.workloads`.
         """
         configurations = list(configurations)
         images = list(images)
@@ -604,7 +591,7 @@ class BatchEvaluator:
         def compute_serial() -> List[dict]:
             prepared = self._prepared_images.get(context)
             if prepared is None:
-                prepared = _prepare_accelerator_inputs(accelerator, images)
+                prepared = accelerator.prepare_inputs(images)
                 # Keep the memo tiny: prepared planes are per-image arrays
                 # and sessions rarely juggle more than a few image sets.
                 if len(self._prepared_images) >= 4:

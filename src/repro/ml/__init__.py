@@ -31,7 +31,6 @@ from .validation import cross_val_score, k_fold_indices, train_test_split
 from .model_zoo import (
     ASIC_FEATURE_FOR_MODEL,
     MODEL_DESCRIPTIONS,
-    MODEL_IDS,
     MODELS,
     ModelZooError,
     build_model,
@@ -78,7 +77,6 @@ __all__ = [
     "train_test_split",
     "ASIC_FEATURE_FOR_MODEL",
     "MODEL_DESCRIPTIONS",
-    "MODEL_IDS",
     "MODELS",
     "ModelZooError",
     "build_model",

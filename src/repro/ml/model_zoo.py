@@ -38,10 +38,6 @@ from .tree import DecisionTreeRegressor
 #: factory)`` and can then be listed in ``ApproxFpgasConfig.model_ids``.
 MODELS = Registry("model")
 
-#: Backwards-compatible alias: historical code iterated ``MODEL_IDS`` as a
-#: tuple of ids; the registry iterates, sizes and compares like that tuple.
-MODEL_IDS = MODELS
-
 #: Human-readable names matching Table I.
 MODEL_DESCRIPTIONS: Dict[str, str] = {
     "ML1": "Regression w.r.t. ASIC-AC Power",

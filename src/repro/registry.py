@@ -10,10 +10,8 @@ so new scenarios plug in by registering a key instead of editing flow
 internals.
 
 Look-ups of unknown keys raise :class:`RegistryError` listing every
-available key.  For backwards compatibility a registry behaves like the
-tuple of its keys where that tuple used to be public API: it iterates,
-sizes, compares, indexes/slices and concatenates over the keys, so code
-written against the old ``MODEL_IDS`` tuple keeps working unchanged.
+available key.  A registry iterates, sizes and tests membership over its
+keys.
 """
 
 from __future__ import annotations
@@ -99,17 +97,7 @@ class Registry:
         except KeyError:
             raise self._unknown(key) from None
 
-    def __getitem__(self, key):
-        """Value for a string key; tuple-style access for int/slice keys.
-
-        Integer and slice subscripts index the *key list* (``registry[0]``,
-        ``registry[:3]``), matching code written against the historical
-        tuple-of-ids constants.
-        """
-        if isinstance(key, int):
-            return list(self._entries)[key]
-        if isinstance(key, slice):
-            return tuple(self._entries)[key]
+    def __getitem__(self, key: str) -> object:
         return self.get(key)
 
     def keys(self) -> List[str]:
@@ -121,9 +109,6 @@ class Registry:
     def items(self) -> List[Tuple[str, object]]:
         return list(self._entries.items())
 
-    # ------------------------------------------------------------------ #
-    # Sequence-of-keys compatibility (old code treats MODEL_IDS as a tuple)
-    # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
@@ -132,30 +117,6 @@ class Registry:
 
     def __contains__(self, key: object) -> bool:
         return key in self._entries
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Registry):
-            return self.keys() == other.keys()
-        if isinstance(other, (tuple, list)):
-            return tuple(self._entries) == tuple(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, tuple):
-            return tuple(self._entries) + other
-        if isinstance(other, list):
-            return list(self._entries) + other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return other + tuple(self._entries)
-        if isinstance(other, list):
-            return other + list(self._entries)
-        return NotImplemented
-
-    def __hash__(self) -> int:  # registries are identity-hashed singletons
-        return id(self)
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, keys={list(self._entries)})"

@@ -138,31 +138,17 @@ class ComponentSlot:
     operand_width: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SlotConfiguration:
     """Assignment of component indices to an accelerator's operator slots.
 
     The generic, workload-shape-agnostic configuration: slot counts are
     validated by the accelerator that creates it
     (:meth:`ApproxAccelerator.make_configuration`), not by the class.
-    Equality and hashing compare the index tuples only, so workload-pinned
-    subclasses (e.g. the legacy 9x8 :class:`repro.autoax.Configuration`)
-    compare equal to generic instances with the same assignment.
     """
 
     multiplier_indices: Tuple[int, ...]
     adder_indices: Tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SlotConfiguration):
-            return NotImplemented
-        return (
-            self.multiplier_indices == other.multiplier_indices
-            and self.adder_indices == other.adder_indices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.multiplier_indices, self.adder_indices))
 
 
 class ApproxAccelerator(abc.ABC):
@@ -367,10 +353,6 @@ class ApproxAccelerator(abc.ABC):
             planes = self._shifted_planes(image)
             prepared.append((planes, self._exact_from_planes(planes)))
         return prepared
-
-    def prepare_images(self, images: Sequence[np.ndarray]) -> List[Tuple]:
-        """Legacy alias of :meth:`prepare_inputs`."""
-        return self.prepare_inputs(images)
 
     def _tap_products(
         self, planes: List[np.ndarray], taps: Sequence[Tuple[int, int, int]],

@@ -7,9 +7,6 @@ here are workload-agnostic: any :class:`repro.workloads.ApproxAccelerator`
 consumes the same component objects, so one Pareto-spread component pick
 (:func:`components_from_library`) can feed several workloads through a
 shared engine cache.
-
-This module is the canonical home of the component machinery;
-:mod:`repro.autoax.accelerator` re-exports it for backwards compatibility.
 """
 
 from __future__ import annotations

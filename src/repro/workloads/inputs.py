@@ -8,9 +8,7 @@ same code path: every pixel flows through the assigned approximate
 multipliers and adders.
 
 Every generator is size-parameterised and seeded.  ``seed=0`` reproduces
-the historical Gaussian-filter image set bit for bit (the legacy
-``repro.autoax.images.default_image_set`` is an alias of
-:func:`default_image_set` at its defaults).  Any two distinct seeds
+the historical Gaussian-filter image set bit for bit.  Any two distinct seeds
 produce distinct *sets*: the blob/texture/noise images derive their RNG
 streams from the seed, so two workloads with different
 :attr:`~repro.workloads.ApproxAccelerator.input_seed` values can never

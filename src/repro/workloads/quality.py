@@ -34,9 +34,6 @@ Edge-case contract (pinned by ``tests/test_workloads.py`` and
 * :func:`ssim` validates the window size against the image size and
   raises a clear :class:`ValueError` instead of silently filtering with a
   window larger than the image.
-
-This module is the canonical home of the metrics; :mod:`repro.autoax.quality`
-re-exports them for backwards compatibility.
 """
 
 from __future__ import annotations

@@ -72,18 +72,15 @@ def autoax_searchables():
     """A small accelerator plus fitted estimators for search-level tests.
 
     Narrow (4-bit multiplier / 8-bit adder) components keep the behavioural
-    evaluation fast; the search machinery is width-agnostic.
+    evaluation fast; the search machinery is width-agnostic.  ``ctx(**fields)``
+    builds a :class:`repro.autoax.SearchContext` over them with a fresh
+    serial engine (override any field, e.g. ``engine=...``).
     """
     from types import SimpleNamespace
 
-    from repro.autoax import (
-        GaussianFilterAccelerator,
-        HwCostEstimator,
-        QorEstimator,
-        collect_training_samples,
-        components_from_library,
-        default_image_set,
-    )
+    from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
+    from repro.engine import BatchEvaluator, EvalCache
+    from repro.workloads import GaussianFilterAccelerator, components_from_library, default_image_set
 
     multipliers = components_from_library(
         build_multiplier_library(4, size=20, seed=2), 4, max_error=0.2
@@ -93,10 +90,15 @@ def autoax_searchables():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(24)[:2]
-    samples = collect_training_samples(accelerator, images, 12, seed=17)
-    return SimpleNamespace(
-        accelerator=accelerator,
-        images=images,
-        qor=QorEstimator().fit(samples),
-        hw=HwCostEstimator("area").fit(samples),
+    samples = collect_training_samples(
+        accelerator, images, 12, seed=17, engine=BatchEvaluator(mode="serial")
     )
+    qor = QorEstimator().fit(samples)
+    hw = HwCostEstimator("area").fit(samples)
+
+    def ctx(**fields):
+        fields.setdefault("engine", BatchEvaluator(cache=EvalCache(), mode="serial"))
+        base = dict(accelerator=accelerator, qor=qor, hw=hw, images=images)
+        return SearchContext(**dict(base, **fields))
+
+    return SimpleNamespace(accelerator=accelerator, images=images, qor=qor, hw=hw, ctx=ctx)

@@ -1,9 +1,5 @@
-"""Tests of the public API layer: registries, pipelines, sessions, resume.
-
-The end-to-end seeded-equivalence tests between the session/pipeline path
-and the legacy wrapper classes live in ``tests/test_backcompat.py``; this
-module covers the API machinery itself.
-"""
+"""Tests of the public API layer: registries, pipelines, sessions, resume,
+and the search-strategy calling convention."""
 
 from __future__ import annotations
 
@@ -25,7 +21,7 @@ from repro.api import (
 from repro.autoax import SEARCH_STRATEGIES
 from repro.core import ApproxFpgasConfig
 from repro.io import JsonDirectoryStore, result_to_dict
-from repro.ml import MODEL_IDS, ModelZooError, build_model
+from repro.ml import ModelZooError, build_model
 
 # --------------------------------------------------------------------- #
 # Registry semantics
@@ -70,33 +66,17 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             registry.unregister("a")
 
-    def test_sequence_compatibility(self):
+    def test_iteration_size_and_membership(self):
         registry = Registry("thing", {"a": 1, "b": 2})
         assert list(registry) == ["a", "b"]
         assert len(registry) == 2
-        assert registry == ("a", "b")
-        assert registry == ["a", "b"]
-        assert registry != ("b", "a")
-        assert "a" in registry
-
-    def test_tuple_style_indexing_and_concatenation(self):
-        registry = Registry("thing", {"a": 1, "b": 2, "c": 3})
-        assert registry[0] == "a"
-        assert registry[-1] == "c"
-        assert registry[:2] == ("a", "b")
-        assert registry + ("d",) == ("a", "b", "c", "d")
-        assert ["z"] + registry == ["z", "a", "b", "c"]
-        assert MODEL_IDS[0] == "ML1" and MODEL_IDS[:3] == ("ML1", "ML2", "ML3")
+        assert "a" in registry and "c" not in registry
 
 
 # --------------------------------------------------------------------- #
 # The built-in registries and their error paths
 # --------------------------------------------------------------------- #
 class TestBuiltinRegistries:
-    def test_model_ids_is_the_registry(self):
-        assert MODEL_IDS is MODELS
-        assert tuple(MODEL_IDS) == tuple(f"ML{i}" for i in range(1, 19))
-
     def test_unknown_model_lists_available(self):
         with pytest.raises(ModelZooError) as excinfo:
             build_model("ML99", ["x"], random_state=0)
@@ -133,6 +113,45 @@ class TestBuiltinRegistries:
             AutoAxConfig(search_strategy="simulated-annealing")
         assert "hill_climb" in str(excinfo.value)
         assert "hill_climb" in SEARCH_STRATEGIES and "random_archive" in SEARCH_STRATEGIES
+
+    def test_search_strategy_receives_one_context(self, tmp_path):
+        """Every strategy is called as ``strategy(ctx)`` by the flow: one
+        positional SearchContext carrying the session's engine, the study
+        inputs and the checkpoint plumbing -- and no keywords."""
+        from repro.autoax import AutoAxConfig, SearchContext, hill_climb_pareto
+        from repro.generators import build_adder_library, build_multiplier_library
+        from repro.workloads import components_from_library, default_image_set
+
+        multipliers = components_from_library(build_multiplier_library(4, size=12, seed=2), 3)
+        adders = components_from_library(build_adder_library(8, size=10, seed=4), 3)
+        images = default_image_set(12)[:2]
+        calls = []
+
+        def probe(*args, **kwargs):
+            calls.append((args, kwargs))
+            return hill_climb_pareto(*args, **kwargs)
+
+        SEARCH_STRATEGIES.register("test-probe", probe)
+        try:
+            session = ExplorationSession(workspace=tmp_path, engine_mode="serial")
+            config = AutoAxConfig(
+                parameters=("area",),
+                num_training_samples=4,
+                num_random_baseline=2,
+                hill_climb_iterations=6,
+                search_strategy="test-probe",
+            )
+            session.run_autoax(multipliers, adders, config, images=images)
+        finally:
+            SEARCH_STRATEGIES.unregister("test-probe")
+        ((args, kwargs),) = calls
+        assert kwargs == {} and len(args) == 1 and isinstance(args[0], SearchContext)
+        ctx = args[0]
+        assert ctx.engine is session.accelerator_engine()
+        assert len(ctx.images) == len(images)
+        assert all(used is given for used, given in zip(ctx.images, images))
+        assert ctx.store is session.store is not None
+        assert ctx.run_id == "autoax-gaussian-filter:scenario-area"
 
     def test_unknown_synthesizer_rejected_by_session(self):
         with pytest.raises(RegistryError) as excinfo:

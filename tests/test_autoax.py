@@ -3,27 +3,29 @@
 import numpy as np
 import pytest
 
+from repro.api import ExplorationSession
 from repro.autoax import (
     AutoAxConfig,
-    AutoAxFpgaFlow,
-    Configuration,
-    GaussianFilterAccelerator,
     HwCostEstimator,
+    QorEstimator,
+    SearchContext,
+    collect_training_samples,
+    configuration_features,
+    hill_climb_pareto,
+    random_search,
+)
+from repro.engine import BatchEvaluator
+from repro.generators import build_adder_library, build_multiplier_library
+from repro.workloads import (
     NUM_ADDER_SLOTS,
     NUM_MULTIPLIER_SLOTS,
-    QorEstimator,
-    collect_training_samples,
+    GaussianFilterAccelerator,
     components_from_library,
-    configuration_features,
     default_image_set,
-    exact_reevaluation,
-    hill_climb_pareto,
     mean_ssim,
     psnr,
-    random_search,
     ssim,
 )
-from repro.generators import build_adder_library, build_multiplier_library
 
 
 # ------------------------------ fixtures ------------------------------- #
@@ -45,6 +47,11 @@ def accelerator(components):
 @pytest.fixture(scope="module")
 def images():
     return default_image_set(32)
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return BatchEvaluator(mode="serial")
 
 
 # ------------------------------- images -------------------------------- #
@@ -105,11 +112,11 @@ def test_component_compute_matches_netlist(components, rng):
 
 
 # ----------------------------- accelerator ------------------------------- #
-def test_configuration_slot_counts():
-    with pytest.raises(ValueError):
-        Configuration((0,) * 5, (0,) * NUM_ADDER_SLOTS)
-    with pytest.raises(ValueError):
-        Configuration((0,) * NUM_MULTIPLIER_SLOTS, (0,) * 3)
+def test_configuration_slot_counts(accelerator):
+    with pytest.raises(ValueError, match="multiplier slots"):
+        accelerator.make_configuration((0,) * 5, (0,) * NUM_ADDER_SLOTS)
+    with pytest.raises(ValueError, match="adder slots"):
+        accelerator.make_configuration((0,) * NUM_MULTIPLIER_SLOTS, (0,) * 3)
 
 
 def test_exact_configuration_reproduces_exact_filter(accelerator, images):
@@ -162,8 +169,8 @@ def test_configuration_features_length(accelerator):
     assert features.shape == ((NUM_MULTIPLIER_SLOTS + NUM_ADDER_SLOTS) * 4 + 8,)
 
 
-def test_estimators_learn_from_samples(accelerator, images):
-    samples = collect_training_samples(accelerator, images[:2], num_samples=20, seed=3)
+def test_estimators_learn_from_samples(accelerator, images, engine):
+    samples = collect_training_samples(accelerator, images[:2], 20, seed=3, engine=engine)
     qor = QorEstimator().fit(samples)
     hw = HwCostEstimator("area").fit(samples)
     config = samples[0].config
@@ -171,21 +178,22 @@ def test_estimators_learn_from_samples(accelerator, images):
     assert hw.estimate(accelerator, config) == pytest.approx(samples[0].cost["area"], rel=0.3)
 
 
-def test_random_search_returns_requested_count(accelerator, images):
-    results = random_search(accelerator, images[:2], num_samples=10, seed=1)
+def test_random_search_returns_requested_count(accelerator, images, engine):
+    results = random_search(accelerator, images[:2], 10, seed=1, engine=engine)
     assert len(results) == 10
     for entry in results:
         assert 0.0 <= entry.quality <= 1.0
         assert set(entry.cost) == {"area", "power", "latency"}
 
 
-def test_hill_climb_archive_is_nondominated(accelerator, images):
+def test_hill_climb_archive_is_nondominated(accelerator, images, engine):
     from repro.core import dominates
 
-    samples = collect_training_samples(accelerator, images[:2], num_samples=15, seed=5)
+    samples = collect_training_samples(accelerator, images[:2], 15, seed=5, engine=engine)
     qor = QorEstimator().fit(samples)
     hw = HwCostEstimator("area").fit(samples)
-    archive = hill_climb_pareto(accelerator, qor, hw, iterations=40, seed=2)
+    ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=40, seed=2)
+    archive = hill_climb_pareto(ctx)
     assert archive
     points = [(entry.cost["area"], 1.0 - entry.quality) for entry in archive]
     for i, point_i in enumerate(points):
@@ -194,15 +202,17 @@ def test_hill_climb_archive_is_nondominated(accelerator, images):
                 assert not dominates(point_j, point_i) or point_i == point_j
 
 
-def test_exact_reevaluation_replaces_estimates(accelerator, images):
-    samples = collect_training_samples(accelerator, images[:2], num_samples=8, seed=9)
+def test_exact_reevaluation_replaces_estimates(accelerator, images, engine):
+    samples = collect_training_samples(accelerator, images[:2], 8, seed=9, engine=engine)
     qor = QorEstimator().fit(samples)
     hw = HwCostEstimator("latency").fit(samples)
-    archive = hill_climb_pareto(accelerator, qor, hw, iterations=20, seed=3)
-    exact = exact_reevaluation(accelerator, images[:2], archive)
+    ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=20, seed=3)
+    archive = hill_climb_pareto(ctx)
+    exact = ctx.evaluate([entry.config for entry in archive])
     assert len(exact) == len(archive)
     for entry in exact:
         assert 0.0 <= entry.quality <= 1.0
+        assert entry.quality == accelerator.quality(images[:2], entry.config)
 
 
 # -------------------------------- flow ------------------------------------ #
@@ -216,7 +226,7 @@ def test_autoax_flow_end_to_end(components):
         image_size=32,
         seed=11,
     )
-    result = AutoAxFpgaFlow(multipliers, adders, config=config).run()
+    result = ExplorationSession(engine_mode="serial").run_autoax(multipliers, adders, config)
     assert set(result.scenarios) == {"area"}
     scenario = result.scenarios["area"]
     assert scenario.front

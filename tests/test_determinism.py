@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autoax import exact_reevaluation, hill_climb_pareto, random_search
+from repro.autoax import hill_climb_pareto, random_search
 from repro.engine import BatchEvaluator, EvalCache
 from repro.generators import array_multiplier, perturb_netlist, perturbation_sweep
 
@@ -23,35 +23,38 @@ def _config_signature(entries):
 
 
 class TestRandomSearchDeterminism:
+    @staticmethod
+    def _search(s, seed, engine=None, count=6):
+        engine = engine or BatchEvaluator(cache=EvalCache(), mode="serial")
+        return random_search(s.accelerator, s.images, count, seed=seed, engine=engine)
+
     def test_same_seed_identical(self, autoax_searchables):
         s = autoax_searchables
-        first = random_search(s.accelerator, s.images, 6, seed=23)
-        second = random_search(s.accelerator, s.images, 6, seed=23)
+        first = self._search(s, 23)
+        second = self._search(s, 23)
         assert _config_signature(first) == _config_signature(second)
 
     def test_different_seeds_differ(self, autoax_searchables):
         s = autoax_searchables
-        first = random_search(s.accelerator, s.images, 6, seed=23)
-        other = random_search(s.accelerator, s.images, 6, seed=24)
+        first = self._search(s, 23)
+        other = self._search(s, 24)
         assert _config_signature(first) != _config_signature(other)
 
     def test_cache_does_not_change_results(self, autoax_searchables):
         s = autoax_searchables
-        plain = random_search(s.accelerator, s.images, 6, seed=23)
-        cache = EvalCache()
-        cached_cold = random_search(s.accelerator, s.images, 6, seed=23, cache=cache)
-        cached_warm = random_search(s.accelerator, s.images, 6, seed=23, cache=cache)
-        assert _config_signature(plain) == _config_signature(cached_cold)
-        assert _config_signature(plain) == _config_signature(cached_warm)
-        assert cache.stats().hits >= 6  # warm pass served from the cache
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        cold = self._search(s, 23, engine)
+        warm = self._search(s, 23, engine)
+        assert _config_signature(cold) == _config_signature(warm)
+        assert engine.stats().hits >= 6  # warm pass served from the cache
 
-    def test_cache_shared_with_exact_reevaluation(self, autoax_searchables):
+    def test_cache_shared_with_the_flow_exact_pass(self, autoax_searchables):
         s = autoax_searchables
-        cache = EvalCache()
-        results = random_search(s.accelerator, s.images, 5, seed=23, cache=cache)
-        before = cache.stats()
-        reevaluated = exact_reevaluation(s.accelerator, s.images, results, cache=cache)
-        after = cache.stats()
+        ctx = s.ctx()
+        results = self._search(s, 23, ctx.engine, count=5)
+        before = ctx.engine.stats()
+        reevaluated = ctx.evaluate([entry.config for entry in results])
+        after = ctx.engine.stats()
         assert after.misses == before.misses  # every candidate was a hit
         assert _config_signature(results) == _config_signature(reevaluated)
 
@@ -59,23 +62,17 @@ class TestRandomSearchDeterminism:
 class TestHillClimbDeterminism:
     def test_same_seed_identical(self, autoax_searchables):
         s = autoax_searchables
-        first = hill_climb_pareto(s.accelerator, s.qor, s.hw, iterations=40, seed=31)
-        second = hill_climb_pareto(s.accelerator, s.qor, s.hw, iterations=40, seed=31)
+        first = hill_climb_pareto(s.ctx(iterations=40, seed=31))
+        second = hill_climb_pareto(s.ctx(iterations=40, seed=31))
         assert _config_signature(first) == _config_signature(second)
 
     def test_cache_does_not_change_results(self, autoax_searchables):
         s = autoax_searchables
-        plain = hill_climb_pareto(s.accelerator, s.qor, s.hw, iterations=40, seed=31)
-        cache = EvalCache()
-        cached = hill_climb_pareto(
-            s.accelerator, s.qor, s.hw, iterations=40, seed=31, cache=cache
-        )
-        rerun = hill_climb_pareto(
-            s.accelerator, s.qor, s.hw, iterations=40, seed=31, cache=cache
-        )
-        assert _config_signature(plain) == _config_signature(cached)
-        assert _config_signature(plain) == _config_signature(rerun)
-        assert cache.stats().hits > 0
+        ctx = s.ctx(iterations=40, seed=31)
+        cold = hill_climb_pareto(ctx)
+        warm = hill_climb_pareto(ctx)
+        assert _config_signature(cold) == _config_signature(warm)
+        assert ctx.engine.stats().hits > 0
 
 
 class TestEstimatorCacheTokens:
@@ -85,7 +82,9 @@ class TestEstimatorCacheTokens:
         from repro.autoax import HwCostEstimator, QorEstimator, collect_training_samples
 
         s = autoax_searchables
-        samples = collect_training_samples(s.accelerator, s.images, 6, seed=3)
+        samples = collect_training_samples(
+            s.accelerator, s.images, 6, seed=3, engine=BatchEvaluator(mode="serial")
+        )
         first = QorEstimator().fit(samples)
         second = QorEstimator().fit(samples)
         assert first.cache_token != second.cache_token

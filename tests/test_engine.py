@@ -253,7 +253,7 @@ class TestBatchEvaluator:
 
 class TestComponentsFromLibraryEngine:
     def test_conflicting_synthesizers_rejected(self, small_multiplier_library):
-        from repro.autoax import components_from_library
+        from repro.workloads import components_from_library
 
         engine = BatchEvaluator(
             small_multiplier_library.reference(), fpga_synthesizer=FpgaSynthesizer()
@@ -267,7 +267,7 @@ class TestComponentsFromLibraryEngine:
             )
 
     def test_shared_engine_reuses_cached_reports(self, small_multiplier_library):
-        from repro.autoax import components_from_library
+        from repro.workloads import components_from_library
 
         engine = BatchEvaluator(small_multiplier_library.reference())
         engine.evaluate_errors(list(small_multiplier_library))
@@ -280,7 +280,8 @@ class TestComponentsFromLibraryEngine:
 
 class TestFlowIntegration:
     def test_flow_shares_cache_across_stages(self, small_multiplier_library):
-        from repro.core import ApproxFpgasConfig, ApproxFpgasFlow
+        from repro.api import ExplorationSession
+        from repro.core import ApproxFpgasConfig
 
         config = ApproxFpgasConfig(
             training_fraction=0.2,
@@ -288,24 +289,18 @@ class TestFlowIntegration:
             model_ids=["ML2", "ML4"],
             seed=42,
         )
-        flow = ApproxFpgasFlow(small_multiplier_library, config=config)
-        flow.run()
-        stats = flow.engine.stats()
+        session = ExplorationSession()
+        session.run_approxfpgas(small_multiplier_library, config)
+        engine = session.engine_for(small_multiplier_library.reference())
+        stats = engine.stats()
         # Stage 7/9 re-requests circuits already synthesized in stage 3, and
         # perturbation libraries contain structural duplicates: the engine
         # must have served a meaningful share of requests from the cache.
         assert stats.hits > 0
         # Re-running the same flow over the same engine is almost all hits.
-        before = flow.engine.stats()
-        ApproxFpgasFlow(
-            small_multiplier_library,
-            config=config,
-            error_evaluator=flow.error_evaluator,
-            fpga_synthesizer=flow.fpga,
-            asic_synthesizer=flow.asic,
-            engine=flow.engine,
-        ).run()
-        delta_hits = flow.engine.stats().hits - before.hits
-        delta_misses = flow.engine.stats().misses - before.misses
+        before = engine.stats()
+        session.run_approxfpgas(small_multiplier_library, config)
+        delta_hits = engine.stats().hits - before.hits
+        delta_misses = engine.stats().misses - before.misses
         assert delta_misses == 0
         assert delta_hits > 0

@@ -1,9 +1,6 @@
-"""Regression tests for the exploration-time accounting and the
-``reSynthesis_time_s`` -> ``resynthesis_time_s`` deprecation shim."""
+"""Regression tests for the exploration-time accounting."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -37,34 +34,6 @@ class TestExplorationCost:
             "speedup": 1000.0 / 152.5,
         }
 
-    def test_as_dict_uses_snake_case_key(self):
-        assert "resynthesis_time_s" in _cost().as_dict()
-        assert "reSynthesis_time_s" not in _cost().as_dict()
-
-    def test_new_field_name_works_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cost = _cost()
-            assert cost.resynthesis_time_s == 50.0
-
-    def test_legacy_keyword_accepted_with_deprecation_warning(self):
-        with pytest.deprecated_call():
-            cost = ExplorationCost(
-                library_name="lib",
-                num_circuits=1,
-                exhaustive_time_s=10.0,
-                training_time_s=1.0,
-                reSynthesis_time_s=2.0,
-                model_time_s=0.5,
-            )
-        assert cost.resynthesis_time_s == 2.0
-        assert cost.approxfpgas_time_s == pytest.approx(3.5)
-
-    def test_legacy_attribute_readable_with_deprecation_warning(self):
-        cost = _cost()
-        with pytest.deprecated_call():
-            assert cost.reSynthesis_time_s == 50.0
-
     def test_missing_resynthesis_raises(self):
         with pytest.raises(TypeError, match="resynthesis_time_s"):
             ExplorationCost(
@@ -82,6 +51,11 @@ class TestExplorationCost:
         assert _cost() == _cost()
         with pytest.raises(Exception):
             _cost().resynthesis_time_s = 1.0
+
+    def test_model_time_defaults_to_zero(self):
+        cost = ExplorationCost("lib", 1, 10.0, training_time_s=1.0, resynthesis_time_s=2.0)
+        assert cost.model_time_s == 0.0
+        assert cost.approxfpgas_time_s == 3.0
 
     def test_speedup_guard_against_zero_denominator(self):
         cost = _cost(training_time_s=0.0, resynthesis_time_s=0.0, model_time_s=0.0)

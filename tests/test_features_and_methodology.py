@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import ApproxFpgasConfig, ApproxFpgasFlow
+from repro.api import ExplorationSession
+from repro.core import ApproxFpgasConfig
 from repro.features import ASIC_FEATURE_NAMES, FEATURE_NAMES, extract_features, feature_matrix
 from repro.generators import array_multiplier, truncated_multiplier
-from repro.ml import MODEL_IDS
+from repro.ml import MODELS
 
 
 # ----------------------------- features -------------------------------- #
@@ -68,7 +69,7 @@ def flow_result(small_multiplier_library):
         seed=7,
         evaluate_coverage=True,
     )
-    return ApproxFpgasFlow(small_multiplier_library, config=config).run()
+    return ExplorationSession().run_approxfpgas(small_multiplier_library, config)
 
 
 def test_flow_records_cover_library(flow_result, small_multiplier_library):
@@ -149,9 +150,9 @@ def test_flow_rejects_empty_library():
     from repro.generators import CircuitLibrary
 
     empty = CircuitLibrary(name="empty", kind="multiplier", bitwidth=4)
-    with pytest.raises(ValueError):
-        ApproxFpgasFlow(empty)
+    with pytest.raises(ValueError, match="empty"):
+        ExplorationSession().run_approxfpgas(empty)
 
 
 def test_default_model_ids_are_all_18():
-    assert tuple(ApproxFpgasConfig().model_ids) == MODEL_IDS
+    assert ApproxFpgasConfig().model_ids == list(MODELS) == [f"ML{i}" for i in range(1, 19)]

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import ApproxFpgasConfig, ApproxFpgasFlow
+from repro.api import ExplorationSession
+from repro.core import ApproxFpgasConfig
 from repro.io import (
     export_library,
     export_pareto_rtl,
@@ -26,7 +27,7 @@ def tiny_flow_result(small_multiplier_library):
         seed=3,
         evaluate_coverage=True,
     )
-    return ApproxFpgasFlow(small_multiplier_library, config=config).run()
+    return ExplorationSession().run_approxfpgas(small_multiplier_library, config)
 
 
 def test_library_catalog_structure(small_multiplier_library):

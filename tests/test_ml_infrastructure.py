@@ -9,7 +9,7 @@ from repro.features import FEATURE_NAMES
 from repro.ml import (
     ASIC_FEATURE_FOR_MODEL,
     MODEL_DESCRIPTIONS,
-    MODEL_IDS,
+    MODELS,
     FeatureSubsetRegressor,
     LinearRegression,
     MinMaxScaler,
@@ -137,17 +137,17 @@ def test_cross_val_score_reasonable_for_linear_data():
 
 # --------------------------------------------------------------------- #
 def test_model_zoo_has_all_18_models():
-    assert len(MODEL_IDS) == 18
-    assert set(MODEL_DESCRIPTIONS) == set(MODEL_IDS)
+    assert len(MODELS) == 18
+    assert set(MODEL_DESCRIPTIONS) == set(MODELS)
     zoo = build_model_zoo(FEATURE_NAMES)
-    assert set(zoo) == set(MODEL_IDS)
+    assert set(zoo) == set(MODELS)
 
 
 def test_every_zoo_model_fits_and_predicts():
     rng = np.random.default_rng(7)
     X = rng.uniform(1, 10, size=(40, len(FEATURE_NAMES)))
     y = X[:, -3] * 2.0 + rng.normal(0, 0.1, 40)
-    for model_id in MODEL_IDS:
+    for model_id in MODELS:
         model = build_model(model_id, FEATURE_NAMES, random_state=0)
         model.fit(X, y)
         predictions = model.predict(X)

@@ -639,36 +639,17 @@ class TestRunSuccessiveHalving:
 # The registered "sh_ehvi" strategy
 # --------------------------------------------------------------------- #
 class TestShEhviStrategy:
-    KNOBS = dict(iterations=60, archive_limit=8, seed=5, initial_cohort=10)
+    KNOBS = dict(archive_limit=8, initial_cohort=10)
 
-    def _run(self, searchables, **overrides):
+    def _run(self, searchables, telemetry=None, **fields):
         from repro.autoax.search import SEARCH_STRATEGIES
 
-        strategy = SEARCH_STRATEGIES.get("sh_ehvi")
-        kwargs = dict(self.KNOBS, images=searchables.images, **overrides)
-        return strategy(
-            searchables.accelerator, searchables.qor, searchables.hw, **kwargs
-        )
-
-    def test_registered_and_marked_as_needing_exact_inputs(self):
-        from repro.autoax.search import SEARCH_STRATEGIES
-
-        assert "sh_ehvi" in SEARCH_STRATEGIES
-        assert SEARCH_STRATEGIES.get("sh_ehvi").needs_exact_inputs is True
-
-    def test_requires_images(self, autoax_searchables):
-        from repro.autoax.search import SEARCH_STRATEGIES
-
-        with pytest.raises(ValueError, match="images"):
-            SEARCH_STRATEGIES.get("sh_ehvi")(
-                autoax_searchables.accelerator,
-                autoax_searchables.qor,
-                autoax_searchables.hw,
-            )
+        ctx = searchables.ctx(**dict(dict(iterations=60, seed=5), **fields))
+        return SEARCH_STRATEGIES.get("sh_ehvi")(ctx, telemetry=telemetry, **self.KNOBS)
 
     def test_returns_exact_measurements_on_a_pareto_front(self, autoax_searchables):
         telemetry = {}
-        entries = self._run(autoax_searchables, cache=EvalCache(), telemetry=telemetry)
+        entries = self._run(autoax_searchables, telemetry=telemetry)
         assert 0 < len(entries) <= self.KNOBS["archive_limit"]
         accelerator = autoax_searchables.accelerator
         for entry in entries[:2]:  # exact, not estimated, values
@@ -683,25 +664,20 @@ class TestShEhviStrategy:
         assert patterns == sorted(patterns) and patterns[-1] == full
         assert telemetry["exact_pattern_budget"] < telemetry["pool"] * full
 
-    def test_deterministic_and_engine_serial_equivalence(self, autoax_searchables):
-        first = self._run(autoax_searchables, cache=EvalCache())
-        second = self._run(autoax_searchables, cache=EvalCache())
+    def test_deterministic_on_cold_and_warm_caches(self, autoax_searchables):
+        first = self._run(autoax_searchables)
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        second = self._run(autoax_searchables, engine=engine)
         third = self._run(autoax_searchables, engine=engine)
         key = lambda entries: [(e.config, e.quality, e.cost) for e in entries]
         assert key(first) == key(second) == key(third)
 
     def test_subsequent_exact_pass_is_pure_cache_hits(self, autoax_searchables):
-        from repro.autoax.search import exact_reevaluation
-
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")
         entries = self._run(autoax_searchables, engine=engine)
         before = engine.stats()
-        reevaluated = exact_reevaluation(
-            autoax_searchables.accelerator,
-            autoax_searchables.images,
-            entries,
-            engine=engine,
+        reevaluated = autoax_searchables.ctx(engine=engine).evaluate(
+            [entry.config for entry in entries]
         )
         delta = engine.stats().since(before)
         assert delta.misses == 0 and delta.hits == len(entries)
@@ -711,7 +687,7 @@ class TestShEhviStrategy:
 
     def test_checkpoint_resume_matches_uninterrupted(self, autoax_searchables, tmp_path):
         store = JsonDirectoryStore(tmp_path / "sh")
-        uninterrupted = self._run(autoax_searchables, cache=EvalCache())
+        uninterrupted = self._run(autoax_searchables)
 
         class Die(Exception):
             pass
@@ -721,13 +697,9 @@ class TestShEhviStrategy:
                 raise Die
 
         with pytest.raises(Die):
-            self._run(
-                autoax_searchables, cache=EvalCache(), store=store, on_generation=killer
-            )
+            self._run(autoax_searchables, store=store, on_generation=killer)
         telemetry = {}
-        resumed = self._run(
-            autoax_searchables, cache=EvalCache(), store=store, telemetry=telemetry
-        )
+        resumed = self._run(autoax_searchables, telemetry=telemetry, store=store)
         assert telemetry["resumed_from"] == 1
         key = lambda entries: [(e.config, e.quality, e.cost) for e in entries]
         assert key(resumed) == key(uninterrupted)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autoax import Configuration, EvaluatedConfiguration
+from repro.autoax import EvaluatedConfiguration
 from repro.autoax.search import _non_dominated
 from repro.core.pareto import (
     dominates,
@@ -13,6 +13,7 @@ from repro.core.pareto import (
     pareto_union,
     successive_pareto_fronts,
 )
+from repro.workloads import SlotConfiguration
 
 
 def _random_points(seed: int, n: int, d: int, duplicates: bool = False) -> np.ndarray:
@@ -78,7 +79,7 @@ class TestSuccessiveFrontsInvariants:
 
 
 def _entry(cost: float, quality: float, parameter: str = "area") -> EvaluatedConfiguration:
-    config = Configuration(multiplier_indices=(0,) * 9, adder_indices=(0,) * 8)
+    config = SlotConfiguration(multiplier_indices=(0,) * 9, adder_indices=(0,) * 8)
     return EvaluatedConfiguration(config=config, quality=quality, cost={parameter: cost})
 
 
@@ -114,19 +115,24 @@ class TestNonDominatedArchive:
 
 
 class TestArchiveLimit:
-    def test_hill_climb_respects_archive_limit(self, autoax_searchables):
-        from repro.autoax import hill_climb_pareto
+    @pytest.mark.parametrize("key", ["hill_climb", "random_archive", "nsga2", "sh_ehvi"])
+    def test_strategy_respects_archive_limit(self, autoax_searchables, key):
+        from repro.autoax import SEARCH_STRATEGIES
 
         searchables = autoax_searchables
+        accelerator = searchables.accelerator
         for limit in (4, 8):
-            archive = hill_climb_pareto(
-                searchables.accelerator,
-                searchables.qor,
-                searchables.hw,
-                iterations=60,
-                archive_limit=limit,
-                seed=3,
+            archive = SEARCH_STRATEGIES.get(key)(
+                searchables.ctx(iterations=60, seed=3), archive_limit=limit
             )
             assert 1 <= len(archive) <= limit
             # The returned archive itself must be non-dominated.
             assert len(_non_dominated(archive, searchables.hw.parameter)) == len(archive)
+            for entry in archive:  # every candidate is a valid configuration
+                config = entry.config
+                assert len(config.multiplier_indices) == accelerator.num_multiplier_slots
+                assert len(config.adder_indices) == accelerator.num_adder_slots
+                assert 0 <= min(config.multiplier_indices)
+                assert max(config.multiplier_indices) < len(accelerator.multipliers)
+                assert 0 <= min(config.adder_indices)
+                assert max(config.adder_indices) < len(accelerator.adders)

@@ -204,8 +204,8 @@ class TestNsga2Strategy:
         from repro.autoax import nsga2_pareto
 
         s = autoax_searchables
-        first = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, seed=7)
-        second = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, seed=7)
+        first = nsga2_pareto(s.ctx(iterations=60, seed=7))
+        second = nsga2_pareto(s.ctx(iterations=60, seed=7))
         assert _signature(first) == _signature(second)
         assert first  # at least one candidate survives
 
@@ -214,7 +214,7 @@ class TestNsga2Strategy:
         from repro.core import dominates
 
         s = autoax_searchables
-        archive = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, seed=7)
+        archive = nsga2_pareto(s.ctx(iterations=60, seed=7))
         points = [(entry.cost["area"], 1.0 - entry.quality) for entry in archive]
         for i, a in enumerate(points):
             for j, b in enumerate(points):
@@ -223,65 +223,65 @@ class TestNsga2Strategy:
         for entry in archive:
             assert 0.0 <= entry.quality <= 1.0
 
-    def test_exact_survivor_reevaluation_matches_serial(self, autoax_searchables):
-        """images+engine: survivors come back exactly evaluated, bit-identical
-        to the serial cached re-evaluation path."""
-        from repro.autoax import exact_reevaluation, nsga2_pareto
-        from repro.engine import BatchEvaluator, EvalCache
-
-        s = autoax_searchables
-        estimated = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, seed=7)
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        exact = nsga2_pareto(
-            s.accelerator, s.qor, s.hw, iterations=60, seed=7,
-            images=s.images, engine=engine,
-        )
-        serial = exact_reevaluation(s.accelerator, s.images, estimated)
-        assert _signature(exact) == _signature(serial)
-        # The engine cached every survivor under the shared axq keys.
-        assert engine.stats().size == len({e.config for e in exact})
-
     def test_interrupt_resume_identity(self, autoax_searchables, tmp_path):
         """The strategy-level resume contract of the satellite task."""
         from repro.autoax import nsga2_pareto
 
         s = autoax_searchables
-        kwargs = dict(population_size=10, seed=5)
-        uninterrupted = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, **kwargs)
+        uninterrupted = nsga2_pareto(s.ctx(iterations=60, seed=5), population_size=10)
 
         store = JsonDirectoryStore(tmp_path / "search-ckpt")
-        nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=30, store=store, **kwargs)
-        resumed = nsga2_pareto(s.accelerator, s.qor, s.hw, iterations=60, store=store, **kwargs)
+        nsga2_pareto(s.ctx(iterations=30, seed=5, store=store), population_size=10)
+        resumed = nsga2_pareto(s.ctx(iterations=60, seed=5, store=store), population_size=10)
         assert _signature(resumed) == _signature(uninterrupted)
 
-    def test_flow_runs_with_nsga2_strategy(self, autoax_searchables):
-        """End-to-end staged flow with search_strategy='nsga2' and an engine."""
+    @staticmethod
+    def _study(searchables, session, **knobs):
         from repro.autoax import AutoAxConfig
-        from repro.autoax.stages import run_autoax_pipeline
-        from repro.engine import BatchEvaluator, EvalCache
 
-        s = autoax_searchables
         config = AutoAxConfig(
             parameters=("area",),
-            num_training_samples=10,
             num_random_baseline=8,
             hill_climb_iterations=40,
-            image_size=24,
             seed=11,
             search_strategy="nsga2",
+            **knobs,
         )
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        result, run = run_autoax_pipeline(
-            s.accelerator.multipliers,
-            s.accelerator.adders,
-            config,
-            images=s.images,
-            engine=engine,
-        )
+        accelerator = searchables.accelerator
+        return session.run_autoax(accelerator.multipliers, accelerator.adders, config)
+
+    def test_flow_runs_with_nsga2_strategy(self, autoax_searchables):
+        """End-to-end staged flow with search_strategy='nsga2'."""
+        from repro.api import ExplorationSession
+
+        s = autoax_searchables
+        session = ExplorationSession(engine_mode="serial")
+        result = self._study(s, session, num_training_samples=10, image_size=24)
         scenario = result.scenarios["area"]
         assert scenario.front
         assert scenario.num_candidates >= len(scenario.front)
         for entry in scenario.candidates:
             assert 0.0 <= entry.quality <= 1.0
             assert set(entry.cost) == {"area", "power", "latency"}
-        assert engine.stats().lookups > 0
+        assert session.accelerator_engine().stats().lookups > 0
+
+    def test_finished_checkpoint_is_not_served_to_another_study(
+        self, autoax_searchables, tmp_path
+    ):
+        """Two studies that differ only in their training set share the
+        scenario's checkpoint run id; the second must search with its own
+        estimators instead of restoring the first's finished NSGA-II run."""
+        from repro.api import ExplorationSession
+
+        s = autoax_searchables
+        shared = ExplorationSession(workspace=tmp_path / "shared", engine_mode="serial")
+        fresh = ExplorationSession(workspace=tmp_path / "fresh", engine_mode="serial")
+
+        def candidates(session, samples):
+            result = self._study(s, session, num_training_samples=samples, image_size=16)
+            return _signature(result.scenarios["area"].candidates)
+
+        first = candidates(shared, 6)
+        second = candidates(shared, 20)
+        assert second == candidates(fresh, 20)
+        assert second != first

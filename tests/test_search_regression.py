@@ -1,8 +1,9 @@
 """Regression pins for the shared-archive search refactor.
 
 ``tests/fixtures/search_golden.json`` was generated from the pre-refactor
-list-based strategy implementations (PR 2/3 era); these tests rebuild the
-identical seeded setup and assert the strategies still produce
+list-based strategy implementations; these tests rebuild the identical
+seeded setup and assert the strategies -- called through a
+:class:`~repro.autoax.SearchContext` over a serial engine -- still produce
 **bit-identical** results now that archives, memoisation and batched
 evaluation sit underneath.  The dedupe tests pin the fix for the hill
 climber's duplicate re-evaluation of unchanged configurations.
@@ -17,19 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autoax import (
-    GaussianFilterAccelerator,
-    HwCostEstimator,
-    QorEstimator,
-    collect_training_samples,
-    components_from_library,
-    default_image_set,
-    exact_reevaluation,
-    random_search,
-)
+from repro.autoax import random_search
 from repro.autoax.search import SEARCH_STRATEGIES, _estimated_evaluator
 from repro.engine import BatchEvaluator, EvalCache
-from repro.generators import build_adder_library, build_multiplier_library
 
 pytestmark = pytest.mark.search
 
@@ -42,25 +33,9 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def setup():
+def setup(autoax_searchables):
     """The exact setup the golden fixture was generated with."""
-    from types import SimpleNamespace
-
-    multipliers = components_from_library(
-        build_multiplier_library(4, size=20, seed=2), 4, max_error=0.2
-    )
-    adders = components_from_library(
-        build_adder_library(8, size=16, seed=4), 3, max_error=0.1
-    )
-    accelerator = GaussianFilterAccelerator(multipliers, adders)
-    images = default_image_set(24)[:2]
-    samples = collect_training_samples(accelerator, images, 12, seed=17)
-    return SimpleNamespace(
-        accelerator=accelerator,
-        images=images,
-        qor=QorEstimator().fit(samples),
-        hw=HwCostEstimator("area").fit(samples),
-    )
+    return autoax_searchables
 
 
 def signature(entries):
@@ -85,66 +60,33 @@ def digest(entries) -> str:
 # --------------------------------------------------------------------- #
 class TestGoldenPins:
     def test_random_search_bit_identical(self, setup, golden):
-        results = random_search(setup.accelerator, setup.images, 10, seed=23)
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        results = random_search(setup.accelerator, setup.images, 10, seed=23, engine=engine)
         assert digest(results) == golden["random_search"]
 
     @pytest.mark.parametrize("key", ["hill_climb", "random_archive"])
     def test_strategy_bit_identical(self, setup, golden, key):
-        strategy = SEARCH_STRATEGIES.get(key)
-        archive = strategy(setup.accelerator, setup.qor, setup.hw, iterations=60, seed=31)
+        ctx = setup.ctx(iterations=60, seed=31)
+        archive = SEARCH_STRATEGIES.get(key)(ctx)
         assert digest(archive) == golden[key]
-        reevaluated = exact_reevaluation(setup.accelerator, setup.images, archive)
+        reevaluated = ctx.evaluate([entry.config for entry in archive])
         assert digest(reevaluated) == golden[f"{key}_reevaluated"]
 
     @pytest.mark.parametrize("key", ["hill_climb", "random_archive"])
     def test_strategy_bit_identical_with_cache(self, setup, golden, key):
-        """Attaching a cache (and re-running warm) never changes results."""
+        """Re-running over the same engine cache never changes results."""
         strategy = SEARCH_STRATEGIES.get(key)
-        cache = EvalCache()
-        cold = strategy(setup.accelerator, setup.qor, setup.hw, iterations=60, seed=31, cache=cache)
-        warm = strategy(setup.accelerator, setup.qor, setup.hw, iterations=60, seed=31, cache=cache)
+        ctx = setup.ctx(iterations=60, seed=31)
+        cold = strategy(ctx)
+        warm = strategy(ctx)
         assert digest(cold) == golden[key]
         assert digest(warm) == golden[key]
 
 
 # --------------------------------------------------------------------- #
-# Engine-batched exact evaluation is bit-identical to the serial path
+# Engine-batched exact evaluation
 # --------------------------------------------------------------------- #
 class TestBatchedExactEvaluation:
-    def test_random_search_engine_path_bit_identical(self, setup, golden):
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        results = random_search(setup.accelerator, setup.images, 10, seed=23, engine=engine)
-        assert digest(results) == golden["random_search"]
-
-    def test_exact_reevaluation_engine_path_bit_identical(self, setup, golden):
-        archive = SEARCH_STRATEGIES.get("hill_climb")(
-            setup.accelerator, setup.qor, setup.hw, iterations=60, seed=31
-        )
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        batched = exact_reevaluation(setup.accelerator, setup.images, archive, engine=engine)
-        assert digest(batched) == golden["hill_climb_reevaluated"]
-
-    def test_collect_training_samples_engine_path_bit_identical(self, setup):
-        serial = collect_training_samples(setup.accelerator, setup.images, 8, seed=3)
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        batched = collect_training_samples(setup.accelerator, setup.images, 8, seed=3, engine=engine)
-        for a, b in zip(serial, batched):
-            assert a.config == b.config
-            assert a.quality == b.quality
-            assert a.cost == b.cost
-            assert np.array_equal(a.features, b.features)
-
-    def test_engine_cache_shared_with_serial_axq_keys(self, setup):
-        """Values cached by the engine serve the serial path and vice versa."""
-        cache = EvalCache()
-        engine = BatchEvaluator(cache=cache, mode="serial")
-        batched = random_search(setup.accelerator, setup.images, 6, seed=23, engine=engine)
-        before = cache.stats()
-        serial = random_search(setup.accelerator, setup.images, 6, seed=23, cache=cache)
-        after = cache.stats()
-        assert after.misses == before.misses  # every serial lookup was a hit
-        assert digest(serial) == digest(batched)
-
     def test_process_mode_configurations_bit_identical(self, setup):
         """Process-pool fan-out (or its fallback) matches serial bits."""
         serial_engine = BatchEvaluator(cache=EvalCache(), mode="serial")
@@ -157,6 +99,18 @@ class TestBatchedExactEvaluation:
         parallel = process_engine.evaluate_configurations(setup.accelerator, setup.images, configs)
         assert serial == parallel
 
+    def test_collect_training_samples_bit_identical_on_a_warm_engine(self, setup):
+        from repro.autoax import collect_training_samples
+
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+        cold = collect_training_samples(setup.accelerator, setup.images, 8, seed=3, engine=engine)
+        before = engine.stats()
+        warm = collect_training_samples(setup.accelerator, setup.images, 8, seed=3, engine=engine)
+        assert engine.stats().since(before).misses == 0
+        for a, b in zip(cold, warm):
+            assert (a.config, a.quality, a.cost) == (b.config, b.quality, b.cost)
+            assert np.array_equal(a.features, b.features)
+
     def test_duplicate_configurations_computed_once(self, setup):
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")
         rng = np.random.default_rng(12)
@@ -166,6 +120,14 @@ class TestBatchedExactEvaluation:
         )
         assert payloads[0] == payloads[1] == payloads[2]
         assert engine.stats().size == 1  # one cache entry for three requests
+        # ctx.evaluate keeps request order and repeats, with exact values.
+        other = setup.accelerator.random_configuration(rng)
+        entries = setup.ctx(engine=engine).evaluate([config, other, config])
+        assert [entry.config for entry in entries] == [config, other, config]
+        for entry in entries:
+            assert entry.quality == setup.accelerator.quality(setup.images, entry.config)
+            assert entry.cost == setup.accelerator.hw_cost(entry.config)
+        assert engine.stats().size == 2
 
 
 # --------------------------------------------------------------------- #
@@ -173,7 +135,7 @@ class TestBatchedExactEvaluation:
 # --------------------------------------------------------------------- #
 class TestEstimatorDedupe:
     def test_memo_serves_revisited_configurations(self, setup):
-        evaluate = _estimated_evaluator(setup.accelerator, setup.qor, setup.hw, cache=None)
+        evaluate = _estimated_evaluator(setup.ctx())
         rng = np.random.default_rng(3)
         config = setup.accelerator.random_configuration(rng)
         first = evaluate(config)
@@ -206,7 +168,7 @@ class TestEstimatorDedupe:
         counting = CountingQor(setup.qor)
         iterations = 120
         archive = SEARCH_STRATEGIES.get("hill_climb")(
-            setup.accelerator, counting, setup.hw, iterations=iterations, seed=31
+            setup.ctx(qor=counting, iterations=iterations, seed=31)
         )
         assert archive
         total_evaluations = iterations + 8  # iterations + initial archive
@@ -214,64 +176,22 @@ class TestEstimatorDedupe:
         # the memo must convert them into hits instead of recomputation.
         assert counting.calls < total_evaluations
         # And the memo never changes seeded results.
-        plain = SEARCH_STRATEGIES.get("hill_climb")(
-            setup.accelerator, setup.qor, setup.hw, iterations=iterations, seed=31
-        )
+        plain = SEARCH_STRATEGIES.get("hill_climb")(setup.ctx(iterations=iterations, seed=31))
         assert digest(archive) == digest(plain)
 
     def test_cache_hit_rate_reflects_dedupe(self, setup):
         """Cache-backed run: misses == distinct configurations, so the
         cache-hit rate of a warm re-run is 100%."""
-        cache = EvalCache()
-        SEARCH_STRATEGIES.get("hill_climb")(
-            setup.accelerator, setup.qor, setup.hw, iterations=120, seed=31, cache=cache
-        )
+        ctx = setup.ctx(iterations=120, seed=31)
+        cache = ctx.engine.cache
+        SEARCH_STRATEGIES.get("hill_climb")(ctx)
         cold = cache.stats()
         # The in-run memo keeps revisits away from the cache: every cache
         # lookup is a distinct configuration, and each missed exactly once.
         assert cold.misses == cold.lookups
-        SEARCH_STRATEGIES.get("hill_climb")(
-            setup.accelerator, setup.qor, setup.hw, iterations=120, seed=31, cache=cache
-        )
+        SEARCH_STRATEGIES.get("hill_climb")(ctx)
         warm = cache.stats()
         repeat_lookups = warm.lookups - cold.lookups
         repeat_hits = warm.hits - cold.hits
         assert repeat_lookups > 0
         assert repeat_hits / repeat_lookups == pytest.approx(1.0)
-
-
-# --------------------------------------------------------------------- #
-# Whole-flow equivalence: engine-threaded staged run == legacy serial run
-# --------------------------------------------------------------------- #
-class TestFlowEquivalence:
-    def test_engine_threaded_pipeline_matches_legacy_flow(self, setup):
-        from repro.autoax import AutoAxConfig, AutoAxFpgaFlow
-        from repro.autoax.stages import run_autoax_pipeline
-
-        config = AutoAxConfig(
-            parameters=("area",),
-            num_training_samples=8,
-            num_random_baseline=6,
-            hill_climb_iterations=30,
-            image_size=24,
-            seed=11,
-        )
-        legacy = AutoAxFpgaFlow(
-            setup.accelerator.multipliers,
-            setup.accelerator.adders,
-            config=config,
-            images=setup.images,
-        ).run()
-        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        staged, _ = run_autoax_pipeline(
-            setup.accelerator.multipliers,
-            setup.accelerator.adders,
-            config,
-            images=setup.images,
-            engine=engine,
-        )
-        assert digest(staged.baseline) == digest(legacy.baseline)
-        assert digest(staged.scenarios["area"].candidates) == digest(
-            legacy.scenarios["area"].candidates
-        )
-        assert digest(staged.scenarios["area"].front) == digest(legacy.scenarios["area"].front)

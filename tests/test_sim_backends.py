@@ -581,3 +581,86 @@ class TestCompiledProgram:
         assert np.array_equal(
             unpack_bits(got, 320), unpack_bits(expected, 320)
         )
+
+
+# --------------------------------------------------------------------- #
+# Whole flows do not depend on the simulation backend
+# --------------------------------------------------------------------- #
+class TestWholeFlowBackendEquivalence:
+    """Seeded session runs of both flows are bit-identical under the
+    ``"bool"`` and ``"bitplane"`` backends."""
+
+    def test_approxfpgas_bit_identical_across_backends(self, small_multiplier_library):
+        import json
+
+        from repro.api import ExplorationSession
+        from repro.core import ApproxFpgasConfig
+        from repro.io import result_to_dict
+
+        config = ApproxFpgasConfig(
+            training_fraction=0.25,
+            min_training_circuits=12,
+            num_pseudo_fronts=2,
+            top_k_models=2,
+            model_ids=["ML2", "ML14", "ML18"],
+            seed=21,
+        )
+        dumps = {}
+        for backend in ("bool", "bitplane"):
+            session = ExplorationSession(seed=config.seed, sim_backend=backend)
+            payload = result_to_dict(session.run_approxfpgas(small_multiplier_library, config))
+            # Drop the wall-clock fields; everything else must match.
+            for key in ("model_time_s", "approxfpgas_time_s", "speedup"):
+                payload["exploration_cost"].pop(key)
+            for evaluation in payload["model_evaluations"]:
+                evaluation.pop("train_time_s")
+            dumps[backend] = json.dumps(payload, sort_keys=True)
+        assert dumps["bool"] == dumps["bitplane"]
+
+    def test_autoax_bit_identical_across_backends(self):
+        from repro.api import ExplorationSession
+        from repro.autoax import AutoAxConfig
+        from repro.generators import build_adder_library, build_multiplier_library
+        from repro.workloads import components_from_library
+
+        multiplier_library = build_multiplier_library(8, size=20, seed=31)
+        adder_library = build_adder_library(16, size=16, seed=37)
+        config = AutoAxConfig(
+            num_training_samples=10,
+            num_random_baseline=8,
+            hill_climb_iterations=25,
+            image_size=24,
+            seed=17,
+        )
+
+        def entries(items):
+            return [(entry.config, entry.quality, entry.cost) for entry in items]
+
+        signatures = {}
+        for backend in ("bool", "bitplane"):
+            multipliers = components_from_library(
+                multiplier_library,
+                4,
+                max_error=0.1,
+                engine=BatchEvaluator(multiplier_library.reference(), sim_backend=backend),
+            )
+            adders = components_from_library(
+                adder_library,
+                4,
+                max_error=0.05,
+                engine=BatchEvaluator(adder_library.reference(), sim_backend=backend),
+            )
+            session = ExplorationSession(
+                seed=config.seed, sim_backend=backend, engine_mode="serial"
+            )
+            result = session.run_autoax(multipliers, adders, config)
+            signatures[backend] = (
+                {
+                    parameter: (entries(scenario.candidates), entries(scenario.front))
+                    for parameter, scenario in result.scenarios.items()
+                },
+                entries(result.baseline),
+                result.design_space_size,
+                result.training_size,
+            )
+        assert signatures["bool"] == signatures["bitplane"]

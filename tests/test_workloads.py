@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExplorationSession
-from repro.autoax import AutoAxConfig, Configuration, default_autoax_run_id
+from repro.autoax import AutoAxConfig, default_autoax_run_id
 from repro.engine import BatchEvaluator, EvalCache, accelerator_token, images_token
 from repro.generators import build_adder_library, build_multiplier_library
 from repro.registry import RegistryError
@@ -178,9 +178,6 @@ class TestProtocol:
         quality, cost = accelerator.evaluate_prepared(prepared, config)
         assert quality == accelerator.quality(images, config)
         assert cost == accelerator.hw_cost(config)
-        # The legacy spelling is an alias of the protocol method.
-        legacy = accelerator.prepare_images(images)
-        assert accelerator.quality_prepared(legacy, config) == quality
 
     @pytest.mark.parametrize("key", BUILTIN_WORKLOADS)
     def test_mutation_changes_at_most_one_slot(self, components, key):
@@ -203,13 +200,6 @@ class TestProtocol:
             sobel.make_configuration([0] * 9, [0] * 8)
         with pytest.raises(ValueError, match="adder slots"):
             sobel.make_configuration([0] * 12, [0] * 3)
-
-    def test_legacy_configuration_compares_equal_to_generic(self):
-        legacy = Configuration((1,) * 9, (2,) * 8)
-        generic = SlotConfiguration((1,) * 9, (2,) * 8)
-        assert legacy == generic and generic == legacy
-        assert hash(legacy) == hash(generic)
-        assert legacy != SlotConfiguration((0,) * 9, (2,) * 8)
 
     def test_sobel_constant_image_has_zero_gradient(self, components):
         sobel = build_workload("sobel", *components)
@@ -267,26 +257,12 @@ class TestQualityMetrics:
         with pytest.raises(ValueError):
             gradient_similarity(image, image[:8, :8])
 
-    def test_autoax_quality_reexports_are_aliases(self):
-        from repro.autoax import quality as legacy
-        from repro.workloads import quality as canonical
-
-        assert legacy.ssim is canonical.ssim
-        assert legacy.psnr is canonical.psnr
-        assert legacy.mean_ssim is canonical.mean_ssim
-        assert legacy.QUALITY_METRICS is canonical.QUALITY_METRICS
 
 
 # --------------------------------------------------------------------- #
 # Seeded per-workload input sets
 # --------------------------------------------------------------------- #
 class TestInputSets:
-    def test_seed_zero_is_bit_identical_to_legacy_alias(self):
-        from repro.autoax.images import default_image_set as legacy_set
-
-        for new, old in zip(default_image_set(24, seed=0), legacy_set(24)):
-            assert np.array_equal(new, old)
-
     def test_workload_input_sets_are_pairwise_distinct(self, components):
         sets = {
             key: build_workload(key, *components).default_inputs(24)
@@ -433,15 +409,17 @@ class TestWorkloadGoldens:
 class TestSearchStrategiesOnNewWorkloads:
     @pytest.mark.parametrize("strategy", ["hill_climb", "random_archive", "nsga2"])
     def test_sobel_strategies_run(self, components, strategy):
-        from repro.autoax import HwCostEstimator, QorEstimator, collect_training_samples
+        from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
         from repro.autoax.search import SEARCH_STRATEGIES
 
         sobel = build_workload("sobel", *components)
         images = sobel.default_inputs(16)[:2]
-        samples = collect_training_samples(sobel, images, 8, seed=3)
+        engine = BatchEvaluator(mode="serial")
+        samples = collect_training_samples(sobel, images, 8, seed=3, engine=engine)
         qor = QorEstimator().fit(samples)
         hw = HwCostEstimator("area").fit(samples)
-        archive = SEARCH_STRATEGIES.get(strategy)(sobel, qor, hw, iterations=20, seed=7)
+        ctx = SearchContext(sobel, qor, hw, images, engine, iterations=20, seed=7)
+        archive = SEARCH_STRATEGIES.get(strategy)(ctx)
         assert archive
         for entry in archive:
             assert len(entry.config.multiplier_indices) == 12
