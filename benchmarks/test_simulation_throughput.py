@@ -1,27 +1,25 @@
-"""Simulation throughput: bool vs bit-plane vs compiled backends.
+"""Simulation throughput: the bool oracle vs the packed path.
 
 The workload is the paper's Monte-Carlo error-evaluation inner loop: one
 vectorised simulation pass of an exact multiplier over a seeded operand
 sample, at 8/12/16-bit operand widths.  Two timings are recorded per width
-and backend:
+and path:
 
 * **kernel** -- the per-circuit marginal cost inside
   :class:`~repro.engine.evaluator.BatchEvaluator`, which expands the
   operand matrix once per word layout, packs it once per layout, and keeps
   the compiled-program cache warm across the loop.  That is
-  ``simulate_bits`` on the shared bit matrix for ``"bool"``, and the
-  plane-level passes (``simulate_planes`` / ``simulate_planes_compiled``)
-  on the shared packed planes for the packed backends.
+  ``simulate_bits`` on the shared bit matrix for ``"bool"``, and
+  ``simulate_planes`` on the shared packed planes for ``"packed"``.
 * **end-to-end** -- ``simulate_words`` (word expansion + simulation +
-  word collapse) under each backend key, nothing shared.
+  word collapse) forced onto each path, nothing shared.
 
-All backends must be bit-identical.  In full mode the 16-bit kernel floors
-are enforced: bitplane >= 4x over bool, compiled >= 3x over bitplane.  The
-measured table is also written to ``BENCH_simulation.json`` at the repo
-root (per-backend seconds, throughput and speedups) as the first artifact
-of the ROADMAP's perf-trajectory item.  Set ``REPRO_BENCH_QUICK=1`` to
-shrink the workload and drop the wall-clock floors (CI smoke / loaded
-machines).
+Both paths must be bit-identical.  In full mode the 16-bit floors are
+enforced: packed >= 12x over bool in the kernel and >= 1.8x end to end.
+The measured table is also written to ``BENCH_simulation.json`` at the
+repo root (per-path seconds, throughput and speedups).  Set
+``REPRO_BENCH_QUICK=1`` to shrink the workload and drop the wall-clock
+floors (CI smoke / loaded machines).
 """
 
 from __future__ import annotations
@@ -41,10 +39,10 @@ from repro.circuits import (
     random_operands,
     simulate_bits,
     simulate_planes,
-    simulate_planes_compiled,
     simulate_words,
     unpack_bits,
 )
+from repro.circuits import simulate as simulate_module
 from repro.circuits.simulate import expand_operand_bits
 from repro.generators import array_multiplier
 
@@ -52,11 +50,14 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 NUM_SAMPLES = 4096 if QUICK else 65536
 WIDTHS = (8,) if QUICK else (8, 12, 16)
 
-#: Enforced 16-bit kernel floors in full mode (measured margin ~2x each on
-#: an idle machine: bitplane ~11x over bool, compiled ~6x over bitplane).
-BITPLANE_VS_BOOL_FLOOR = 4.0
-COMPILED_VS_BITPLANE_FLOOR = 3.0
+#: Enforced 16-bit floors in full mode.  The kernel floor is the product of
+#: the former bitplane >= 4x bool and compiled >= 3x bitplane floors
+#: (measured ~98x on an idle machine).
+PACKED_KERNEL_SPEEDUP_FLOOR = 12.0
 END_TO_END_SPEEDUP_FLOOR = 1.8
+
+#: ``PACKED_MIN_PATTERNS`` values that force ``simulate_words`` onto one path.
+FORCED_PATHS = {"bool": 2**62, "packed": 1}
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_simulation.json"
 #: BENCH files are tracked, so they are rewritten only on request
@@ -74,7 +75,7 @@ def _best_of(callable_, repeats=2):
     return best, result
 
 
-def test_simulation_throughput_across_backends(benchmark):
+def test_simulation_throughput_across_backends(benchmark, monkeypatch):
     rng = np.random.default_rng(97)
     rows = []
 
@@ -93,46 +94,34 @@ def test_simulation_throughput_across_backends(benchmark):
             packed_kernel_s, packed_planes = _best_of(
                 lambda: simulate_planes(multiplier, input_planes)
             )
-            compiled_kernel_s, compiled_planes = _best_of(
-                lambda: simulate_planes_compiled(multiplier, input_planes)
-            )
             assert np.array_equal(unpack_bits(packed_planes, NUM_SAMPLES).T, bool_bits)
-            assert np.array_equal(unpack_bits(compiled_planes, NUM_SAMPLES).T, bool_bits)
 
             e2e_s, e2e_words = {}, {}
-            for backend in ("bool", "bitplane", "compiled"):
-                e2e_s[backend], e2e_words[backend] = _best_of(
-                    lambda backend=backend: simulate_words(
-                        multiplier, operands, backend=backend
-                    )
+            for path, threshold in FORCED_PATHS.items():
+                monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
+                e2e_s[path], e2e_words[path] = _best_of(
+                    lambda: simulate_words(multiplier, operands)
                 )
-            assert np.array_equal(e2e_words["bool"], e2e_words["bitplane"])
-            assert np.array_equal(e2e_words["bool"], e2e_words["compiled"])
+            assert np.array_equal(e2e_words["bool"], e2e_words["packed"])
             assert np.array_equal(bits_to_words(bool_bits), e2e_words["bool"])
 
-            kernel_s = {
-                "bool": bool_kernel_s,
-                "bitplane": packed_kernel_s,
-                "compiled": compiled_kernel_s,
-            }
+            kernel_s = {"bool": bool_kernel_s, "packed": packed_kernel_s}
             rows.append(
                 {
                     "width": width,
                     "gates": multiplier.num_gates,
                     "patterns": NUM_SAMPLES,
                     "compile_s": compile_s,
-                    "backends": {
-                        backend: {
-                            "kernel_s": kernel_s[backend],
-                            "kernel_patterns_per_s": NUM_SAMPLES / max(kernel_s[backend], 1e-9),
-                            "kernel_speedup_vs_bool": bool_kernel_s / max(kernel_s[backend], 1e-9),
-                            "e2e_s": e2e_s[backend],
-                            "e2e_speedup_vs_bool": e2e_s["bool"] / max(e2e_s[backend], 1e-9),
+                    "paths": {
+                        path: {
+                            "kernel_s": kernel_s[path],
+                            "kernel_patterns_per_s": NUM_SAMPLES / max(kernel_s[path], 1e-9),
+                            "kernel_speedup_vs_bool": bool_kernel_s / max(kernel_s[path], 1e-9),
+                            "e2e_s": e2e_s[path],
+                            "e2e_speedup_vs_bool": e2e_s["bool"] / max(e2e_s[path], 1e-9),
                         }
-                        for backend in kernel_s
+                        for path in kernel_s
                     },
-                    "compiled_vs_bitplane_kernel_speedup": packed_kernel_s
-                    / max(compiled_kernel_s, 1e-9),
                 }
             )
         return rows
@@ -141,18 +130,17 @@ def test_simulation_throughput_across_backends(benchmark):
 
     print(f"\n=== Simulation throughput ({NUM_SAMPLES} MC patterns, kernel = per-circuit marginal) ===")
     print(
-        f"{'width':>6} {'gates':>6} {'bool':>9} {'bitplane':>9} {'compiled':>9} "
-        f"{'bp/bool':>8} {'cc/bp':>7} {'compile':>8}"
+        f"{'width':>6} {'gates':>6} {'bool':>9} {'packed':>9} {'kernel':>8} "
+        f"{'e2e':>6} {'compile':>8}"
     )
     for row in rows:
-        backends = row["backends"]
+        paths = row["paths"]
         print(
             f"{row['width']:>5}b {row['gates']:>6} "
-            f"{backends['bool']['kernel_s'] * 1000:>7.1f}ms "
-            f"{backends['bitplane']['kernel_s'] * 1000:>7.2f}ms "
-            f"{backends['compiled']['kernel_s'] * 1000:>7.2f}ms "
-            f"{backends['bitplane']['kernel_speedup_vs_bool']:>7.1f}x "
-            f"{row['compiled_vs_bitplane_kernel_speedup']:>6.1f}x "
+            f"{paths['bool']['kernel_s'] * 1000:>7.1f}ms "
+            f"{paths['packed']['kernel_s'] * 1000:>7.2f}ms "
+            f"{paths['packed']['kernel_speedup_vs_bool']:>7.1f}x "
+            f"{paths['packed']['e2e_speedup_vs_bool']:>5.2f}x "
             f"{row['compile_s'] * 1000:>6.1f}ms"
         )
 
@@ -175,19 +163,9 @@ def test_simulation_throughput_across_backends(benchmark):
 
     if not QUICK:
         by_width = {row["width"]: row for row in rows}
-        row16 = by_width[16]
-        assert (
-            row16["backends"]["bitplane"]["kernel_speedup_vs_bool"] >= BITPLANE_VS_BOOL_FLOOR
-        ), row16
-        assert (
-            row16["compiled_vs_bitplane_kernel_speedup"] >= COMPILED_VS_BITPLANE_FLOOR
-        ), row16
-        assert (
-            row16["backends"]["bitplane"]["e2e_speedup_vs_bool"] >= END_TO_END_SPEEDUP_FLOOR
-        ), row16
-        assert (
-            row16["backends"]["compiled"]["e2e_speedup_vs_bool"] >= END_TO_END_SPEEDUP_FLOOR
-        ), row16
+        packed16 = by_width[16]["paths"]["packed"]
+        assert packed16["kernel_speedup_vs_bool"] >= PACKED_KERNEL_SPEEDUP_FLOOR, by_width[16]
+        assert packed16["e2e_speedup_vs_bool"] >= END_TO_END_SPEEDUP_FLOOR, by_width[16]
 
 
 def test_streaming_evaluation_memory_and_equivalence():
@@ -207,14 +185,11 @@ def test_streaming_evaluation_memory_and_equivalence():
     reference = array_multiplier(width)
     circuits = [truncated_multiplier(width, width // 2), perturb_netlist(reference, seed=3)]
 
-    one_shot = ErrorEvaluator(
-        reference, max_exhaustive_inputs=10, num_samples=num_samples, sim_backend="bitplane"
-    )
+    one_shot = ErrorEvaluator(reference, max_exhaustive_inputs=10, num_samples=num_samples)
     streaming = ErrorEvaluator(
         reference,
         max_exhaustive_inputs=10,
         num_samples=num_samples,
-        sim_backend="bitplane",
         chunk_patterns=chunk,
     )
     start = time.perf_counter()

@@ -1,14 +1,13 @@
-"""Scenario-matrix gate: every workload x every strategy x both sim backends.
+"""Scenario-matrix gate: every workload x every strategy.
 
 The scenario-diversity claim ("the flow is workload-agnostic") used to
 rest on three convolution workloads through one strategy; this benchmark
 turns it into an *enforced* matrix.  Every cell of
 
-    registered workload  x  registered search strategy  x  {bitplane, compiled}
+    registered workload  x  registered search strategy
 
 runs the AutoAx-FPGA flow twice (cold + warm repeat) through a fresh
-:class:`repro.api.ExplorationSession` sharing one per-backend cache, and
-the gate pins
+:class:`repro.api.ExplorationSession` sharing one cache, and the gate pins
 
 * a non-empty exact Pareto front and a sane hypervolume comparison per
   cell;
@@ -61,7 +60,6 @@ WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 #: it here fails the gate instead of silently shrinking coverage.
 MATRIX_WORKLOADS = ("dct", "fir", "fir_mixed", "gaussian", "mvm", "sharpen", "sobel")
 MATRIX_STRATEGIES = ("hill_climb", "nsga2", "random_archive", "sh_ehvi")
-MATRIX_BACKENDS = ("bitplane", "compiled")
 
 STUDY = dict(
     parameters=("area",),
@@ -159,84 +157,78 @@ def test_workload_tokens_are_pairwise_distinct(components):
 
 def test_scenario_matrix_gate(components):
     cells = []
-    for backend in MATRIX_BACKENDS:
-        # One shared cache per backend: entries may flow between cells
-        # (cache hits never change results -- pinned by the determinism
-        # suite) but never between backends, so each backend column
-        # genuinely executes its own simulation path.
-        cache = DomainCountingCache()
-        for workload in MATRIX_WORKLOADS:
-            for strategy in MATRIX_STRATEGIES:
-                config = AutoAxConfig(workload=workload, search_strategy=strategy, **STUDY)
-                session = ExplorationSession(seed=11, cache=cache, sim_backend=backend)
-                started = time.perf_counter()
-                result = session.run_autoax(*components, config)
-                cold_elapsed = time.perf_counter() - started
-                mid_lookups, mid_hits = cache.snapshot()
+    # One shared cache: entries may flow between cells (cache hits never
+    # change results -- pinned by the determinism suite).
+    cache = DomainCountingCache()
+    for workload in MATRIX_WORKLOADS:
+        for strategy in MATRIX_STRATEGIES:
+            config = AutoAxConfig(workload=workload, search_strategy=strategy, **STUDY)
+            session = ExplorationSession(seed=11, cache=cache)
+            started = time.perf_counter()
+            result = session.run_autoax(*components, config)
+            cold_elapsed = time.perf_counter() - started
+            mid_lookups, mid_hits = cache.snapshot()
 
-                warm_result = session.run_autoax(*components, config)
-                end_lookups, end_hits = cache.snapshot()
+            warm_result = session.run_autoax(*components, config)
+            end_lookups, end_hits = cache.snapshot()
 
-                front = result.scenarios["area"].front
-                comparison = result.hypervolume_comparison("area")
-                warm_axq_lookups = end_lookups.get("axq", 0) - mid_lookups.get("axq", 0)
-                warm_axq_hits = end_hits.get("axq", 0) - mid_hits.get("axq", 0)
+            front = result.scenarios["area"].front
+            comparison = result.hypervolume_comparison("area")
+            warm_axq_lookups = end_lookups.get("axq", 0) - mid_lookups.get("axq", 0)
+            warm_axq_hits = end_hits.get("axq", 0) - mid_hits.get("axq", 0)
 
-                label = f"{workload} x {strategy} x {backend}"
-                assert len(front) >= 1, f"{label}: empty exact Pareto front"
-                assert len(warm_result.scenarios["area"].front) == len(front), (
-                    f"{label}: warm repeat changed the front"
-                )
-                assert comparison["autoax"] >= 0.0 and comparison["random"] >= 0.0
-                assert warm_axq_lookups > 0, f"{label}: warm repeat did no exact lookups"
-                assert warm_axq_hits == warm_axq_lookups, (
-                    f"{label}: warm repeat missed the exact-evaluation cache "
-                    f"({warm_axq_hits}/{warm_axq_lookups} hits)"
-                )
-                cells.append(
-                    {
-                        "workload": workload,
-                        "strategy": strategy,
-                        "backend": backend,
-                        "front": len(front),
-                        "hv_autoax": comparison["autoax"],
-                        "hv_random": comparison["random"],
-                        "warm_axq_lookups": warm_axq_lookups,
-                        "warm_axq_hit_rate": warm_axq_hits / warm_axq_lookups,
-                        "cold_s": round(cold_elapsed, 4),
-                    }
-                )
-
-        # Zero cross-workload aliasing, observed at the cache-accounting
-        # level: after the whole backend sweep, repeating any workload's
-        # nsga2 study creates no new exact-domain misses (everything it
-        # needs is namespaced under its own token and already cached).
-        before_lookups, before_hits = cache.snapshot()
-        for workload in MATRIX_WORKLOADS:
-            session = ExplorationSession(seed=11, cache=cache, sim_backend=backend)
-            session.run_autoax(
-                *components,
-                AutoAxConfig(workload=workload, search_strategy="nsga2", **STUDY),
+            label = f"{workload} x {strategy}"
+            assert len(front) >= 1, f"{label}: empty exact Pareto front"
+            assert len(warm_result.scenarios["area"].front) == len(front), (
+                f"{label}: warm repeat changed the front"
             )
-        after_lookups, after_hits = cache.snapshot()
-        sweep_lookups = after_lookups.get("axq", 0) - before_lookups.get("axq", 0)
-        sweep_hits = after_hits.get("axq", 0) - before_hits.get("axq", 0)
-        assert sweep_lookups > 0
-        assert sweep_hits == sweep_lookups, (
-            f"{backend}: repeating every workload after the sweep missed the "
-            f"exact cache ({sweep_hits}/{sweep_lookups}) -- cross-workload "
-            "entries would have to be missing or aliased for that to happen"
-        )
+            assert comparison["autoax"] >= 0.0 and comparison["random"] >= 0.0
+            assert warm_axq_lookups > 0, f"{label}: warm repeat did no exact lookups"
+            assert warm_axq_hits == warm_axq_lookups, (
+                f"{label}: warm repeat missed the exact-evaluation cache "
+                f"({warm_axq_hits}/{warm_axq_lookups} hits)"
+            )
+            cells.append(
+                {
+                    "workload": workload,
+                    "strategy": strategy,
+                    "front": len(front),
+                    "hv_autoax": comparison["autoax"],
+                    "hv_random": comparison["random"],
+                    "warm_axq_lookups": warm_axq_lookups,
+                    "warm_axq_hit_rate": warm_axq_hits / warm_axq_lookups,
+                    "cold_s": round(cold_elapsed, 4),
+                }
+            )
 
-    assert len(cells) == (
-        len(MATRIX_WORKLOADS) * len(MATRIX_STRATEGIES) * len(MATRIX_BACKENDS)
+    # Zero cross-workload aliasing, observed at the cache-accounting level:
+    # after the whole sweep, repeating any workload's nsga2 study creates no
+    # new exact-domain misses (everything it needs is namespaced under its
+    # own token and already cached).
+    before_lookups, before_hits = cache.snapshot()
+    for workload in MATRIX_WORKLOADS:
+        session = ExplorationSession(seed=11, cache=cache)
+        session.run_autoax(
+            *components,
+            AutoAxConfig(workload=workload, search_strategy="nsga2", **STUDY),
+        )
+    after_lookups, after_hits = cache.snapshot()
+    sweep_lookups = after_lookups.get("axq", 0) - before_lookups.get("axq", 0)
+    sweep_hits = after_hits.get("axq", 0) - before_hits.get("axq", 0)
+    assert sweep_lookups > 0
+    assert sweep_hits == sweep_lookups, (
+        f"repeating every workload after the sweep missed the exact cache "
+        f"({sweep_hits}/{sweep_lookups}) -- cross-workload entries would have "
+        "to be missing or aliased for that to happen"
     )
 
-    print("\n=== scenario matrix (workload x strategy x backend) ===")
-    print(f"{'workload':<10} {'strategy':<15} {'backend':<9} {'front':>6} "
+    assert len(cells) == len(MATRIX_WORKLOADS) * len(MATRIX_STRATEGIES)
+
+    print("\n=== scenario matrix (workload x strategy) ===")
+    print(f"{'workload':<10} {'strategy':<15} {'front':>6} "
           f"{'warm axq':>9} {'hit rate':>9} {'cold s':>8}")
     for cell in cells:
-        print(f"{cell['workload']:<10} {cell['strategy']:<15} {cell['backend']:<9} "
+        print(f"{cell['workload']:<10} {cell['strategy']:<15} "
               f"{cell['front']:>6d} {cell['warm_axq_lookups']:>9d} "
               f"{cell['warm_axq_hit_rate']:>9.0%} {cell['cold_s']:>8.2f}")
 
@@ -249,7 +241,6 @@ def test_scenario_matrix_gate(components):
                     "study": {k: (list(v) if isinstance(v, tuple) else v) for k, v in STUDY.items()},
                     "workloads": list(MATRIX_WORKLOADS),
                     "strategies": list(MATRIX_STRATEGIES),
-                    "backends": list(MATRIX_BACKENDS),
                     "cells": cells,
                 },
                 indent=2,

@@ -79,21 +79,20 @@ All flows route their evaluations through one engine, so cache hits are
 shared across every stage of a flow -- and across flows, when runs share an
 :class:`repro.api.ExplorationSession`.
 
-Simulation backends
--------------------
-Behavioural simulation itself is pluggable through the
-:data:`repro.circuits.SIM_BACKENDS` registry: ``"bool"`` is the original
-one-byte-per-pattern implementation, ``"bitplane"``
-(:mod:`repro.circuits.bitplane`) packs 64 patterns into each ``uint64``
-lane for a several-fold speedup on large pattern counts, and ``"compiled"``
-(:mod:`repro.circuits.compiled`) lowers each netlist once into a levelized
-op tape over packed bit planes -- cached per structural fingerprint and
-executed by a cache-tiled native interpreter where a C compiler is
-available (NumPy fallback otherwise) -- for another order of magnitude on
-Monte-Carlo workloads.  Backends are
-bit-identical by contract -- enforced by the differential suite
-(``pytest -m sim_backends``) -- so evaluators default to ``"auto"``
-workload-size selection and cached results are shared across backends.
+Simulation paths
+----------------
+Behavioural simulation has two bit-identical paths and one rule that picks
+between them by pattern count (:func:`repro.circuits.simulate.use_packed_path`):
+below ``PACKED_MIN_PATTERNS`` (4,096) patterns,
+:func:`repro.circuits.simulate_bits`, the one-byte-per-pattern reference
+oracle; from there up, :func:`repro.circuits.simulate_planes`, which packs
+64 patterns into each ``uint64`` lane (:mod:`repro.circuits.bitplane`) and
+runs the netlist's levelized op tape (:mod:`repro.circuits.compiled`) --
+compiled once per structural fingerprint and executed by a cache-tiled
+native interpreter where a C compiler is available (NumPy fallback
+otherwise).  The paths are bit-identical by contract -- enforced by the
+differential suite (``pytest -m sim_backends``) -- so cached results never
+depend on which one ran.
 For operand widths whose pattern sets are too large for one allocation,
 :class:`repro.error.ErrorAccumulator` accumulates MED/WCE/error-rate over
 streamed pattern blocks (``ErrorEvaluator(..., chunk_patterns=...)``),

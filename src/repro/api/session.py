@@ -72,12 +72,6 @@ class ExplorationSession:
     engine_mode / max_workers:
         Forwarded to every :class:`BatchEvaluator` the session builds
         (``"auto"`` fans large miss sets out over a process pool).
-    sim_backend:
-        Simulation backend for error evaluation (``"bool"``, ``"bitplane"``,
-        ``"compiled"`` or ``"auto"``, see
-        :data:`repro.circuits.SIM_BACKENDS`); forwarded to every engine the
-        session builds.  Backends are bit-identical, so this only affects
-        speed (and cached results are shared across backends).
     """
 
     def __init__(
@@ -91,7 +85,6 @@ class ExplorationSession:
         asic_synthesizer: Union[str, object] = "asic",
         engine_mode: str = "auto",
         max_workers: Optional[int] = None,
-        sim_backend: str = "auto",
         shards: int = 1,
     ):
         self.seed = seed
@@ -111,7 +104,6 @@ class ExplorationSession:
         self.asic_synthesizer = resolve_synthesizer(asic_synthesizer)
         self.engine_mode = engine_mode
         self.max_workers = max_workers
-        self.sim_backend = sim_backend
         self._engines: Dict[str, BatchEvaluator] = {}
         self._accelerator_engine: Optional[BatchEvaluator] = None
         self.runs: Dict[str, PipelineRun] = {}
@@ -141,7 +133,6 @@ class ExplorationSession:
                 cache=self.cache,
                 mode=self.engine_mode,
                 max_workers=self.max_workers,
-                sim_backend=self.sim_backend,
             )
             self._engines[key] = engine
         return engine
@@ -162,7 +153,6 @@ class ExplorationSession:
                 cache=self.cache,
                 mode=self.engine_mode,
                 max_workers=self.max_workers,
-                sim_backend=self.sim_backend,
             )
         return self._accelerator_engine
 

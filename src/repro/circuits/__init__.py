@@ -2,10 +2,8 @@
 
 from .gates import (
     GATE_ARITY,
-    PACKED_GATE_FUNCTIONS,
     GateType,
     evaluate_gate,
-    evaluate_gate_packed,
     gate_truth_table,
 )
 from .netlist import Gate, Netlist, NetlistError
@@ -15,7 +13,6 @@ from .bitplane import (
     PLANE_WIDTH,
     num_planes,
     pack_bits,
-    simulate_bits_packed,
     simulate_planes,
     unpack_bits,
 )
@@ -23,32 +20,22 @@ from .compiled import (
     CompiledProgram,
     clear_program_cache,
     compile_netlist,
-    simulate_bits_compiled,
-    simulate_planes_compiled,
 )
 from .simulate import (
-    AUTO_BACKEND_MIN_PATTERNS,
-    AUTO_COMPILED_MIN_PATTERNS,
-    DEFAULT_SIM_BACKEND,
-    SIM_BACKENDS,
     bits_to_words,
     exhaustive_operands,
     exhaustive_simulate,
     random_operands,
-    resolve_sim_backend,
     simulate_bits,
     simulate_words,
-    validate_sim_backend,
     words_to_bits,
 )
 from .verilog import to_verilog
 
 __all__ = [
     "GATE_ARITY",
-    "PACKED_GATE_FUNCTIONS",
     "GateType",
     "evaluate_gate",
-    "evaluate_gate_packed",
     "gate_truth_table",
     "Gate",
     "Netlist",
@@ -60,26 +47,17 @@ __all__ = [
     "PLANE_WIDTH",
     "num_planes",
     "pack_bits",
-    "simulate_bits_packed",
     "simulate_planes",
     "unpack_bits",
     "CompiledProgram",
     "clear_program_cache",
     "compile_netlist",
-    "simulate_bits_compiled",
-    "simulate_planes_compiled",
-    "AUTO_BACKEND_MIN_PATTERNS",
-    "AUTO_COMPILED_MIN_PATTERNS",
-    "DEFAULT_SIM_BACKEND",
-    "SIM_BACKENDS",
     "bits_to_words",
     "exhaustive_operands",
     "exhaustive_simulate",
     "random_operands",
-    "resolve_sim_backend",
     "simulate_bits",
     "simulate_words",
-    "validate_sim_backend",
     "words_to_bits",
     "to_verilog",
 ]

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import GATE_FUNCTIONS
 from .netlist import Netlist
-from .simulate import random_operands, words_to_bits
+from .simulate import expand_operand_bits, node_values, random_operands
 
 
 def node_signal_probabilities(
@@ -21,19 +20,8 @@ def node_signal_probabilities(
 ) -> np.ndarray:
     """Probability of each node being logic-1 under uniform random inputs."""
     rng = np.random.default_rng(seed)
-    operands = random_operands(netlist, num_samples, rng)
-    input_bits = np.zeros((num_samples, netlist.num_inputs), dtype=bool)
-    for name, bit_ids in netlist.input_words.items():
-        word_bits = words_to_bits(np.asarray(operands[name]), len(bit_ids))
-        for position, node_id in enumerate(bit_ids):
-            input_bits[:, node_id] = word_bits[:, position]
-
-    values = [input_bits[:, i] for i in range(netlist.num_inputs)]
-    zeros = np.zeros(num_samples, dtype=bool)
-    for gate in netlist.gates:
-        a = values[gate.a] if gate.a >= 0 else zeros
-        b = values[gate.b] if gate.b >= 0 else zeros
-        values.append(GATE_FUNCTIONS[gate.gate_type](a, b))
+    input_bits = expand_operand_bits(netlist, random_operands(netlist, num_samples, rng))
+    values = node_values(netlist, input_bits)
     # One reduction over all nodes: a count of ones over ``num_samples`` is
     # exactly the float64 mean of the boolean samples.
     samples = np.array(values, dtype=bool).reshape(len(values), num_samples)

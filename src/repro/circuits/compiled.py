@@ -1,9 +1,10 @@
-"""Compiled netlist backend: lower once into a levelized op tape.
+"""Compiled netlists: lower once into a levelized op tape.
 
-The bit-plane backend (:mod:`repro.circuits.bitplane`) removed the
-per-pattern cost of simulation; what remains is per-*gate* Python dispatch,
-one interpreter round-trip plus one or two NumPy calls per gate per
-simulation.  This module removes most of that too, with the classic
+Packing patterns into bit planes (:mod:`repro.circuits.bitplane`) removes
+the per-pattern cost of simulation; a gate-by-gate interpreter over the
+planes would still pay per-*gate* Python dispatch, one interpreter
+round-trip plus one or two NumPy calls per gate per simulation.  This
+module removes most of that too, with the classic
 compile-once/simulate-many restructuring:
 
 :func:`compile_netlist` lowers a :class:`~repro.circuits.netlist.Netlist`
@@ -41,9 +42,8 @@ only plain integers and NumPy arrays, so it pickles cleanly across process
 pools; workers that receive only the netlist rebuild the program through
 the same per-process cache.
 
-:func:`simulate_bits_compiled` is the drop-in, bit-identical backend entry
-registered in :data:`~repro.circuits.simulate.SIM_BACKENDS` under
-``"compiled"`` and preferred by ``"auto"`` at high pattern counts.
+:func:`repro.circuits.bitplane.simulate_planes` is the packed simulation
+entry point that runs these programs.
 """
 
 from __future__ import annotations
@@ -54,9 +54,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._native import TILE, native_available, run_tape_native
-from .bitplane import pack_bits, unpack_bits
-from .gates import PLANE_ONES, GateType, gate_truth_table
+from ._native import TILE, run_tape_native
+from .gates import GATE_ARITY, GateType, gate_truth_table
 from .netlist import Netlist
 
 __all__ = [
@@ -65,18 +64,19 @@ __all__ = [
     "PROGRAM_CACHE_SIZE",
     "compile_netlist",
     "clear_program_cache",
-    "simulate_planes_compiled",
-    "simulate_bits_compiled",
 ]
 
 #: Compiled programs kept per process, keyed by structural fingerprint (LRU).
 PROGRAM_CACHE_SIZE = 256
 
+#: All-ones ``uint64`` lane: constant 1 on 64 packed patterns.
+PLANE_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 #: 4-entry truth table per gate type as a bit mask over (a, b) =
 #: (00, 01, 10, 11).  Unary and constant gates are broadcast over their
 #: unused operands, which read as constant 0 (exactly the floating-operand
-#: semantics of the other backends), so lowering treats every gate type
-#: uniformly as a two-input truth table.
+#: semantics of :func:`~repro.circuits.simulate.simulate_bits`), so
+#: lowering treats every gate type uniformly as a two-input truth table.
 _TRUTH_MASKS: Dict[GateType, int] = {
     gate_type: sum(int(bool(v)) << i for i, v in enumerate(gate_truth_table(gate_type)))
     for gate_type in GateType
@@ -239,18 +239,6 @@ class CompiledProgram:
             np.bitwise_xor(outputs, self.out_invert[:, None], out=outputs)
         return outputs
 
-    def simulate_bits(self, input_bits: np.ndarray) -> np.ndarray:
-        """Boolean-matrix entry point, bit-identical to ``simulate_bits``."""
-        input_bits = np.asarray(input_bits, dtype=bool)
-        if input_bits.ndim != 2 or input_bits.shape[1] != self.num_inputs:
-            raise ValueError(
-                f"expected input matrix of shape (patterns, {self.num_inputs}), "
-                f"got {input_bits.shape}"
-            )
-        patterns = input_bits.shape[0]
-        output_planes = self.run(pack_bits(input_bits.T))
-        return unpack_bits(output_planes, patterns).T
-
 
 # --------------------------------------------------------------------- #
 # Scratch arena: one grow-only per-process buffer backs the slot matrix of
@@ -339,8 +327,12 @@ def _compile(netlist: Netlist) -> CompiledProgram:
     for node_id, gate in enumerate(netlist.gates, num_inputs):
         if not live[node_id]:
             continue  # dead-node elimination
-        a_slot, a_inv, a_const = operand(gate.a)
-        b_slot, b_inv, b_const = operand(gate.b)
+        # Operands beyond the gate's arity float, as in ``simulate_bits``
+        # (which ignores them) and ``transitive_fanin`` (which leaves them
+        # dead).
+        arity = GATE_ARITY[gate.gate_type]
+        a_slot, a_inv, a_const = operand(gate.a if arity >= 1 else -1)
+        b_slot, b_inv, b_const = operand(gate.b if arity == 2 else -1)
 
         mask = _EFFECTIVE_MASKS[4 * gate.gate_type + 2 * a_inv + b_inv]
         # Constant operands (and same-slot operands) restrict the mask to a
@@ -501,28 +493,3 @@ def clear_program_cache() -> None:
     global _scratch_buffer
     _PROGRAM_CACHE.clear()
     _scratch_buffer = None
-
-
-# --------------------------------------------------------------------- #
-# Backend entry points
-# --------------------------------------------------------------------- #
-def simulate_planes_compiled(netlist: Netlist, input_planes: np.ndarray) -> np.ndarray:
-    """Compiled counterpart of :func:`~repro.circuits.bitplane.simulate_planes`.
-
-    Compiles (or fetches the cached program for) ``netlist`` and executes
-    the tape on pre-packed ``(num_inputs, planes)`` input planes, returning
-    ``(num_outputs, planes)`` packed outputs.
-    """
-    return compile_netlist(netlist).run(input_planes)
-
-
-def simulate_bits_compiled(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
-    """Bit-identical compiled counterpart of :func:`~repro.circuits.simulate.simulate_bits`.
-
-    The ``"compiled"`` entry of
-    :data:`~repro.circuits.simulate.SIM_BACKENDS`: same
-    ``(patterns, num_inputs)`` boolean matrix in, same
-    ``(patterns, num_outputs)`` boolean matrix out; internally the cached
-    compiled program runs over packed ``uint64`` bit planes.
-    """
-    return compile_netlist(netlist).simulate_bits(input_bits)

@@ -5,38 +5,61 @@ the circuit for an arbitrary number of input patterns.  This is the
 "behavioural model" counterpart of the C models that ship with EvoApproxLib
 in the original paper.
 
-Three interchangeable backends implement the pass, registered in the
-:data:`SIM_BACKENDS` registry:
+Two bit-identical paths implement the pass, and one rule,
+:func:`use_packed_path`, picks between them by pattern count:
 
-* ``"bool"`` -- :func:`simulate_bits`, one NumPy ``bool`` byte per pattern
-  per net (the original implementation, and the default).
-* ``"bitplane"`` -- :func:`~repro.circuits.bitplane.simulate_bits_packed`,
-  64 patterns packed per ``uint64`` lane; bit-identical outputs, much
-  faster on large pattern counts.
-* ``"compiled"`` -- :func:`~repro.circuits.compiled.simulate_bits_compiled`,
-  lowers the netlist once into a levelized op tape (constant folding,
-  dead-node elimination, per-fingerprint program cache) executed over
-  packed bit planes; the fastest choice when the same circuit is simulated
-  on many patterns, i.e. the Monte-Carlo inner loop.
+* below :data:`PACKED_MIN_PATTERNS` patterns, :func:`simulate_bits` -- one
+  NumPy ``bool`` byte per pattern per net, and the reference oracle the
+  packed path is tested against;
+* from :data:`PACKED_MIN_PATTERNS` patterns up,
+  :func:`~repro.circuits.bitplane.simulate_planes` -- 64 patterns packed
+  per ``uint64`` lane, run through the netlist's compiled op tape
+  (:mod:`repro.circuits.compiled`).
 
-Backends are *bit-identical by contract*: the differential suite
-(``pytest -m sim_backends``) asserts it, and downstream caches rely on it.
-Callers pick one by key, or pass ``"auto"`` to let the workload size decide
-(:func:`resolve_sim_backend`); use :func:`validate_sim_backend` to fail
-fast on unknown keys without selecting a callable.
+The paths are *bit-identical by contract*: the differential suite
+(``pytest -m sim_backends``) asserts it, and downstream caches rely on it
+(no cache key names the path).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
-from ..registry import Registry
-from .bitplane import simulate_bits_packed
-from .compiled import simulate_bits_compiled
+from .bitplane import pack_bits, simulate_planes, unpack_bits
 from .gates import evaluate_gate
 from .netlist import Netlist
+
+#: Simulations of at least this many patterns take the packed path, where
+#: compiling a cache-cold netlist pays for itself within one simulation;
+#: smaller ones run :func:`simulate_bits`.
+PACKED_MIN_PATTERNS = 4096
+
+
+def use_packed_path(patterns: int) -> bool:
+    """Whether a simulation of ``patterns`` patterns takes the packed path.
+
+    The one place a simulation path is chosen: :func:`simulate_words` and
+    the batch evaluator both ask here.
+    """
+    return patterns >= PACKED_MIN_PATTERNS
+
+
+def node_values(netlist: Netlist, input_bits: np.ndarray) -> List[np.ndarray]:
+    """Boolean value vector of every node for a (patterns, num_inputs) matrix.
+
+    Entry ``i`` holds node ``i``: the primary-input columns first, then each
+    gate's output in topological order.  Floating (``-1``) operands read as
+    constant 0.
+    """
+    values = [input_bits[:, i] for i in range(netlist.num_inputs)]
+    zeros = np.zeros(input_bits.shape[0], dtype=bool)
+    for gate in netlist.gates:
+        a = values[gate.a] if gate.a >= 0 else zeros
+        b = values[gate.b] if gate.b >= 0 else zeros
+        values.append(evaluate_gate(gate.gate_type, a, b))
+    return values
 
 
 def simulate_bits(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
@@ -51,100 +74,11 @@ def simulate_bits(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
             f"expected input matrix of shape (patterns, {netlist.num_inputs}), "
             f"got {input_bits.shape}"
         )
-    patterns = input_bits.shape[0]
-    values = [input_bits[:, i] for i in range(netlist.num_inputs)]
-    zeros = np.zeros(patterns, dtype=bool)
-    for gate in netlist.gates:
-        a = values[gate.a] if gate.a >= 0 else zeros
-        b = values[gate.b] if gate.b >= 0 else zeros
-        values.append(evaluate_gate(gate.gate_type, a, b))
-    outputs = np.empty((patterns, netlist.num_outputs), dtype=bool)
+    values = node_values(netlist, input_bits)
+    outputs = np.empty((input_bits.shape[0], netlist.num_outputs), dtype=bool)
     for j, bit in enumerate(netlist.output_bits):
         outputs[:, j] = values[bit]
     return outputs
-
-
-# --------------------------------------------------------------------- #
-# Backend registry and selection
-# --------------------------------------------------------------------- #
-#: Registry of simulation backends: key -> ``(netlist, input_bits) -> output
-#: bits``.  All registered backends must be bit-identical; alternative
-#: implementations (e.g. a future native kernel) plug in by registering a
-#: key here.
-SIM_BACKENDS = Registry(
-    "simulation backend",
-    {
-        "bool": simulate_bits,
-        "bitplane": simulate_bits_packed,
-        "compiled": simulate_bits_compiled,
-    },
-)
-
-#: Default backend when none is requested (the legacy implementation).
-DEFAULT_SIM_BACKEND = "bool"
-
-#: ``"auto"`` picks the packed backend from this many patterns upward; below
-#: it the packing overhead is not worth it and the bool backend wins.
-AUTO_BACKEND_MIN_PATTERNS = 1024
-
-#: ``"auto"`` upgrades from ``"bitplane"`` to ``"compiled"`` from this many
-#: patterns upward, where the compile-once cost amortises within a single
-#: simulation even for cache-cold circuits.
-AUTO_COMPILED_MIN_PATTERNS = 4096
-
-SimBackend = Union[None, str, Callable[[Netlist, np.ndarray], np.ndarray]]
-
-
-def resolve_sim_backend(
-    backend: SimBackend = None, *, patterns: Optional[int] = None
-) -> Callable[[Netlist, np.ndarray], np.ndarray]:
-    """Resolve a backend selector to a simulation callable.
-
-    ``backend`` may be ``None`` (the ``"bool"`` default), a
-    :data:`SIM_BACKENDS` key, ``"auto"``, or a ready simulation callable,
-    which is returned unchanged.  ``"auto"`` picks by workload size:
-    ``"bool"`` below :data:`AUTO_BACKEND_MIN_PATTERNS` patterns,
-    ``"bitplane"`` from there, and ``"compiled"`` from
-    :data:`AUTO_COMPILED_MIN_PATTERNS` upward.  Requesting ``"auto"``
-    without a pattern count raises: it used to resolve silently to the
-    slowest backend, which punished exactly the callers who wanted speed.
-    Unknown keys raise :class:`~repro.registry.RegistryError` listing the
-    available backends; use :func:`validate_sim_backend` to check a key
-    without selecting.
-    """
-    if backend is None:
-        backend = DEFAULT_SIM_BACKEND
-    if callable(backend):
-        return backend
-    if backend == "auto":
-        if patterns is None:
-            raise ValueError(
-                "resolve_sim_backend('auto') needs patterns= to pick a backend; "
-                "pass the pattern count, or use validate_sim_backend() if you "
-                "only want to fail fast on unknown backend keys"
-            )
-        if patterns >= AUTO_COMPILED_MIN_PATTERNS:
-            backend = "compiled"
-        elif patterns >= AUTO_BACKEND_MIN_PATTERNS:
-            backend = "bitplane"
-        else:
-            backend = DEFAULT_SIM_BACKEND
-    return SIM_BACKENDS.get(backend)
-
-
-def validate_sim_backend(backend: SimBackend) -> SimBackend:
-    """Fail fast on unknown backend keys without selecting a callable.
-
-    Constructors that hold a backend *selector* (possibly ``"auto"``) for
-    later per-workload resolution call this instead of
-    :func:`resolve_sim_backend` so that validation and selection stay
-    distinct: ``"auto"`` is accepted as-is, unknown keys raise
-    :class:`~repro.registry.RegistryError` immediately.  Returns the
-    selector unchanged.
-    """
-    if backend is not None and not callable(backend) and backend != "auto":
-        SIM_BACKENDS.get(backend)
-    return backend
 
 
 def words_to_bits(values: np.ndarray, width: int) -> np.ndarray:
@@ -195,8 +129,8 @@ def expand_operand_bits(
 ) -> np.ndarray:
     """Expand word-level operand vectors into the netlist's input-bit matrix.
 
-    Returns the (patterns, num_inputs) boolean matrix every simulation
-    backend consumes, with each word's bits scattered to its primary-input
+    Returns the (patterns, num_inputs) boolean matrix both simulation
+    paths start from, with each word's bits scattered to its primary-input
     node ids.  This is the single implementation of the word-to-bit layout;
     the batch evaluator and the benchmarks reuse it so they measure exactly
     what production simulates.
@@ -224,20 +158,22 @@ def expand_operand_bits(
 
 
 def simulate_words(
-    netlist: Netlist,
-    operands: Mapping[str, Sequence[int]],
-    backend: SimBackend = None,
+    netlist: Netlist, operands: Mapping[str, Sequence[int]]
 ) -> np.ndarray:
     """Simulate the netlist on integer operand vectors.
 
     ``operands`` must provide a value array for every input word of the
-    netlist; all arrays must have the same length.  ``backend`` selects the
-    simulation backend (see :func:`resolve_sim_backend`); all backends are
-    bit-identical, so this only affects speed.
+    netlist; all arrays must have the same length.  The pattern count picks
+    the simulation path (:func:`use_packed_path`); both are bit-identical,
+    so this only affects speed.
     """
     input_bits = expand_operand_bits(netlist, operands)
-    simulate = resolve_sim_backend(backend, patterns=input_bits.shape[0])
-    output_bits = simulate(netlist, input_bits)
+    patterns = input_bits.shape[0]
+    if use_packed_path(patterns):
+        output_planes = simulate_planes(netlist, pack_bits(input_bits.T))
+        output_bits = unpack_bits(output_planes, patterns).T
+    else:
+        output_bits = simulate_bits(netlist, input_bits)
     return bits_to_words(output_bits)
 
 
@@ -249,7 +185,7 @@ def exhaustive_operands(netlist: Netlist) -> Mapping[str, np.ndarray]:
     return {name: grid.reshape(-1) for name, grid in zip(names, grids)}
 
 
-def exhaustive_simulate(netlist: Netlist, backend: SimBackend = None) -> np.ndarray:
+def exhaustive_simulate(netlist: Netlist) -> np.ndarray:
     """Output word for every input combination.
 
     The number of patterns is ``2 ** num_inputs``; callers are expected to use
@@ -262,7 +198,7 @@ def exhaustive_simulate(netlist: Netlist, backend: SimBackend = None) -> np.ndar
             f"exhaustive simulation of {netlist.num_inputs} input bits is "
             "infeasible; use sampled simulation instead"
         )
-    return simulate_words(netlist, exhaustive_operands(netlist), backend=backend)
+    return simulate_words(netlist, exhaustive_operands(netlist))
 
 
 def random_operands(

@@ -8,9 +8,9 @@ circuits.  It combines three mechanisms:
   reference outputs are simulated once, the stacked operand matrices are
   expanded to input-bit matrices once per word layout, and each circuit is
   evaluated with a single vectorised pass over all patterns (the per-circuit
-  work reduces to one simulation-backend call + ``bits_to_words``; the
-  backend -- boolean or packed bit-plane -- is selected by the
-  ``sim_backend`` knob and never changes results or cache keys).
+  work reduces to one simulation call + ``bits_to_words``; the pattern
+  count picks the boolean or the packed path, which never changes results
+  or cache keys).
 * **Caching** -- every result is stored in an :class:`~repro.engine.cache.EvalCache`
   under a key derived from the circuit's structural fingerprint and the full
   evaluation context, so repeated evaluations (flow stages, coverage passes,
@@ -35,15 +35,11 @@ from ..circuits import (
     Netlist,
     bits_to_words,
     pack_bits,
-    resolve_sim_backend,
-    simulate_bits_compiled,
-    simulate_bits_packed,
+    simulate_bits,
     simulate_planes,
-    simulate_planes_compiled,
     unpack_bits,
-    validate_sim_backend,
 )
-from ..circuits.simulate import expand_operand_bits
+from ..circuits.simulate import expand_operand_bits, use_packed_path
 from ..error import ErrorEvaluator, ErrorReport
 from ..error.metrics import ErrorMetrics, compute_error_metrics
 from ..fpga import FpgaReport, FpgaSynthesizer
@@ -104,7 +100,7 @@ _WORKER_STATE: Dict[str, object] = {}
 
 
 def _worker_errors(
-    task: Tuple[str, Netlist, int, int, int, str, Optional[int], Optional[int], List[Netlist]]
+    task: Tuple[str, Netlist, int, int, int, Optional[int], Optional[int], List[Netlist]]
 ) -> List[dict]:
     (
         context,
@@ -112,7 +108,6 @@ def _worker_errors(
         max_exhaustive_inputs,
         num_samples,
         seed,
-        backend,
         chunk,
         fidelity,
         circuits,
@@ -124,7 +119,6 @@ def _worker_errors(
             max_exhaustive_inputs=max_exhaustive_inputs,
             num_samples=num_samples,
             seed=seed,
-            sim_backend=backend,
             chunk_patterns=chunk,
             fidelity=fidelity,
         )
@@ -206,14 +200,6 @@ class BatchEvaluator:
         modes produce bit-identical, input-ordered results.
     max_workers:
         Process-pool width (defaults to the CPU count).
-    sim_backend:
-        Simulation backend key for error evaluation (``"bool"``,
-        ``"bitplane"`` or ``"auto"``, see
-        :data:`repro.circuits.SIM_BACKENDS`).  Backends are bit-identical
-        by contract, so the key is deliberately *not* part of cache keys:
-        results computed under one backend are served to every other.
-        ``None`` inherits from ``error_evaluator`` when one is passed and
-        falls back to ``"auto"``.
     fidelity:
         Explicit pattern-budget rung forwarded to the constructed
         :class:`~repro.error.ErrorEvaluator` (see its ``fidelity``
@@ -237,7 +223,6 @@ class BatchEvaluator:
         max_exhaustive_inputs: int = 18,
         num_samples: int = 8192,
         seed: int = 1234,
-        sim_backend: Optional[str] = None,
         fidelity: Optional[int] = None,
     ):
         if mode not in ("auto", "serial", "process"):
@@ -247,20 +232,12 @@ class BatchEvaluator:
         self.parallel_threshold = parallel_threshold
         self.cache = cache if cache is not None else EvalCache()
 
-        if sim_backend is None:
-            sim_backend = (
-                error_evaluator.sim_backend if error_evaluator is not None else "auto"
-            )
-        validate_sim_backend(sim_backend)  # fail fast on unknown keys
-        self.sim_backend = sim_backend
-
         if error_evaluator is None and reference is not None:
             error_evaluator = ErrorEvaluator(
                 reference,
                 max_exhaustive_inputs=max_exhaustive_inputs,
                 num_samples=num_samples,
                 seed=seed,
-                sim_backend=sim_backend,
                 fidelity=fidelity,
             )
         self.error_evaluator = error_evaluator
@@ -286,9 +263,9 @@ class BatchEvaluator:
         return self.error_evaluator
 
     def _error_ctx(self) -> str:
-        # The simulation backend is deliberately excluded: backends are
+        # The simulation path is deliberately excluded: the paths are
         # bit-identical by contract (enforced by the differential suite), so
-        # results cached under one backend must be shared with every other.
+        # results cached on one path must be shared with the other.
         # Streaming (chunk_patterns) is included when active because the
         # accumulator's float metrics can differ from one-shot values in the
         # last ulp; the default one-shot token is unchanged.
@@ -352,7 +329,7 @@ class BatchEvaluator:
     def _input_planes_for(self, circuit: Netlist) -> np.ndarray:
         """Packed input planes, cached per word layout like the bit matrix.
 
-        The packed backend would otherwise re-pack the shared bit matrix on
+        The packed path would otherwise re-pack the shared bit matrix on
         every circuit; packing once per layout keeps the per-circuit cost at
         one `simulate_planes` pass.
         """
@@ -371,19 +348,11 @@ class BatchEvaluator:
             # delegate to the evaluator's own chunked loop.
             return evaluator.evaluate(circuit)
         evaluator.check_interface(circuit)
-        simulate = resolve_sim_backend(self.sim_backend, patterns=evaluator.num_patterns)
-        # Plane-level fast paths: both packed backends accept pre-packed
-        # input planes, so pack once per word layout and skip the per-circuit
-        # pack entirely (the compiled backend additionally reuses its
-        # per-fingerprint program cache across evaluations).
-        if simulate is simulate_bits_compiled:
-            output_planes = simulate_planes_compiled(circuit, self._input_planes_for(circuit))
-            output_bits = unpack_bits(output_planes, evaluator.num_patterns).T
-        elif simulate is simulate_bits_packed:
+        if use_packed_path(evaluator.num_patterns):
             output_planes = simulate_planes(circuit, self._input_planes_for(circuit))
             output_bits = unpack_bits(output_planes, evaluator.num_patterns).T
         else:
-            output_bits = simulate(circuit, self._input_bits_for(circuit))
+            output_bits = simulate_bits(circuit, self._input_bits_for(circuit))
         outputs = bits_to_words(output_bits)
         metrics = compute_error_metrics(
             evaluator.exact_outputs, outputs, evaluator.max_output
@@ -484,9 +453,8 @@ class BatchEvaluator:
                 evaluator.max_exhaustive_inputs,
                 evaluator.num_samples,
                 evaluator.seed,
-                self.sim_backend,
                 evaluator.chunk_patterns,
-                getattr(evaluator, "fidelity", None),
+                evaluator.fidelity,
                 chunk,
             ),
             worker=_worker_errors,

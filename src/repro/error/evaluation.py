@@ -6,14 +6,12 @@ multipliers would need 2^24 and 2^32 patterns) are evaluated with a seeded
 Monte-Carlo sample, which is the standard practice when exhaustive
 enumeration is infeasible.
 
-Simulation runs on a pluggable backend (see
-:data:`repro.circuits.SIM_BACKENDS`): the default ``"auto"`` selection uses
-the packed bit-plane backend on large pattern counts and the boolean
-backend on small ones; all backends are bit-identical, so the choice only
-affects speed.  For wide operands, ``chunk_patterns`` streams the
-evaluation over fixed-size pattern blocks through an
-:class:`~repro.error.metrics.ErrorAccumulator`, keeping peak memory flat
-regardless of the pattern count.
+Simulation goes through :func:`repro.circuits.simulate_words`, which takes
+the packed path on large pattern counts and the boolean oracle on small
+ones; both are bit-identical, so the choice only affects speed.  For wide
+operands, ``chunk_patterns`` streams the evaluation over fixed-size pattern
+blocks through an :class:`~repro.error.metrics.ErrorAccumulator`, keeping
+peak memory flat regardless of the pattern count.
 """
 
 from __future__ import annotations
@@ -24,12 +22,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..circuits import Netlist
-from ..circuits.simulate import (
-    exhaustive_operands,
-    random_operands,
-    simulate_words,
-    validate_sim_backend,
-)
+from ..circuits.simulate import exhaustive_operands, random_operands, simulate_words
 from .metrics import ErrorAccumulator, ErrorMetrics, compute_error_metrics
 
 
@@ -64,10 +57,6 @@ class ErrorEvaluator:
     seed:
         Seed for the Monte-Carlo operand generator (the same operands are
         reused for every circuit so results are comparable).
-    sim_backend:
-        Simulation backend key (``"bool"``, ``"bitplane"``, ``"compiled"``)
-        or ``"auto"`` (the default: pick by pattern count).  Backends are
-        bit-identical; this knob only affects speed.
     chunk_patterns:
         When set, simulation and metric computation stream over pattern
         blocks of at most this size (via :class:`ErrorAccumulator`), so
@@ -92,7 +81,6 @@ class ErrorEvaluator:
         max_exhaustive_inputs: int = 18,
         num_samples: int = 8192,
         seed: int = 1234,
-        sim_backend: str = "auto",
         chunk_patterns: Optional[int] = None,
         fidelity: Optional[int] = None,
     ):
@@ -100,12 +88,10 @@ class ErrorEvaluator:
             raise ValueError("chunk_patterns must be positive (or None for one-shot)")
         if fidelity is not None and int(fidelity) < 1:
             raise ValueError("fidelity must be a positive pattern budget (or None)")
-        validate_sim_backend(sim_backend)  # fail fast on unknown keys
         self.reference = reference
         self.max_exhaustive_inputs = max_exhaustive_inputs
         self.num_samples = num_samples
         self.seed = seed
-        self.sim_backend = sim_backend
         self.chunk_patterns = chunk_patterns
         self.fidelity = None if fidelity is None else int(fidelity)
 
@@ -155,13 +141,12 @@ class ErrorEvaluator:
     def _simulate(self, circuit: Netlist) -> np.ndarray:
         """Output word on the shared operands, chunked when configured."""
         if not self.streaming:
-            return simulate_words(circuit, self._operands, backend=self.sim_backend)
+            return simulate_words(circuit, self._operands)
         return np.concatenate(
             [
                 simulate_words(
                     circuit,
                     {name: values[start:stop] for name, values in self._operands.items()},
-                    backend=self.sim_backend,
                 )
                 for start, stop in self._blocks()
             ]
@@ -211,7 +196,7 @@ class ErrorEvaluator:
         """Error metrics of ``circuit`` against the reference."""
         self._check_interface(circuit)
         if not self.streaming:
-            approx_outputs = simulate_words(circuit, self._operands, backend=self.sim_backend)
+            approx_outputs = simulate_words(circuit, self._operands)
             metrics = compute_error_metrics(
                 self._exact_outputs, approx_outputs, self._max_output
             )
@@ -219,7 +204,7 @@ class ErrorEvaluator:
             accumulator = ErrorAccumulator(self._max_output)
             for start, stop in self._blocks():
                 block = {name: values[start:stop] for name, values in self._operands.items()}
-                approx_block = simulate_words(circuit, block, backend=self.sim_backend)
+                approx_block = simulate_words(circuit, block)
                 accumulator.update(self._exact_outputs[start:stop], approx_block)
             metrics = accumulator.result()
         return ErrorReport(
@@ -236,7 +221,6 @@ def evaluate_error(
     max_exhaustive_inputs: int = 18,
     num_samples: int = 8192,
     seed: int = 1234,
-    sim_backend: str = "auto",
     chunk_patterns: Optional[int] = None,
     fidelity: Optional[int] = None,
 ) -> ErrorReport:
@@ -246,7 +230,6 @@ def evaluate_error(
         max_exhaustive_inputs=max_exhaustive_inputs,
         num_samples=num_samples,
         seed=seed,
-        sim_backend=sim_backend,
         chunk_patterns=chunk_patterns,
         fidelity=fidelity,
     )

@@ -49,9 +49,8 @@ class Worker:
     session_kwargs:
         Extra keyword arguments for the worker's
         :class:`~repro.api.ExplorationSession` (e.g. ``engine_mode``,
-        ``sim_backend``, ``max_workers``).  ``cache`` and ``store`` are
-        always the registry's shared sharded stores and cannot be
-        overridden.
+        ``max_workers``).  ``cache`` and ``store`` are always the
+        registry's shared sharded stores and cannot be overridden.
     """
 
     def __init__(

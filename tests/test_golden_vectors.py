@@ -2,13 +2,16 @@
 
 ``tests/fixtures/golden_vectors.json`` freezes the exhaustive simulation
 outputs (as blake2b digests plus spot values) of one exact and one perturbed
-8-bit adder and multiplier.  Backend or generator refactors that silently
+8-bit adder and multiplier.  Simulation or generator refactors that silently
 change simulation semantics -- or the seeded perturbation operator -- fail
-here even if both backends still agree with each other.
+here even if both simulation paths still agree with each other.  The packed
+path is pinned with each of its executors: the native tape interpreter and
+the NumPy fallback.
 
 To regenerate after an *intentional* semantic change, recompute each entry
-with ``digest_of(exhaustive_simulate(circuit, backend="bool"))`` using the
-builders in :data:`GOLDEN_CIRCUITS` below.
+with ``digest_of(exhaustive_simulate(circuit))`` on the bool path (patch
+``repro.circuits.simulate.PACKED_MIN_PATTERNS`` above the pattern count)
+using the builders in :data:`GOLDEN_CIRCUITS` below.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.circuits import compiled as compiled_module
 from repro.circuits import exhaustive_simulate
+from repro.circuits import simulate as simulate_module
 from repro.error import compute_error_metrics
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 
@@ -45,18 +50,27 @@ def fixture_data():
         return json.load(handle)["circuits"]
 
 
-@pytest.mark.parametrize("backend", ["bool", "bitplane", "compiled"])
+#: ``PACKED_MIN_PATTERNS`` values that force every simulation onto one path.
+FORCED_PATHS = {"bool": 2**62, "packed": 1, "packed_numpy": 1}
+
+
+@pytest.mark.parametrize("path", sorted(FORCED_PATHS))
 @pytest.mark.parametrize("key", sorted(GOLDEN_CIRCUITS))
-def test_exhaustive_outputs_match_frozen_fixture(key, backend, fixture_data):
+def test_exhaustive_outputs_match_frozen_fixture(key, path, fixture_data, monkeypatch):
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS[path])
+    if path == "packed_numpy":
+        # The packed path's NumPy executor, which runs wherever the native
+        # tape interpreter cannot be built (or ``REPRO_NO_NATIVE=1``).
+        monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
     expected = fixture_data[key]
     circuit = GOLDEN_CIRCUITS[key]()
-    outputs = exhaustive_simulate(circuit, backend=backend)
+    outputs = exhaustive_simulate(circuit)
     assert len(outputs) == expected["num_patterns"]
     assert circuit.num_outputs == expected["num_outputs"]
     for index, value in expected["spot_values"].items():
         assert int(outputs[int(index)]) == value, f"output[{index}] drifted"
     assert digest_of(outputs) == expected["digest_blake2b"], (
-        f"exhaustive outputs of {key} changed under the {backend!r} backend; "
+        f"exhaustive outputs of {key} changed on the {path} path; "
         "if this is an intentional semantic change, regenerate the fixture "
         "(see the module docstring)"
     )

@@ -1,22 +1,32 @@
-"""Differential tests of the simulation backends (``-m sim_backends``).
+"""Differential tests of the two simulation paths (``-m sim_backends``).
 
-The ``"bool"``, ``"bitplane"`` and ``"compiled"`` backends must be
+Below :data:`repro.circuits.simulate.PACKED_MIN_PATTERNS` patterns
+simulation runs :func:`~repro.circuits.simulate_bits`, the ``bool``
+oracle; from there up it runs :func:`~repro.circuits.simulate_planes`, the
+netlist's compiled op tape over packed bit planes.  The two must be
 *bit-identical* on every netlist and every pattern count -- caches and flows
-rely on it (backend keys are deliberately absent from engine cache keys).
-This suite checks the contract several ways:
+rely on it (no engine cache key names the path).  This suite checks the
+contract several ways:
 
-* unit parity of every packed gate kernel against its boolean truth table;
+* every gate type in every operand polarity through the compiler's truth
+  masks, against the boolean truth tables;
 * a seeded differential sweep over hundreds of randomly perturbed netlists
   and pattern counts (including non-multiples of 64 and floating
   ``gate.a/b == -1`` operands);
 * hypothesis-driven random netlist/pattern generation on top;
 * degenerate-netlist edge cases (wire-only, constant-only, repeated output
-  bits, width-1 words) that every backend -- and both executors of the
-  compiled backend (native and NumPy fallback) -- must agree on.
+  bits, width-1 words) that both paths -- and both executors of the packed
+  path (native and NumPy fallback) -- must agree on;
+* evaluators, the engine and both whole flows, each run once forced onto
+  each path by patching ``PACKED_MIN_PATTERNS``;
+* the rule itself: which path each entry point (``simulate_words``, lookup
+  tables, the batch evaluator, streamed evaluator blocks) takes at the
+  threshold, and that the retired ``sim_backend`` keyword is rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import numpy as np
@@ -24,118 +34,179 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExplorationSession
 from repro.circuits import (
-    AUTO_BACKEND_MIN_PATTERNS,
-    AUTO_COMPILED_MIN_PATTERNS,
     PLANE_WIDTH,
-    SIM_BACKENDS,
     Gate,
     GateType,
     Netlist,
+    bits_to_words,
     compile_netlist,
-    evaluate_gate,
-    evaluate_gate_packed,
     exhaustive_operands,
     num_planes,
     pack_bits,
-    resolve_sim_backend,
+    random_operands,
     simulate_bits,
-    simulate_bits_compiled,
-    simulate_bits_packed,
     simulate_planes,
     simulate_words,
     unpack_bits,
-    validate_sim_backend,
 )
 from repro.circuits import compiled as compiled_module
+from repro.circuits import simulate as simulate_module
+from repro.circuits.gates import GATE_FUNCTIONS
+from repro.circuits.simulate import expand_operand_bits, node_values, use_packed_path
 from repro.engine import BatchEvaluator, EvalCache
-from repro.error import ErrorEvaluator
+from repro.engine import evaluator as evaluator_module
+from repro.error import ErrorEvaluator, evaluate_error
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 from repro.generators.perturbation import PerturbationConfig
-from repro.registry import RegistryError
 
 pytestmark = pytest.mark.sim_backends
+
+#: ``PACKED_MIN_PATTERNS`` values that force every simulation onto one path.
+FORCED_PATHS = {"packed": 1, "bool": 2**62}
 
 
 def random_input_bits(netlist: Netlist, patterns: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random((patterns, netlist.num_inputs)) < 0.5
 
 
+def run_packed(run, input_bits: np.ndarray) -> np.ndarray:
+    """``run`` (packed input planes -> packed output planes) on a bool matrix."""
+    return unpack_bits(run(pack_bits(input_bits.T)), input_bits.shape[0]).T
+
+
+def simulate_packed(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
+    return run_packed(lambda planes: simulate_planes(netlist, planes), input_bits)
+
+
 def assert_backends_agree(netlist: Netlist, input_bits: np.ndarray) -> None:
     reference = simulate_bits(netlist, input_bits)
-    for simulate in (simulate_bits_packed, simulate_bits_compiled):
-        outputs = simulate(netlist, input_bits)
-        assert outputs.dtype == reference.dtype
-        assert outputs.shape == reference.shape
-        assert np.array_equal(reference, outputs)
+    outputs = simulate_packed(netlist, input_bits)
+    assert outputs.dtype == reference.dtype
+    assert outputs.shape == reference.shape
+    assert np.array_equal(reference, outputs)
+
+
+@pytest.fixture
+def on_each_path(monkeypatch):
+    """Call ``run()`` forced onto each path; returns ``{path: result}``."""
+
+    def run_each(run):
+        results = {}
+        for path, threshold in FORCED_PATHS.items():
+            monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
+            results[path] = run()
+        return results
+
+    return run_each
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Spy on the packed entry point; returns ``(netlist name, planes)`` per call."""
+    calls = []
+
+    def spy(netlist, planes):
+        calls.append((netlist.name, planes.shape[1]))
+        return simulate_planes(netlist, planes)
+
+    monkeypatch.setattr(simulate_module, "simulate_planes", spy)
+    monkeypatch.setattr(evaluator_module, "simulate_planes", spy)
+    return calls
 
 
 # --------------------------------------------------------------------- #
-# Registry and selection
+# Path selection
 # --------------------------------------------------------------------- #
-class TestBackendRegistry:
-    def test_builtin_keys(self):
-        assert list(SIM_BACKENDS) == ["bool", "bitplane", "compiled"]
-        assert SIM_BACKENDS.get("bool") is simulate_bits
-        assert SIM_BACKENDS.get("bitplane") is simulate_bits_packed
-        assert SIM_BACKENDS.get("compiled") is simulate_bits_compiled
+def test_use_packed_path_rule(monkeypatch):
+    """Packed from ``PACKED_MIN_PATTERNS`` patterns up, bool below; the
+    constant is read at call time, so patching it moves the boundary."""
+    threshold = simulate_module.PACKED_MIN_PATTERNS
+    assert threshold == 4096
+    counts = (0, 1, threshold - 1, threshold, 2**20)
+    assert [use_packed_path(p) for p in counts] == [False, False, False, True, True]
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
+    assert [use_packed_path(p) for p in (1, 99, 100, threshold - 1)] == [
+        False, False, True, True
+    ]
 
-    def test_unknown_key_lists_available(self):
-        with pytest.raises(RegistryError, match="bitplane"):
-            resolve_sim_backend("cuda")
 
-    def test_default_is_bool(self):
-        assert resolve_sim_backend() is simulate_bits
-        assert resolve_sim_backend(None, patterns=10**9) is simulate_bits
+def test_packed_path_from_packed_min_patterns(multiplier4, packed_calls, monkeypatch):
+    """``simulate_words`` and the batch evaluator take the packed path at
+    ``PACKED_MIN_PATTERNS`` patterns and the bool path one pattern below.
 
-    def test_auto_selects_by_pattern_count(self):
-        assert resolve_sim_backend("auto", patterns=AUTO_BACKEND_MIN_PATTERNS - 1) is simulate_bits
-        assert (
-            resolve_sim_backend("auto", patterns=AUTO_BACKEND_MIN_PATTERNS)
-            is simulate_bits_packed
-        )
-        assert (
-            resolve_sim_backend("auto", patterns=AUTO_COMPILED_MIN_PATTERNS - 1)
-            is simulate_bits_packed
-        )
-        assert (
-            resolve_sim_backend("auto", patterns=AUTO_COMPILED_MIN_PATTERNS)
-            is simulate_bits_compiled
-        )
+    Both read the threshold at call time, which the forced-path tests below
+    rely on: checked at its real value and at a patched one.
+    """
+    circuit = perturb_netlist(multiplier4, seed=11)
+    rng = np.random.default_rng(5)
+    for threshold in (simulate_module.PACKED_MIN_PATTERNS, 100):
+        monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
+        for patterns in (threshold - 1, threshold):
+            expected = [circuit.name] if patterns >= threshold else []
+            engine = BatchEvaluator(
+                multiplier4, max_exhaustive_inputs=0, num_samples=patterns, mode="serial"
+            )
+            packed_calls.clear()
+            engine.evaluate_errors([circuit])
+            assert [name for name, _ in packed_calls] == expected, (threshold, patterns)
+            packed_calls.clear()
+            simulate_words(circuit, random_operands(circuit, patterns, rng))
+            assert [name for name, _ in packed_calls] == expected, (threshold, patterns)
 
-    def test_auto_without_patterns_raises(self):
-        """``"auto"`` used to fall back silently to the slowest backend."""
-        with pytest.raises(ValueError, match="patterns"):
-            resolve_sim_backend("auto")
-        with pytest.raises(ValueError, match="patterns"):
-            resolve_sim_backend("auto", patterns=None)
 
-    def test_validate_accepts_selectors_without_selecting(self):
-        assert validate_sim_backend("auto") == "auto"
-        assert validate_sim_backend(None) is None
-        for key in SIM_BACKENDS:
-            assert validate_sim_backend(key) == key
-        with pytest.raises(RegistryError):
-            validate_sim_backend("cuda")
+def test_component_lookup_tables_take_the_packed_path(multiplier4, multiplier8, packed_calls):
+    """At the real threshold, ``Netlist.exhaustive_outputs`` runs an 8x8
+    multiplier's 65,536 patterns packed and a 4x4's 256 patterns on bool."""
+    table = multiplier8.exhaustive_outputs()
+    assert packed_calls == [(multiplier8.name, num_planes(1 << 16))]
+    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    assert np.array_equal(table, (a * b).reshape(-1))
 
-    def test_callable_passes_through(self):
-        def custom(netlist, bits):  # pragma: no cover - identity placeholder
-            return simulate_bits(netlist, bits)
+    packed_calls.clear()
+    small = multiplier4.exhaustive_outputs()
+    assert packed_calls == []
+    a, b = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    assert np.array_equal(small, (a * b).reshape(-1))
 
-        assert resolve_sim_backend(custom) is custom
-        assert validate_sim_backend(custom) is custom
 
-    def test_unknown_backend_fails_fast_in_evaluator(self, multiplier4):
-        with pytest.raises(RegistryError):
-            ErrorEvaluator(multiplier4, sim_backend="nope")
-        with pytest.raises(RegistryError):
-            BatchEvaluator(multiplier4, sim_backend="nope")
+def test_streamed_blocks_pick_their_path_by_block_size(multiplier4, packed_calls, monkeypatch):
+    """A streaming evaluator applies the rule to each block it simulates.
 
-    def test_auto_evaluators_construct_without_pattern_count(self, multiplier4):
-        """Validation stays distinct from selection: ``"auto"`` holds until
-        the evaluator knows its pattern count."""
-        assert ErrorEvaluator(multiplier4, sim_backend="auto").sim_backend == "auto"
-        assert BatchEvaluator(multiplier4, sim_backend="auto").sim_backend == "auto"
+    With the threshold at 100, the 256 exhaustive patterns of a 4x4
+    multiplier stream as blocks of 100, 100 and 56: two packed, one bool.
+    Mixing the paths within one evaluation leaves the metrics unchanged.
+    """
+    circuit = perturb_netlist(multiplier4, seed=11)
+    one_shot = ErrorEvaluator(multiplier4).evaluate(circuit)
+    assert packed_calls == []
+
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
+    evaluator = ErrorEvaluator(multiplier4, chunk_patterns=100)
+    packed_calls.clear()
+    streamed = evaluator.evaluate(circuit)
+    assert packed_calls == [(circuit.name, num_planes(100))] * 2
+    for field in ("med", "mae", "wce", "wce_relative", "error_probability", "mse"):
+        assert getattr(streamed.metrics, field) == getattr(one_shot.metrics, field), field
+    assert streamed.metrics.mre == pytest.approx(one_shot.metrics.mre, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda reference: ExplorationSession(sim_backend="bool"),
+        lambda reference: BatchEvaluator(reference, sim_backend="bool"),
+        lambda reference: ErrorEvaluator(reference, sim_backend="bool"),
+        lambda reference: evaluate_error(reference, reference, sim_backend="bool"),
+    ],
+    ids=["ExplorationSession", "BatchEvaluator", "ErrorEvaluator", "evaluate_error"],
+)
+def test_sim_backend_keyword_is_rejected(build, multiplier4):
+    """The path is no longer a knob: passing the retired keyword fails at
+    the call instead of being silently accepted."""
+    with pytest.raises(TypeError, match="sim_backend"):
+        build(multiplier4)
 
 
 # --------------------------------------------------------------------- #
@@ -174,27 +245,40 @@ class TestPacking:
 
 
 # --------------------------------------------------------------------- #
-# Per-gate kernel parity
+# Per-gate parity
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("gate_type", list(GateType))
-def test_packed_gate_matches_bool_gate(gate_type, rng):
-    patterns = 200  # deliberately not a multiple of PLANE_WIDTH
-    a_bits = rng.random(patterns) < 0.5
-    b_bits = rng.random(patterns) < 0.5
-    expected = evaluate_gate(gate_type, a_bits, b_bits)
-    packed = evaluate_gate_packed(gate_type, pack_bits(a_bits), pack_bits(b_bits))
-    assert np.array_equal(unpack_bits(packed, patterns), expected)
+def test_compiled_polarity_matches_bool_gate(gate_type):
+    """Every operand polarity of ``gate_type`` through the packed path.
+
+    An operand fed through a ``NOT`` is folded into the consuming gate's
+    truth mask, so the four polarity cases pin every ``_EFFECTIVE_MASKS``
+    entry of the gate type against ``GATE_FUNCTIONS``.  Every gate gets
+    both operands: those beyond its arity are ignored, as by the oracle.
+    """
+    a = np.array([False, False, True, True])
+    b = np.array([False, True, False, True])
+    for a_inv, b_inv in itertools.product((False, True), repeat=2):
+        netlist = Netlist(
+            name=f"{gate_type.name.lower()}_{int(a_inv)}{int(b_inv)}",
+            kind="test",
+            input_words={"a": (0,), "b": (1,)},
+            # node ids: inputs 0-1, NOT a = 2, NOT b = 3, gate under test = 4
+            output_bits=(4,),
+            gates=[
+                Gate(GateType.NOT, 0),
+                Gate(GateType.NOT, 1),
+                Gate(gate_type, 2 if a_inv else 0, 3 if b_inv else 1),
+            ],
+        )
+        expected = GATE_FUNCTIONS[gate_type](a ^ a_inv, b ^ b_inv)
+        outputs = simulate_packed(netlist, np.stack([a, b], axis=1))
+        assert np.array_equal(outputs[:, 0], expected), (a_inv, b_inv)
 
 
 @pytest.mark.parametrize("gate_type", list(GateType))
-def test_inplace_simulation_kernel_matches_bool_gate(gate_type, rng):
-    """Pin the simulator's in-place kernels (not just PACKED_GATE_FUNCTIONS).
-
-    ``simulate_planes`` dispatches to its own allocation-free kernel table;
-    a one-gate netlist per gate type proves each kernel agrees with the
-    boolean truth-table source in ``gates.py``, so the two packed tables
-    cannot drift apart unnoticed.
-    """
+def test_one_gate_netlist_matches_bool_gate(gate_type, rng):
+    """A one-gate netlist per gate type agrees on both paths."""
     netlist = Netlist(
         name=f"single_{gate_type.name.lower()}",
         kind="test",
@@ -215,7 +299,7 @@ def test_inplace_simulation_kernel_matches_bool_gate(gate_type, rng):
 # Differential sweep: perturbed netlists x pattern counts
 # --------------------------------------------------------------------- #
 def test_differential_seeded_sweep():
-    """>= 200 random netlist/pattern cases, bit-identical across backends."""
+    """>= 200 random netlist/pattern cases, bit-identical on both paths."""
     rng = np.random.default_rng(0xB17)
     bases = [
         ripple_carry_adder(3),
@@ -256,7 +340,7 @@ def test_differential_hypothesis(width, kind, mutations, perturb_seed, patterns,
 
 
 def test_floating_operands_read_as_zero():
-    """Gates with ``a``/``b`` == -1 see constant-0 inputs in both backends."""
+    """Gates with ``a``/``b`` == -1 see constant-0 inputs on both paths."""
     netlist = Netlist(
         name="floating",
         kind="test",
@@ -275,65 +359,70 @@ def test_floating_operands_read_as_zero():
     for patterns in (1, 64, 65, 130):
         bits = random_input_bits(netlist, patterns, rng)
         assert_backends_agree(netlist, bits)
-        outputs = simulate_bits_packed(netlist, bits)
+        outputs = simulate_packed(netlist, bits)
         assert not outputs[:, 2].any()                                       # a AND 0 == 0
         assert np.array_equal(outputs[:, 3], np.logical_not(bits[:, 1]))     # 0 OR NOT b
         assert not outputs[:, 4].any()                                       # BUF of floating == 0
 
 
+def test_node_values_hold_every_node(rng):
+    """``node_values`` (the oracle's gate loop, shared with switching
+    activity) returns the input columns, then one vector per gate; its
+    output nodes are exactly what ``simulate_bits`` reports."""
+    netlist = perturb_netlist(array_multiplier(4), seed=3)
+    bits = random_input_bits(netlist, 97, rng)
+    values = node_values(netlist, bits)
+    assert len(values) == netlist.num_nodes
+    for node in range(netlist.num_inputs):
+        assert np.array_equal(values[node], bits[:, node])
+    outputs = np.stack([values[bit] for bit in netlist.output_bits], axis=1)
+    assert np.array_equal(outputs, simulate_bits(netlist, bits))
+
+
 def test_simulate_planes_shape_validation(multiplier4):
     with pytest.raises(ValueError):
         simulate_planes(multiplier4, np.zeros((3, 2), dtype=np.uint64))
-    with pytest.raises(ValueError):
-        simulate_bits_packed(multiplier4, np.zeros((4, 3), dtype=bool))
 
 
 # --------------------------------------------------------------------- #
 # Word-level and evaluator-level equivalence
 # --------------------------------------------------------------------- #
-def test_simulate_words_backends_agree(multiplier4, rng):
+def test_simulate_words_backends_agree(multiplier4, rng, on_each_path):
     operands = {
         "a": rng.integers(0, 16, size=321),
         "b": rng.integers(0, 16, size=321),
     }
-    reference = simulate_words(multiplier4, operands, backend="bool")
-    assert np.array_equal(simulate_words(multiplier4, operands, backend="bitplane"), reference)
-    assert np.array_equal(simulate_words(multiplier4, operands, backend="compiled"), reference)
-    assert np.array_equal(simulate_words(multiplier4, operands, backend="auto"), reference)
-    assert np.array_equal(simulate_words(multiplier4, operands), reference)
+    reference = bits_to_words(
+        simulate_bits(multiplier4, expand_operand_bits(multiplier4, operands))
+    )
+    results = on_each_path(lambda: simulate_words(multiplier4, operands))
+    assert np.array_equal(results["packed"], reference)
+    assert np.array_equal(results["bool"], reference)
 
 
-def test_error_evaluator_backends_bit_identical(multiplier4):
+def test_error_evaluator_backends_bit_identical(multiplier4, on_each_path):
     circuit = perturb_netlist(multiplier4, seed=11)
-    reports = {
-        backend: ErrorEvaluator(multiplier4, sim_backend=backend).evaluate(circuit)
-        for backend in ("bool", "bitplane", "compiled", "auto")
-    }
-    assert reports["bool"].metrics == reports["bitplane"].metrics
-    assert reports["bool"].metrics == reports["compiled"].metrics
-    assert reports["bool"].metrics == reports["auto"].metrics
+    reports = on_each_path(lambda: ErrorEvaluator(multiplier4).evaluate(circuit))
+    assert reports["packed"] == reports["bool"]
 
 
-def test_error_evaluator_monte_carlo_backends_bit_identical():
+def test_error_evaluator_monte_carlo_backends_bit_identical(on_each_path):
     reference = ripple_carry_adder(16)
     circuit = perturb_netlist(reference, seed=5)
-    bool_report = ErrorEvaluator(
-        reference, max_exhaustive_inputs=10, num_samples=2048, sim_backend="bool"
-    ).evaluate(circuit)
-    packed_report = ErrorEvaluator(
-        reference, max_exhaustive_inputs=10, num_samples=2048, sim_backend="bitplane"
-    ).evaluate(circuit)
-    assert bool_report.method == "monte_carlo"
-    assert bool_report.metrics == packed_report.metrics
+    reports = on_each_path(
+        lambda: ErrorEvaluator(
+            reference, max_exhaustive_inputs=10, num_samples=2048
+        ).evaluate(circuit)
+    )
+    assert reports["bool"].method == "monte_carlo"
+    assert reports["packed"] == reports["bool"]
 
 
 def test_streaming_evaluator_matches_one_shot(multiplier4):
     circuit = perturb_netlist(multiplier4, seed=13)
-    one_shot = ErrorEvaluator(multiplier4, sim_backend="bool").evaluate(circuit)
+    one_shot = ErrorEvaluator(multiplier4).evaluate(circuit)
     for chunk in (1, 37, 64, 100, 256, 10**6):
-        chunked = ErrorEvaluator(
-            multiplier4, sim_backend="bitplane", chunk_patterns=chunk
-        ).evaluate(circuit)
+        chunked = ErrorEvaluator(multiplier4, chunk_patterns=chunk).evaluate(circuit)
         exact_fields = ("med", "mae", "wce", "wce_relative", "error_probability", "mse")
         for field in exact_fields:
             assert getattr(chunked.metrics, field) == getattr(one_shot.metrics, field), field
@@ -346,42 +435,44 @@ def test_streaming_evaluator_rejects_bad_chunk(multiplier4):
 
 
 # --------------------------------------------------------------------- #
-# Engine integration: backend changes neither results nor cache keys
+# Engine integration: the path changes neither results nor cache keys
 # --------------------------------------------------------------------- #
-def test_engine_results_and_cache_shared_across_backends(multiplier4):
+def test_engine_results_and_cache_shared_across_backends(multiplier4, monkeypatch):
     circuits = [perturb_netlist(multiplier4, seed=s) for s in range(6)]
     cache = EvalCache()
-    bool_engine = BatchEvaluator(multiplier4, cache=cache, mode="serial", sim_backend="bool")
-    bool_reports = bool_engine.evaluate_errors(circuits)
-
-    packed_engine = BatchEvaluator(
-        multiplier4, cache=cache, mode="serial", sim_backend="bitplane"
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS["bool"])
+    bool_reports = BatchEvaluator(multiplier4, cache=cache, mode="serial").evaluate_errors(
+        circuits
     )
-    before = cache.stats()
-    packed_reports = packed_engine.evaluate_errors(circuits)
-    after = cache.stats()
 
-    # Identical cache keys: the packed engine is served entirely from the
-    # bool engine's entries without re-simulating anything.
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS["packed"])
+    before = cache.stats()
+    served = BatchEvaluator(multiplier4, cache=cache, mode="serial").evaluate_errors(circuits)
+    after = cache.stats()
+    # Identical cache keys: the packed-path engine is served entirely from
+    # the bool-path engine's entries without re-simulating anything.
     assert after.hits - before.hits == len(circuits)
     assert after.misses == before.misses
-    for bool_report, packed_report in zip(bool_reports, packed_reports):
-        assert bool_report.metrics == packed_report.metrics
+    assert served == bool_reports
 
-    # And uncached packed / compiled engines recompute the exact same
-    # metrics (the compiled engine exercises the plane-level fast path).
-    for backend in ("bitplane", "compiled"):
-        fresh = BatchEvaluator(
-            multiplier4, cache=EvalCache(), mode="serial", sim_backend=backend
-        ).evaluate_errors(circuits)
-        for bool_report, fresh_report in zip(bool_reports, fresh):
-            assert bool_report.metrics == fresh_report.metrics
+    # And an uncached packed-path engine recomputes the exact same reports.
+    fresh = BatchEvaluator(multiplier4, cache=EvalCache(), mode="serial")
+    assert fresh.evaluate_errors(circuits) == bool_reports
 
 
-def test_engine_inherits_backend_from_evaluator(multiplier4):
-    evaluator = ErrorEvaluator(multiplier4, sim_backend="bitplane")
-    engine = BatchEvaluator(error_evaluator=evaluator)
-    assert engine.sim_backend == "bitplane"
+def test_process_pool_task_carries_streaming_and_fidelity(multiplier4):
+    """Pool workers rebuild the error evaluator from the task tuple; its
+    chunking and fidelity rung must survive the trip (a dropped rung would
+    evaluate all 256 patterns exhaustively instead of 200 sampled ones)."""
+    circuits = [perturb_netlist(multiplier4, seed=s) for s in range(4)]
+
+    def engine(mode):
+        evaluator = ErrorEvaluator(multiplier4, chunk_patterns=48, fidelity=200)
+        return BatchEvaluator(error_evaluator=evaluator, mode=mode, max_workers=2)
+
+    serial = engine("serial").evaluate_errors(circuits)
+    assert {(r.method, r.num_patterns) for r in serial} == {("monte_carlo", 200)}
+    assert engine("process").evaluate_errors(circuits) == serial
 
 
 def test_degenerate_chunk_shares_cache_with_one_shot(multiplier4):
@@ -413,10 +504,10 @@ def test_degenerate_chunk_shares_cache_with_one_shot(multiplier4):
 
 
 # --------------------------------------------------------------------- #
-# Degenerate-netlist edge cases, differential across all backends
+# Degenerate-netlist edge cases, differential across both paths
 # --------------------------------------------------------------------- #
 class TestDegenerateNetlists:
-    """Every backend must agree on the shapes simulation rarely sees."""
+    """Both paths must agree on the shapes simulation rarely sees."""
 
     def test_wire_only_netlist(self, rng):
         """Zero gates: outputs wired straight to (repeated) input bits."""
@@ -430,7 +521,7 @@ class TestDegenerateNetlists:
         for patterns in (1, 64, 65, 200):
             bits = random_input_bits(netlist, patterns, rng)
             assert_backends_agree(netlist, bits)
-            outputs = simulate_bits_compiled(netlist, bits)
+            outputs = simulate_packed(netlist, bits)
             assert np.array_equal(outputs, bits[:, [1, 0, 2, 1]])
 
     def test_constant_only_gates(self, rng):
@@ -444,7 +535,7 @@ class TestDegenerateNetlists:
         for patterns in (1, 63, 130):
             bits = random_input_bits(netlist, patterns, rng)
             assert_backends_agree(netlist, bits)
-            outputs = simulate_bits_compiled(netlist, bits)
+            outputs = simulate_packed(netlist, bits)
             assert not outputs[:, 0].any()
             assert outputs[:, 1].all()
             assert not outputs[:, 2].any()
@@ -460,7 +551,7 @@ class TestDegenerateNetlists:
         for patterns in (1, 65, 200):
             bits = random_input_bits(netlist, patterns, rng)
             assert_backends_agree(netlist, bits)
-            outputs = simulate_bits_compiled(netlist, bits)
+            outputs = simulate_packed(netlist, bits)
             assert np.array_equal(outputs[:, 0], outputs[:, 1])
             assert np.array_equal(outputs[:, 0], outputs[:, 3])
 
@@ -477,7 +568,7 @@ class TestDegenerateNetlists:
         words = simulate_words(netlist, {"a": [0, 1, 0, 1], "b": [0, 0, 1, 1]})
         assert words.tolist() == [0, 0, 0, 1]
 
-    def test_exhaustive_operands_single_input_word(self):
+    def test_exhaustive_operands_single_input_word(self, on_each_path):
         netlist = Netlist(
             name="parity3",
             kind="test",
@@ -489,8 +580,7 @@ class TestDegenerateNetlists:
         assert list(operands) == ["a"]
         assert np.array_equal(operands["a"], np.arange(8))
         expected = [bin(value).count("1") % 2 for value in range(8)]
-        for backend in SIM_BACKENDS:
-            words = simulate_words(netlist, operands, backend=backend)
+        for words in on_each_path(lambda: simulate_words(netlist, operands)).values():
             assert words.tolist() == expected
 
 
@@ -519,7 +609,7 @@ class TestCompiledProgram:
         assert program.live_gates == 5  # gate 2 eliminated
         assert program.num_ops == 0  # everything folded or aliased
         bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=bool)
-        assert np.array_equal(program.simulate_bits(bits), bits[:, [1]])
+        assert np.array_equal(run_packed(program.run, bits), bits[:, [1]])
 
     def test_inverting_gates_become_polarity_flags(self, multiplier4):
         """NAND/NOR/XNOR/NOT lower to non-inverting tape opcodes."""
@@ -536,6 +626,23 @@ class TestCompiledProgram:
                 compiled_module.OP_ANDNOT,
                 compiled_module.OP_ORNOT,
             }
+
+    def test_simulate_planes_compiles_once_per_fingerprint(self, multiplier4, rng, monkeypatch):
+        """The packed entry point runs the cached program: repeated and
+        structurally identical netlists reuse one compilation."""
+        compiled_module.clear_program_cache()
+        compiled = []
+        compile_once = compiled_module._compile
+        monkeypatch.setattr(
+            compiled_module, "_compile", lambda n: compiled.append(n.name) or compile_once(n)
+        )
+        bits = random_input_bits(multiplier4, 130, rng)
+        planes = pack_bits(bits.T)
+        first = simulate_planes(multiplier4, planes)
+        again = simulate_planes(array_multiplier(4), planes)
+        assert compiled == [multiplier4.name]
+        assert np.array_equal(again, first)
+        assert np.array_equal(unpack_bits(first, 130).T, simulate_bits(multiplier4, bits))
 
     def test_program_cache_identity_and_eviction(self, multiplier4):
         compiled_module.clear_program_cache()
@@ -555,11 +662,11 @@ class TestCompiledProgram:
         program = compile_netlist(multiplier4, use_cache=False)
         restored = pickle.loads(pickle.dumps(program))
         bits = random_input_bits(multiplier4, 197, rng)
-        assert np.array_equal(restored.simulate_bits(bits), simulate_bits(multiplier4, bits))
+        assert np.array_equal(run_packed(restored.run, bits), simulate_bits(multiplier4, bits))
         assert restored.fingerprint == program.fingerprint
 
     def test_numpy_fallback_matches_native(self, multiplier4, rng, monkeypatch):
-        """The pure-NumPy executor is pinned against the bool backend even
+        """The pure-NumPy executor is pinned against the bool oracle even
         when the native tape interpreter is available and in use."""
         monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
         for seed in range(4):
@@ -567,33 +674,22 @@ class TestCompiledProgram:
             for patterns in (1, 64, 197):
                 bits = random_input_bits(netlist, patterns, rng)
                 assert np.array_equal(
-                    simulate_bits_compiled(netlist, bits), simulate_bits(netlist, bits)
+                    simulate_packed(netlist, bits), simulate_bits(netlist, bits)
                 )
 
-    def test_planes_entry_point_matches_bitplane(self, multiplier4, rng):
-        from repro.circuits import simulate_planes_compiled
-
-        bits = random_input_bits(multiplier4, 320, rng)
-        planes = pack_bits(bits.T)
-        expected = simulate_planes(multiplier4, planes)
-        got = simulate_planes_compiled(multiplier4, planes)
-        assert got.dtype == np.uint64
-        assert np.array_equal(
-            unpack_bits(got, 320), unpack_bits(expected, 320)
-        )
-
 
 # --------------------------------------------------------------------- #
-# Whole flows do not depend on the simulation backend
+# Whole flows do not depend on the simulation path
 # --------------------------------------------------------------------- #
 class TestWholeFlowBackendEquivalence:
-    """Seeded session runs of both flows are bit-identical under the
-    ``"bool"`` and ``"bitplane"`` backends."""
+    """Seeded session runs of both flows are bit-identical when every
+    simulation is forced onto the packed path and onto the bool path."""
 
-    def test_approxfpgas_bit_identical_across_backends(self, small_multiplier_library):
+    def test_approxfpgas_bit_identical_across_backends(
+        self, small_multiplier_library, on_each_path
+    ):
         import json
 
-        from repro.api import ExplorationSession
         from repro.core import ApproxFpgasConfig
         from repro.io import result_to_dict
 
@@ -605,20 +701,23 @@ class TestWholeFlowBackendEquivalence:
             model_ids=["ML2", "ML14", "ML18"],
             seed=21,
         )
-        dumps = {}
-        for backend in ("bool", "bitplane"):
-            session = ExplorationSession(seed=config.seed, sim_backend=backend)
+
+        def run():
+            # Serial, so every simulation runs in this process, on the
+            # forced path.
+            session = ExplorationSession(seed=config.seed, engine_mode="serial")
             payload = result_to_dict(session.run_approxfpgas(small_multiplier_library, config))
             # Drop the wall-clock fields; everything else must match.
             for key in ("model_time_s", "approxfpgas_time_s", "speedup"):
                 payload["exploration_cost"].pop(key)
             for evaluation in payload["model_evaluations"]:
                 evaluation.pop("train_time_s")
-            dumps[backend] = json.dumps(payload, sort_keys=True)
-        assert dumps["bool"] == dumps["bitplane"]
+            return json.dumps(payload, sort_keys=True)
 
-    def test_autoax_bit_identical_across_backends(self):
-        from repro.api import ExplorationSession
+        dumps = on_each_path(run)
+        assert dumps["packed"] == dumps["bool"]
+
+    def test_autoax_bit_identical_across_backends(self, on_each_path):
         from repro.autoax import AutoAxConfig
         from repro.generators import build_adder_library, build_multiplier_library
         from repro.workloads import components_from_library
@@ -636,25 +735,22 @@ class TestWholeFlowBackendEquivalence:
         def entries(items):
             return [(entry.config, entry.quality, entry.cost) for entry in items]
 
-        signatures = {}
-        for backend in ("bool", "bitplane"):
+        def run():
             multipliers = components_from_library(
                 multiplier_library,
                 4,
                 max_error=0.1,
-                engine=BatchEvaluator(multiplier_library.reference(), sim_backend=backend),
+                engine=BatchEvaluator(multiplier_library.reference(), mode="serial"),
             )
             adders = components_from_library(
                 adder_library,
                 4,
                 max_error=0.05,
-                engine=BatchEvaluator(adder_library.reference(), sim_backend=backend),
+                engine=BatchEvaluator(adder_library.reference(), mode="serial"),
             )
-            session = ExplorationSession(
-                seed=config.seed, sim_backend=backend, engine_mode="serial"
-            )
+            session = ExplorationSession(seed=config.seed, engine_mode="serial")
             result = session.run_autoax(multipliers, adders, config)
-            signatures[backend] = (
+            return (
                 {
                     parameter: (entries(scenario.candidates), entries(scenario.front))
                     for parameter, scenario in result.scenarios.items()
@@ -663,4 +759,6 @@ class TestWholeFlowBackendEquivalence:
                 result.design_space_size,
                 result.training_size,
             )
-        assert signatures["bool"] == signatures["bitplane"]
+
+        signatures = on_each_path(run)
+        assert signatures["packed"] == signatures["bool"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.circuits import GateType, structural_metrics, to_verilog
+from repro.circuits import GateType, random_operands, structural_metrics, to_verilog
 from repro.circuits.activity import node_signal_probabilities, node_switching_activities
 from repro.generators import truncated_adder
 
@@ -67,6 +67,16 @@ def test_input_signal_probability_near_half(adder8):
     probabilities = node_signal_probabilities(adder8, num_samples=2048, seed=7)
     inputs = probabilities[: adder8.num_inputs]
     assert np.all(np.abs(inputs - 0.5) < 0.1)
+
+
+def test_output_signal_probabilities_match_simulated_outputs(adder8):
+    """Activity reads the oracle's node values: each output node's
+    probability is the mean of that output bit over the same operands."""
+    probabilities = node_signal_probabilities(adder8, num_samples=512, seed=5)
+    operands = random_operands(adder8, 512, np.random.default_rng(5))
+    words = adder8.evaluate_words(operands)
+    for position, node in enumerate(adder8.output_bits):
+        assert probabilities[node] == np.mean((words >> position) & 1), position
 
 
 def test_activity_deterministic_for_fixed_seed(multiplier4):
