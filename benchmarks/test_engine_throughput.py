@@ -3,9 +3,10 @@
 The workload mirrors what the ApproxFPGAs flow does to a library: evaluate
 every circuit's error metrics once for the records stage, then again for a
 later stage (re-synthesis selection, coverage, or a re-run over the same
-library).  The serial baseline pays full simulation cost on every pass; the
-engine pays it once (batched, with shared operand matrices) and serves the
-repeat pass from the content-addressed cache.
+library).  The serial baseline calls ``ErrorEvaluator.evaluate`` per circuit
+on every pass; it shares the evaluator's expanded operands with the engine,
+so what the engine adds is computing structurally identical circuits once
+per batch and serving the repeat pass from the content-addressed cache.
 
 Set ``REPRO_BENCH_QUICK=1`` (the CI smoke job does) to shrink the library
 and relax the wall-clock assertions, which are meaningless on loaded

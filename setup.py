@@ -1,10 +1,18 @@
 """Setup shim for environments without wheel/PEP-517 editable support."""
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# The version lives in one place, ``repro.__version__``; read it without
+# importing the package (its dependencies may not be installed yet).
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"$', INIT.read_text(), re.MULTILINE).group(1)
 
 setup(
     name="repro",
-    version="1.6.0",
+    version=VERSION,
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",

@@ -69,11 +69,17 @@ cost models of whole circuit libraries -- is served by :mod:`repro.engine`:
   fingerprints: an in-memory LRU plus an optional on-disk JSON backend
   (:class:`repro.io.JsonDirectoryStore`) that persists results across
   sessions;
-* :class:`repro.engine.BatchEvaluator` evaluates whole libraries at once --
-  operands and reference outputs are computed once and shared, each circuit
-  costs a single vectorised simulation pass, and large miss sets can fan out
-  over a :class:`~concurrent.futures.ProcessPoolExecutor` -- while staying
-  bit-identical to the serial per-circuit path.
+* :class:`repro.engine.BatchEvaluator` evaluates whole libraries (and
+  batches of accelerator configurations) through one cached loop: it
+  probes the cache, computes structurally identical items once, and fans
+  large miss sets out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` -- results stay
+  bit-identical to the serial path;
+* :meth:`repro.error.ErrorEvaluator.evaluate` is the one way an error
+  report is computed (the engine calls it per miss): the evaluator expands
+  its shared operands into each input-bit layout once and simulates the
+  reference once, so each circuit costs a single vectorised simulation
+  pass.
 
 All flows route their evaluations through one engine, so cache hits are
 shared across every stage of a flow -- and across flows, when runs share an

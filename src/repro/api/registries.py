@@ -6,15 +6,17 @@ vary:
 * :data:`repro.ml.MODELS` -- cost-model regressors (Table I zoo built in),
 * :data:`repro.error.ERROR_METRICS` -- error-metric extractors,
 * :data:`SYNTHESIZERS` (here) -- synthesis substrates,
-* :data:`repro.workloads.WORKLOADS` -- accelerator case studies
-  (``"gaussian"``, ``"sobel"``, ``"sharpen"``), re-exported here,
+* :data:`repro.workloads.WORKLOADS` -- accelerator case studies: the image
+  filters ``"gaussian"``, ``"sobel"``, ``"sharpen"`` and the 1-D signal
+  workloads ``"mvm"``, ``"dct"``, ``"fir"``, ``"fir_mixed"``; re-exported
+  here,
 * :data:`repro.workloads.QUALITY_METRICS` -- workload quality metrics
-  (``"ssim"``, ``"psnr"``, ``"gms"``), re-exported here,
+  (``"ssim"``, ``"psnr"``, ``"snr"``, ``"gms"``), re-exported here,
 * :data:`repro.autoax.SEARCH_STRATEGIES` -- configuration-space searches
-  (``"hill_climb"``, ``"random_archive"`` and the population-based
-  ``"nsga2"`` built on :mod:`repro.search`); it is not re-exported here
-  because :mod:`repro.autoax` builds on :mod:`repro.api` -- import it from
-  :mod:`repro.autoax` instead.
+  (``"hill_climb"``, ``"random_archive"``, the population-based
+  ``"nsga2"`` built on :mod:`repro.search` and the multi-fidelity
+  ``"sh_ehvi"``); it is not re-exported here because :mod:`repro.autoax`
+  builds on :mod:`repro.api` -- import it from :mod:`repro.autoax` instead.
 
 Each is a :class:`repro.registry.Registry`; unknown keys raise
 :class:`repro.registry.RegistryError` listing the available keys.

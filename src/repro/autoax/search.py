@@ -96,6 +96,16 @@ class EvaluatedConfiguration:
             cost={name: float(value) for name, value in payload["cost"].items()},
         )
 
+    def to_payload(self) -> dict:
+        """JSON-able ``{"multipliers", "adders", "quality", "cost"}`` payload
+        (stage checkpoints, job results)."""
+        return {
+            "multipliers": [int(i) for i in self.config.multiplier_indices],
+            "adders": [int(i) for i in self.config.adder_indices],
+            "quality": float(self.quality),
+            "cost": {name: float(value) for name, value in self.cost.items()},
+        }
+
 
 def _exact_evaluation(
     engine: BatchEvaluator,

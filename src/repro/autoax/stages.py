@@ -55,17 +55,9 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Payload encoding of evaluated configurations
+# Payload decoding of evaluated configurations (the encoder is
+# EvaluatedConfiguration.to_payload)
 # --------------------------------------------------------------------- #
-def _evaluated_to_payload(entry: EvaluatedConfiguration) -> dict:
-    return {
-        "multipliers": [int(i) for i in entry.config.multiplier_indices],
-        "adders": [int(i) for i in entry.config.adder_indices],
-        "quality": float(entry.quality),
-        "cost": {name: float(value) for name, value in entry.cost.items()},
-    }
-
-
 def _evaluated_from_payload(payload: dict, accelerator: ApproxAccelerator) -> EvaluatedConfiguration:
     config = accelerator.make_configuration(
         [int(i) for i in payload["multipliers"]], [int(i) for i in payload["adders"]]
@@ -167,9 +159,11 @@ class CollectSamplesStage(Stage):
             seed=state.config.seed,
             engine=state.engine,
         )
-        # TrainingSample exposes the same config/quality/cost surface as an
-        # EvaluatedConfiguration, so the payload encodings stay in lockstep.
-        return [_evaluated_to_payload(sample) for sample in samples]
+        # Checkpointed as evaluated configurations: one payload encoding.
+        return [
+            EvaluatedConfiguration(sample.config, sample.quality, sample.cost).to_payload()
+            for sample in samples
+        ]
 
     def absorb(self, state: AutoAxState, payload: list) -> None:
         # Feature vectors are a deterministic function of the configuration,
@@ -236,7 +230,7 @@ class ScenarioStage(Stage):
         # a single engine batch (pure cache hits for strategies that already
         # measured them exactly, such as sh_ehvi's full-fidelity rung).
         evaluated = ctx.evaluate([candidate.config for candidate in candidates])
-        return {"candidates": [_evaluated_to_payload(entry) for entry in evaluated]}
+        return {"candidates": [entry.to_payload() for entry in evaluated]}
 
     def absorb(self, state: AutoAxState, payload: dict) -> None:
         from .flow import ScenarioResult
@@ -268,7 +262,7 @@ class RandomBaselineStage(Stage):
             seed=state.config.seed + 999,
             engine=state.engine,
         )
-        return [_evaluated_to_payload(entry) for entry in baseline]
+        return [entry.to_payload() for entry in baseline]
 
     def absorb(self, state: AutoAxState, payload: list) -> None:
         state.baseline = [

@@ -92,7 +92,7 @@ def simulate_planes(netlist: Netlist, input_planes: np.ndarray) -> np.ndarray:
     ``(num_outputs, planes)`` packed output.  This is the one packed
     simulation entry point: the netlist's op tape, compiled once per
     structural fingerprint, runs over the planes.  Callers that evaluate
-    many circuits on the same operand set (the batch evaluator) pack once
+    many circuits on the same operand set (the error evaluator) pack once
     and reuse the planes.
     """
     return compile_netlist(netlist).run(input_planes)

@@ -41,7 +41,7 @@ def use_packed_path(patterns: int) -> bool:
     """Whether a simulation of ``patterns`` patterns takes the packed path.
 
     The one place a simulation path is chosen: :func:`simulate_words` and
-    the batch evaluator both ask here.
+    :class:`repro.error.ErrorEvaluator` both ask here.
     """
     return patterns >= PACKED_MIN_PATTERNS
 
@@ -132,8 +132,8 @@ def expand_operand_bits(
     Returns the (patterns, num_inputs) boolean matrix both simulation
     paths start from, with each word's bits scattered to its primary-input
     node ids.  This is the single implementation of the word-to-bit layout;
-    the batch evaluator and the benchmarks reuse it so they measure exactly
-    what production simulates.
+    the error evaluator's operand memo and the benchmarks reuse it so they
+    measure exactly what production simulates.
     """
     missing = set(netlist.input_words) - set(operands)
     if missing:

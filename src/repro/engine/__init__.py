@@ -12,7 +12,6 @@ the disk backend is attached.
 from .cache import CacheStats, EvalCache
 from .evaluator import (
     BatchEvaluator,
-    LibraryEvaluation,
     asic_report_from_payload,
     asic_report_to_payload,
     error_report_from_payload,
@@ -33,7 +32,6 @@ __all__ = [
     "CacheStats",
     "EvalCache",
     "BatchEvaluator",
-    "LibraryEvaluation",
     "asic_report_from_payload",
     "asic_report_to_payload",
     "error_report_from_payload",

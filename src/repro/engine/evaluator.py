@@ -1,23 +1,27 @@
-"""Batched, cached evaluation of whole circuit libraries.
+"""Batched, cached evaluation of circuit libraries and accelerator configurations.
 
 :class:`BatchEvaluator` is the single entry point through which the
 methodology, the exploration accounting and the AutoAx search evaluate
-circuits.  It combines three mechanisms:
+circuits (error metrics, ASIC and FPGA reports) and accelerator
+configurations.  Every domain runs through one loop,
+:meth:`BatchEvaluator._evaluate`, which combines four mechanisms:
 
-* **Batching** -- all circuits of a call share one operand set: the
-  reference outputs are simulated once, the stacked operand matrices are
-  expanded to input-bit matrices once per word layout, and each circuit is
-  evaluated with a single vectorised pass over all patterns (the per-circuit
-  work reduces to one simulation call + ``bits_to_words``; the pattern
-  count picks the boolean or the packed path, which never changes results
-  or cache keys).
 * **Caching** -- every result is stored in an :class:`~repro.engine.cache.EvalCache`
-  under a key derived from the circuit's structural fingerprint and the full
-  evaluation context, so repeated evaluations (flow stages, coverage passes,
-  later sessions via the disk backend) are served without re-simulation.
+  under a key derived from the item (a circuit's structural fingerprint, a
+  configuration's slot indices) and the full evaluation context, so repeated
+  evaluations (flow stages, coverage passes, later sessions via the disk
+  backend) are served without recomputation.
+* **Dedupe** -- items with the same key within one call are computed once
+  and fanned back out to every requesting index.
+* **Batching** -- the misses of a call share one state: the
+  :class:`~repro.error.ErrorEvaluator` (operands expanded once per input
+  layout, reference outputs simulated once), a synthesizer, or an
+  accelerator's prepared inputs, which are prepared only when a batch has
+  misses.
 * **Fan-out** -- large miss sets can be dispatched to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; results are reassembled
-  in input order, so serial and parallel modes are bit-identical.
+  :class:`~concurrent.futures.ProcessPoolExecutor`; one pool worker serves
+  every domain, and results are reassembled in input order, so serial and
+  parallel modes are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,35 +29,40 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..asic import AsicReport, AsicSynthesizer
-from ..circuits import (
-    Netlist,
-    bits_to_words,
-    pack_bits,
-    simulate_bits,
-    simulate_planes,
-    unpack_bits,
-)
-from ..circuits.simulate import expand_operand_bits, use_packed_path
+from ..circuits import Netlist
 from ..error import ErrorEvaluator, ErrorReport
-from ..error.metrics import ErrorMetrics, compute_error_metrics
+from ..error.metrics import ErrorMetrics
 from ..fpga import FpgaReport, FpgaSynthesizer
 from .cache import EvalCache
 from .keys import accelerator_context, blake_token, cache_key, configuration_token
 
-__all__ = ["BatchEvaluator", "LibraryEvaluation"]
+__all__ = [
+    "BatchEvaluator",
+    "error_report_to_payload",
+    "error_report_from_payload",
+    "asic_report_to_payload",
+    "asic_report_from_payload",
+    "fpga_report_to_payload",
+    "fpga_report_from_payload",
+]
+
+#: In ``mode="auto"``, a batch fans out over the process pool from this many
+#: misses up (and only when more than one CPU is available).
+PARALLEL_THRESHOLD = 32
 
 
 # --------------------------------------------------------------------- #
-# Report <-> JSON-able payload conversion (the cache stores payloads so a
-# disk backend can serialise them)
+# Report <-> JSON-able payload conversion.  The cache stores payloads so a
+# disk backend can serialise them; the stage pipelines (repro.api)
+# checkpoint their artifacts with the same encoding.
 # --------------------------------------------------------------------- #
-def _error_report_to_payload(report: ErrorReport) -> dict:
+def error_report_to_payload(report: ErrorReport) -> dict:
     return {
         "circuit_name": report.circuit_name,
         "metrics": report.metrics.as_dict(),
@@ -62,7 +71,7 @@ def _error_report_to_payload(report: ErrorReport) -> dict:
     }
 
 
-def _payload_to_error_report(payload: dict, circuit_name: str) -> ErrorReport:
+def error_report_from_payload(payload: dict, circuit_name: str) -> ErrorReport:
     return ErrorReport(
         circuit_name=circuit_name,
         metrics=ErrorMetrics(**payload["metrics"]),
@@ -71,92 +80,58 @@ def _payload_to_error_report(payload: dict, circuit_name: str) -> ErrorReport:
     )
 
 
-def _asic_report_to_payload(report: AsicReport) -> dict:
+def asic_report_to_payload(report: AsicReport) -> dict:
     return asdict(report)
 
 
-def _payload_to_asic_report(payload: dict, circuit_name: str) -> AsicReport:
+def asic_report_from_payload(payload: dict, circuit_name: str) -> AsicReport:
     fields = dict(payload)
     fields["circuit_name"] = circuit_name
     return AsicReport(**fields)
 
 
-def _fpga_report_to_payload(report: FpgaReport) -> dict:
+def fpga_report_to_payload(report: FpgaReport) -> dict:
     return asdict(report)
 
 
-def _payload_to_fpga_report(payload: dict, circuit_name: str) -> FpgaReport:
+def fpga_report_from_payload(payload: dict, circuit_name: str) -> FpgaReport:
     fields = dict(payload)
     fields["circuit_name"] = circuit_name
     return FpgaReport(**fields)
 
 
 # --------------------------------------------------------------------- #
-# Process-pool workers.  Module-level so they pickle; each worker process
-# memoises its heavyweight state (rebuilt evaluator / synthesizer) per
-# context token, so a chunked map pays the setup cost once per process.
+# Per-item computations, ``(state, item) -> payload``.  Module-level so
+# the process pool can pickle them.
 # --------------------------------------------------------------------- #
+def _error_payload(evaluator: ErrorEvaluator, circuit: Netlist) -> dict:
+    return error_report_to_payload(evaluator.evaluate(circuit))
+
+
+def _synthesis_payload(synthesizer, circuit: Netlist) -> dict:
+    # ASIC and FPGA reports both encode as their dataclass fields.
+    return asdict(synthesizer.synthesize(circuit))
+
+
+def _configuration_payload(state, configuration) -> dict:
+    accelerator, prepared = state
+    quality, cost = accelerator.evaluate_prepared(prepared, configuration)
+    return {"quality": float(quality), "cost": {name: float(v) for name, v in cost.items()}}
+
+
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _worker_errors(
-    task: Tuple[str, Netlist, int, int, int, Optional[int], Optional[int], List[Netlist]]
-) -> List[dict]:
-    (
-        context,
-        reference,
-        max_exhaustive_inputs,
-        num_samples,
-        seed,
-        chunk,
-        fidelity,
-        circuits,
-    ) = task
-    evaluator = _WORKER_STATE.get(context)
-    if evaluator is None:
-        evaluator = ErrorEvaluator(
-            reference,
-            max_exhaustive_inputs=max_exhaustive_inputs,
-            num_samples=num_samples,
-            seed=seed,
-            chunk_patterns=chunk,
-            fidelity=fidelity,
-        )
-        _WORKER_STATE[context] = evaluator
-    return [_error_report_to_payload(evaluator.evaluate(circuit)) for circuit in circuits]
+def _worker(task) -> List[dict]:
+    """Compute one chunk of misses in a pool process.
 
-
-def _worker_asic(task: Tuple[str, AsicSynthesizer, List[Netlist]]) -> List[dict]:
-    context, synthesizer, circuits = task
-    cached = _WORKER_STATE.setdefault(context, synthesizer)
-    return [_asic_report_to_payload(cached.synthesize(circuit)) for circuit in circuits]
-
-
-def _worker_fpga(task: Tuple[str, FpgaSynthesizer, List[Netlist]]) -> List[dict]:
-    context, synthesizer, circuits = task
-    cached = _WORKER_STATE.setdefault(context, synthesizer)
-    return [_fpga_report_to_payload(cached.synthesize(circuit)) for circuit in circuits]
-
-
-def _worker_configurations(task) -> List[dict]:
-    """Exactly evaluate accelerator configurations against prepared images.
-
-    The accelerator is duck-typed (``prepare_inputs``/``evaluate_prepared``);
-    the prepared per-image planes and golden references are memoised per
-    context so a chunked map pays the image preparation once per process.
+    The state is kept per context token, so a process that receives several
+    chunks of one batch reuses the first copy (and, for an error evaluator,
+    its expanded operands).
     """
-    context, accelerator, images, configurations = task
-    prepared = _WORKER_STATE.get(context)
-    if prepared is None:
-        prepared = accelerator.prepare_inputs(images)
-        _WORKER_STATE[context] = prepared
-    payloads = []
-    for configuration in configurations:
-        quality, cost = accelerator.evaluate_prepared(prepared, configuration)
-        payloads.append(
-            {"quality": float(quality), "cost": {name: float(v) for name, v in cost.items()}}
-        )
-    return payloads
+    context, state, compute, items = task
+    state = _WORKER_STATE.setdefault(context, state)
+    return [compute(state, item) for item in items]
 
 
 def _chunk(items: List, num_chunks: int) -> List[List]:
@@ -165,29 +140,22 @@ def _chunk(items: List, num_chunks: int) -> List[List]:
     return [items[bounds[i]:bounds[i + 1]] for i in range(num_chunks) if bounds[i] < bounds[i + 1]]
 
 
-@dataclass
-class LibraryEvaluation:
-    """Reports for every circuit of one library, in library order."""
-
-    names: List[str]
-    errors: List[ErrorReport]
-    asic: List[AsicReport]
-    fpga: Optional[List[FpgaReport]] = None
-
-
 class BatchEvaluator:
     """Evaluates libraries of circuits with shared operands, caching and fan-out.
 
     Parameters
     ----------
     reference:
-        Golden reference circuit for error evaluation.  Either this or
-        ``error_evaluator`` must be provided before calling
-        :meth:`evaluate_errors`.
+        Golden reference circuit for error evaluation, evaluated by a
+        default :class:`~repro.error.ErrorEvaluator`.
     error_evaluator:
-        A pre-built :class:`~repro.error.ErrorEvaluator` to share (the flow
-        passes its own so engine results are bit-identical to the legacy
-        serial path).
+        A pre-built :class:`~repro.error.ErrorEvaluator` instead of
+        ``reference`` (it carries its own reference), for non-default
+        pattern budgets: ``max_exhaustive_inputs``, ``num_samples``,
+        ``seed``, ``chunk_patterns`` or a ``fidelity`` rung.  The
+        evaluator's method and pattern count are part of the ``err`` cache
+        context, so reduced rungs are namespaced away from exact results.
+        One of the two must be given before calling :meth:`evaluate_errors`.
     asic_synthesizer / fpga_synthesizer:
         Cost-model substrates; built with defaults on first use when omitted.
     cache:
@@ -195,18 +163,11 @@ class BatchEvaluator:
         omitted.  Pass an explicit cache to share hits across flows.
     mode:
         ``"serial"``, ``"process"`` or ``"auto"``.  ``auto`` uses a process
-        pool only when the miss set is at least ``parallel_threshold`` and
-        more than one CPU is available; anything else runs serially.  Both
-        modes produce bit-identical, input-ordered results.
+        pool only when the miss set is at least :data:`PARALLEL_THRESHOLD`
+        and more than one CPU is available; anything else runs serially.
+        Both modes produce bit-identical, input-ordered results.
     max_workers:
         Process-pool width (defaults to the CPU count).
-    fidelity:
-        Explicit pattern-budget rung forwarded to the constructed
-        :class:`~repro.error.ErrorEvaluator` (see its ``fidelity``
-        parameter): the rung caps error evaluation at that many patterns
-        for multi-fidelity search ladders.  The evaluator's method and
-        pattern count are part of the ``err`` cache context, so reduced
-        rungs are namespaced away from exact results automatically.
     """
 
     def __init__(
@@ -219,33 +180,23 @@ class BatchEvaluator:
         cache: Optional[EvalCache] = None,
         mode: str = "auto",
         max_workers: Optional[int] = None,
-        parallel_threshold: int = 32,
-        max_exhaustive_inputs: int = 18,
-        num_samples: int = 8192,
-        seed: int = 1234,
-        fidelity: Optional[int] = None,
     ):
         if mode not in ("auto", "serial", "process"):
             raise ValueError(f"unknown engine mode {mode!r}")
+        if reference is not None and error_evaluator is not None:
+            raise ValueError(
+                "pass either a reference circuit or an error_evaluator (which "
+                "carries its own reference), not both"
+            )
         self.mode = mode
         self.max_workers = max_workers
-        self.parallel_threshold = parallel_threshold
         self.cache = cache if cache is not None else EvalCache()
-
-        if error_evaluator is None and reference is not None:
-            error_evaluator = ErrorEvaluator(
-                reference,
-                max_exhaustive_inputs=max_exhaustive_inputs,
-                num_samples=num_samples,
-                seed=seed,
-                fidelity=fidelity,
-            )
-        self.error_evaluator = error_evaluator
+        self.error_evaluator = (
+            ErrorEvaluator(reference) if reference is not None else error_evaluator
+        )
         self.asic_synthesizer = asic_synthesizer
         self.fpga_synthesizer = fpga_synthesizer
 
-        self._layout_bits: Dict[Tuple, np.ndarray] = {}
-        self._layout_planes: Dict[Tuple, np.ndarray] = {}
         self._prepared_images: Dict[str, object] = {}
         self._error_context: Optional[str] = None
         self._asic_context: Optional[str] = None
@@ -312,60 +263,7 @@ class BatchEvaluator:
         return self._fpga_context
 
     # ------------------------------------------------------------------ #
-    # Batched error evaluation: shared operands, one bit-expansion per layout
-    # ------------------------------------------------------------------ #
-    def _layout_of(self, circuit: Netlist) -> Tuple:
-        return tuple(sorted((name, tuple(bits)) for name, bits in circuit.input_words.items()))
-
-    def _input_bits_for(self, circuit: Netlist) -> np.ndarray:
-        layout = self._layout_of(circuit)
-        bits = self._layout_bits.get(layout)
-        if bits is None:
-            evaluator = self._require_error_evaluator()
-            bits = expand_operand_bits(circuit, evaluator.operands)
-            self._layout_bits[layout] = bits
-        return bits
-
-    def _input_planes_for(self, circuit: Netlist) -> np.ndarray:
-        """Packed input planes, cached per word layout like the bit matrix.
-
-        The packed path would otherwise re-pack the shared bit matrix on
-        every circuit; packing once per layout keeps the per-circuit cost at
-        one `simulate_planes` pass.
-        """
-        layout = self._layout_of(circuit)
-        planes = self._layout_planes.get(layout)
-        if planes is None:
-            planes = pack_bits(self._input_bits_for(circuit).T)
-            self._layout_planes[layout] = planes
-        return planes
-
-    def _compute_error_report(self, circuit: Netlist) -> ErrorReport:
-        evaluator = self._require_error_evaluator()
-        if evaluator.streaming:
-            # Streaming evaluators bound peak memory by the chunk size; the
-            # shared full-size input-bit matrix would defeat that, so
-            # delegate to the evaluator's own chunked loop.
-            return evaluator.evaluate(circuit)
-        evaluator.check_interface(circuit)
-        if use_packed_path(evaluator.num_patterns):
-            output_planes = simulate_planes(circuit, self._input_planes_for(circuit))
-            output_bits = unpack_bits(output_planes, evaluator.num_patterns).T
-        else:
-            output_bits = simulate_bits(circuit, self._input_bits_for(circuit))
-        outputs = bits_to_words(output_bits)
-        metrics = compute_error_metrics(
-            evaluator.exact_outputs, outputs, evaluator.max_output
-        )
-        return ErrorReport(
-            circuit_name=circuit.name,
-            metrics=metrics,
-            num_patterns=evaluator.num_patterns,
-            method=evaluator.method,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Generic cached / fanned-out evaluation
+    # The one cached / deduplicated / fanned-out loop
     # ------------------------------------------------------------------ #
     def _resolve_workers(self, num_misses: int) -> int:
         if self.mode == "serial" or num_misses == 0:
@@ -374,27 +272,26 @@ class BatchEvaluator:
         workers = self.max_workers or cpus
         if self.mode == "process":
             return max(1, workers)
-        if num_misses >= self.parallel_threshold and cpus > 1 and workers > 1:
+        if num_misses >= PARALLEL_THRESHOLD and cpus > 1 and workers > 1:
             return workers
         return 0
 
     def _evaluate(
         self,
-        circuits: Sequence[Netlist],
-        domain: str,
+        items: Sequence[object],
+        keys: Sequence[str],
         context: str,
-        compute: Callable[[Netlist], object],
-        report_to_payload: Callable[[object], dict],
-        payload_to_report: Callable[[dict, str], object],
-        make_task: Callable[[str, List[Netlist]], tuple],
-        worker: Callable[[tuple], List[dict]],
-    ) -> List[object]:
-        circuits = list(circuits)
-        keys = [cache_key(domain, context, circuit.fingerprint()) for circuit in circuits]
-        results: List[Optional[object]] = [None] * len(circuits)
+        state: Callable[[], object],
+        compute: Callable[[object, object], dict],
+    ) -> List[dict]:
+        """Payloads for ``items`` (cache key ``keys[i]`` each), in input order.
 
-        # Cache probe; structurally identical circuits in one call are
-        # computed once and fanned back out to every requesting index.
+        Misses are computed as ``compute(state(), item)``; ``state`` is
+        called only when the batch has a miss, and ``compute`` must be a
+        module-level function so the pool can pickle it.  Items sharing a
+        key are computed once and served to every requesting index.
+        """
+        results: List[Optional[dict]] = [None] * len(items)
         pending: Dict[str, List[int]] = {}
         for index, key in enumerate(keys):
             if key in pending:
@@ -402,90 +299,79 @@ class BatchEvaluator:
                 continue
             hit = self.cache.get(key)
             if hit is not None:
-                results[index] = payload_to_report(hit, circuits[index].name)
+                results[index] = hit
             else:
                 pending[key] = [index]
+        if not pending:
+            return results  # type: ignore[return-value]
 
-        miss_keys = list(pending)
-        miss_circuits = [circuits[pending[key][0]] for key in miss_keys]
-        workers = self._resolve_workers(len(miss_circuits))
-
-        payloads: List[dict]
+        misses = [items[indices[0]] for indices in pending.values()]
+        shared = state()
+        payloads = None
+        workers = self._resolve_workers(len(misses))
         if workers:
-            chunks = _chunk(miss_circuits, workers)
-            tasks = [make_task(context, chunk) for chunk in chunks]
+            chunks = _chunk(misses, workers)
+            tasks = [(context, shared, compute, chunk) for chunk in chunks]
             try:
                 with ProcessPoolExecutor(max_workers=len(chunks)) as executor:
                     payloads = [
                         payload
-                        for chunk_result in executor.map(worker, tasks)
+                        for chunk_result in executor.map(_worker, tasks)
                         for payload in chunk_result
                     ]
-            except (OSError, BrokenExecutor):
-                # Sandboxed / fork-restricted environments, or a worker dying
-                # mid-run (OOM kill => BrokenProcessPool): degrade to serial.
-                payloads = [report_to_payload(compute(circuit)) for circuit in miss_circuits]
-        else:
-            payloads = [report_to_payload(compute(circuit)) for circuit in miss_circuits]
+            except (OSError, BrokenExecutor, pickle.PicklingError, TypeError):
+                # Sandboxed / fork-restricted environments, a worker dying
+                # mid-run (OOM kill => BrokenProcessPool) or unpicklable
+                # state: degrade to the serial loop below.
+                pass
+        if payloads is None:
+            payloads = [compute(shared, item) for item in misses]
 
-        for key, payload in zip(miss_keys, payloads):
+        for (key, indices), payload in zip(pending.items(), payloads):
             self.cache.put(key, payload)
-            for index in pending[key]:
-                results[index] = payload_to_report(payload, circuits[index].name)
+            for index in indices:
+                results[index] = payload
         return results  # type: ignore[return-value]
+
+    def _evaluate_circuits(
+        self,
+        circuits: Sequence[Netlist],
+        domain: str,
+        context: str,
+        state: object,
+        compute: Callable[[object, Netlist], dict],
+        decode: Callable[[dict, str], object],
+    ) -> List[object]:
+        circuits = list(circuits)
+        keys = [cache_key(domain, context, circuit.fingerprint()) for circuit in circuits]
+        payloads = self._evaluate(circuits, keys, context, lambda: state, compute)
+        return [decode(payload, circuit.name) for payload, circuit in zip(payloads, circuits)]
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
     def evaluate_errors(self, circuits: Sequence[Netlist]) -> List[ErrorReport]:
-        """Error reports for ``circuits``, bit-identical to the serial path."""
+        """Error reports for ``circuits`` (:meth:`ErrorEvaluator.evaluate` per miss)."""
         evaluator = self._require_error_evaluator()
-        return self._evaluate(
-            circuits,
-            domain="err",
-            context=self._error_ctx(),
-            compute=self._compute_error_report,
-            report_to_payload=_error_report_to_payload,
-            payload_to_report=_payload_to_error_report,
-            make_task=lambda ctx, chunk: (
-                ctx,
-                evaluator.reference,
-                evaluator.max_exhaustive_inputs,
-                evaluator.num_samples,
-                evaluator.seed,
-                evaluator.chunk_patterns,
-                evaluator.fidelity,
-                chunk,
-            ),
-            worker=_worker_errors,
+        return self._evaluate_circuits(
+            circuits, "err", self._error_ctx(), evaluator, _error_payload,
+            error_report_from_payload,
         )
 
     def evaluate_asic(self, circuits: Sequence[Netlist]) -> List[AsicReport]:
         """ASIC area / timing / power reports for ``circuits``."""
         context = self._asic_ctx()
-        return self._evaluate(
-            circuits,
-            domain="asic",
-            context=context,
-            compute=self.asic_synthesizer.synthesize,
-            report_to_payload=_asic_report_to_payload,
-            payload_to_report=_payload_to_asic_report,
-            make_task=lambda ctx, chunk: (ctx, self.asic_synthesizer, chunk),
-            worker=_worker_asic,
+        return self._evaluate_circuits(
+            circuits, "asic", context, self.asic_synthesizer, _synthesis_payload,
+            asic_report_from_payload,
         )
 
     def evaluate_fpga(self, circuits: Sequence[Netlist]) -> List[FpgaReport]:
         """FPGA reports (#LUTs, latency, power) for ``circuits``."""
         context = self._fpga_ctx()
-        return self._evaluate(
-            circuits,
-            domain="fpga",
-            context=context,
-            compute=self.fpga_synthesizer.synthesize,
-            report_to_payload=_fpga_report_to_payload,
-            payload_to_report=_payload_to_fpga_report,
-            make_task=lambda ctx, chunk: (ctx, self.fpga_synthesizer, chunk),
-            worker=_worker_fpga,
+        return self._evaluate_circuits(
+            circuits, "fpga", context, self.fpga_synthesizer, _synthesis_payload,
+            fpga_report_from_payload,
         )
 
     def evaluate_configurations(
@@ -496,12 +382,13 @@ class BatchEvaluator:
         The one exact-evaluation path of accelerator configurations (the
         AutoAx flow and its search strategies reach it through
         :meth:`repro.autoax.SearchContext.evaluate`): per-image work (shifted
-        planes, golden reference outputs) is prepared once and shared by the
-        whole batch, repeated configurations within one call are computed
-        once, and large miss sets fan out over the process pool.  Results
-        are cached under ``axq`` keys
-        (:func:`repro.engine.keys.accelerator_context`, which namespaces by
-        workload identity), so repeated studies and scenarios share them.
+        planes, golden reference outputs) is prepared once per image set,
+        only when the batch has a miss, and shared by the whole batch;
+        repeated configurations within one call are computed once, and
+        large miss sets fan out over the process pool.  Results are cached
+        under ``axq`` keys (:func:`repro.engine.keys.accelerator_context`,
+        which namespaces by workload identity), so repeated studies and
+        scenarios share them.
 
         ``fidelity`` is the multi-fidelity ladder rung: a total-pixel
         budget applied by centre-cropping the input images
@@ -535,28 +422,8 @@ class BatchEvaluator:
             )
             for config in configurations
         ]
-        results: List[Optional[dict]] = [None] * len(configurations)
 
-        pending: Dict[str, List[int]] = {}
-        for index, key in enumerate(keys):
-            if key in pending:
-                pending[key].append(index)
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                results[index] = hit
-            else:
-                pending[key] = [index]
-
-        miss_keys = list(pending)
-        if not miss_keys:
-            # Fully cached batch (e.g. a warm disk-backed cache): skip the
-            # image preparation entirely.
-            return results  # type: ignore[return-value]
-        miss_configs = [configurations[pending[key][0]] for key in miss_keys]
-        workers = self._resolve_workers(len(miss_configs))
-
-        def compute_serial() -> List[dict]:
+        def prepared_inputs():
             prepared = self._prepared_images.get(context)
             if prepared is None:
                 prepared = accelerator.prepare_inputs(images)
@@ -565,71 +432,12 @@ class BatchEvaluator:
                 if len(self._prepared_images) >= 4:
                     self._prepared_images.clear()
                 self._prepared_images[context] = prepared
-            payloads = []
-            for config in miss_configs:
-                quality, cost = accelerator.evaluate_prepared(prepared, config)
-                payloads.append(
-                    {
-                        "quality": float(quality),
-                        "cost": {name: float(v) for name, v in cost.items()},
-                    }
-                )
-            return payloads
+            return accelerator, prepared
 
-        if workers:
-            chunks = _chunk(miss_configs, workers)
-            tasks = [(context, accelerator, images, chunk) for chunk in chunks]
-            try:
-                with ProcessPoolExecutor(max_workers=len(chunks)) as executor:
-                    payloads = [
-                        payload
-                        for chunk_result in executor.map(_worker_configurations, tasks)
-                        for payload in chunk_result
-                    ]
-            except (OSError, BrokenExecutor, pickle.PicklingError, TypeError):
-                # Sandboxed environments, dead workers, or unpicklable
-                # accelerators: degrade to the serial batched path.
-                payloads = compute_serial()
-        else:
-            payloads = compute_serial()
-
-        for key, payload in zip(miss_keys, payloads):
-            self.cache.put(key, payload)
-            for index in pending[key]:
-                results[index] = payload
-        return results  # type: ignore[return-value]
-
-    def evaluate_library(self, library, include_fpga: bool = False) -> LibraryEvaluation:
-        """Errors + ASIC (and optionally FPGA) reports for a whole library."""
-        circuits = list(library)
-        return LibraryEvaluation(
-            names=[circuit.name for circuit in circuits],
-            errors=self.evaluate_errors(circuits),
-            asic=self.evaluate_asic(circuits),
-            fpga=self.evaluate_fpga(circuits) if include_fpga else None,
+        return self._evaluate(
+            configurations, keys, context, prepared_inputs, _configuration_payload
         )
 
     def stats(self):
         """Shortcut to the underlying cache statistics."""
         return self.cache.stats()
-
-
-# --------------------------------------------------------------------- #
-# Public aliases: the stage pipelines (repro.api) checkpoint their
-# artifacts with the same payload encoding the cache uses on disk.
-# --------------------------------------------------------------------- #
-error_report_to_payload = _error_report_to_payload
-error_report_from_payload = _payload_to_error_report
-asic_report_to_payload = _asic_report_to_payload
-asic_report_from_payload = _payload_to_asic_report
-fpga_report_to_payload = _fpga_report_to_payload
-fpga_report_from_payload = _payload_to_fpga_report
-
-__all__ += [
-    "error_report_to_payload",
-    "error_report_from_payload",
-    "asic_report_to_payload",
-    "asic_report_from_payload",
-    "fpga_report_to_payload",
-    "fpga_report_from_payload",
-]

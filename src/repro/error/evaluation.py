@@ -6,23 +6,43 @@ multipliers would need 2^24 and 2^32 patterns) are evaluated with a seeded
 Monte-Carlo sample, which is the standard practice when exhaustive
 enumeration is infeasible.
 
-Simulation goes through :func:`repro.circuits.simulate_words`, which takes
-the packed path on large pattern counts and the boolean oracle on small
-ones; both are bit-identical, so the choice only affects speed.  For wide
-operands, ``chunk_patterns`` streams the evaluation over fixed-size pattern
-blocks through an :class:`~repro.error.metrics.ErrorAccumulator`, keeping
-peak memory flat regardless of the pattern count.
+:meth:`ErrorEvaluator.evaluate` is the one way an error report is computed
+(the batch engine, its pool workers and every direct caller use it).  An
+evaluator simulates every circuit on one shared operand set, so it expands
+those operands into each input-bit layout it meets once and keeps only the
+form the simulation path consumes: packed planes from
+:data:`~repro.circuits.simulate.PACKED_MIN_PATTERNS` patterns up, the
+boolean matrix below (:func:`~repro.circuits.simulate.use_packed_path`
+picks; both paths are bit-identical, so the choice only affects speed).
+The reference shares that memo with the circuits evaluated after it.  For
+wide operands, ``chunk_patterns`` streams the evaluation over fixed-size
+pattern blocks through :func:`repro.circuits.simulate_words` and an
+:class:`~repro.error.metrics.ErrorAccumulator`, keeping peak memory flat
+regardless of the pattern count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..circuits import Netlist
-from ..circuits.simulate import exhaustive_operands, random_operands, simulate_words
+from ..circuits import (
+    Netlist,
+    bits_to_words,
+    pack_bits,
+    simulate_bits,
+    simulate_planes,
+    unpack_bits,
+)
+from ..circuits.simulate import (
+    exhaustive_operands,
+    expand_operand_bits,
+    random_operands,
+    simulate_words,
+    use_packed_path,
+)
 from .metrics import ErrorAccumulator, ErrorMetrics, compute_error_metrics
 
 
@@ -118,7 +138,23 @@ class ErrorEvaluator:
             self._method = "monte_carlo"
         self._num_patterns = int(len(next(iter(self._operands.values()))))
         self._max_output = (1 << reference.num_outputs) - 1
-        self._exact_outputs = self._simulate(reference)
+        self._layout_inputs: Dict[Tuple, np.ndarray] = {}
+        self._exact_outputs = self._outputs(reference)
+
+    def __reduce__(self):
+        # Pickles as its constructor arguments (process-pool workers rebuild
+        # the operands and reference outputs instead of receiving them).
+        return (
+            type(self),
+            (
+                self.reference,
+                self.max_exhaustive_inputs,
+                self.num_samples,
+                self.seed,
+                self.chunk_patterns,
+                self.fidelity,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -138,19 +174,42 @@ class ErrorEvaluator:
         for start in range(0, self._num_patterns, step):
             yield start, min(start + step, self._num_patterns)
 
-    def _simulate(self, circuit: Netlist) -> np.ndarray:
+    def _block_operands(self, start: int, stop: int) -> Dict[str, np.ndarray]:
+        return {name: values[start:stop] for name, values in self._operands.items()}
+
+    def _layout_input(self, circuit: Netlist, packed: bool) -> np.ndarray:
+        """The shared operands in ``circuit``'s input-bit layout, expanded once.
+
+        Kept only in the form the simulation path consumes (packed planes
+        or the boolean matrix); the path is part of the key, so a patched
+        ``PACKED_MIN_PATTERNS`` still finds the form it needs.
+        """
+        words = tuple(sorted((name, tuple(bits)) for name, bits in circuit.input_words.items()))
+        layout = (packed, words)
+        inputs = self._layout_inputs.get(layout)
+        if inputs is None:
+            inputs = expand_operand_bits(circuit, self._operands)
+            if packed:
+                inputs = pack_bits(inputs.T)
+            self._layout_inputs[layout] = inputs
+        return inputs
+
+    def _outputs(self, circuit: Netlist) -> np.ndarray:
         """Output word on the shared operands, chunked when configured."""
-        if not self.streaming:
-            return simulate_words(circuit, self._operands)
-        return np.concatenate(
-            [
-                simulate_words(
-                    circuit,
-                    {name: values[start:stop] for name, values in self._operands.items()},
-                )
-                for start, stop in self._blocks()
-            ]
-        )
+        if self.streaming:
+            return np.concatenate(
+                [
+                    simulate_words(circuit, self._block_operands(start, stop))
+                    for start, stop in self._blocks()
+                ]
+            )
+        packed = use_packed_path(self._num_patterns)
+        inputs = self._layout_input(circuit, packed)
+        if packed:
+            output_bits = unpack_bits(simulate_planes(circuit, inputs), self._num_patterns).T
+        else:
+            output_bits = simulate_bits(circuit, inputs)
+        return bits_to_words(output_bits)
 
     @property
     def method(self) -> str:
@@ -175,11 +234,8 @@ class ErrorEvaluator:
         """Maximum representable output value (normalises MED / relative WCE)."""
         return self._max_output
 
-    def check_interface(self, circuit: Netlist) -> None:
-        """Validate that ``circuit`` has the reference's word-level interface."""
-        self._check_interface(circuit)
-
     def _check_interface(self, circuit: Netlist) -> None:
+        """Validate that ``circuit`` has the reference's word-level interface."""
         if set(circuit.input_words) != set(self.reference.input_words):
             raise ValueError(
                 f"circuit {circuit.name!r} input words {sorted(circuit.input_words)} do not "
@@ -196,15 +252,13 @@ class ErrorEvaluator:
         """Error metrics of ``circuit`` against the reference."""
         self._check_interface(circuit)
         if not self.streaming:
-            approx_outputs = simulate_words(circuit, self._operands)
             metrics = compute_error_metrics(
-                self._exact_outputs, approx_outputs, self._max_output
+                self._exact_outputs, self._outputs(circuit), self._max_output
             )
         else:
             accumulator = ErrorAccumulator(self._max_output)
             for start, stop in self._blocks():
-                block = {name: values[start:stop] for name, values in self._operands.items()}
-                approx_block = simulate_words(circuit, block)
+                approx_block = simulate_words(circuit, self._block_operands(start, stop))
                 accumulator.update(self._exact_outputs[start:stop], approx_block)
             metrics = accumulator.result()
         return ErrorReport(

@@ -83,6 +83,9 @@ def compute_error_metrics(
 ) -> ErrorMetrics:
     """Compute all error metrics from paired exact/approximate output vectors.
 
+    The one-shot form of :class:`ErrorAccumulator`: a single block folded
+    into a fresh accumulator, so every metric formula exists once.
+
     Parameters
     ----------
     exact_outputs, approx_outputs:
@@ -92,31 +95,7 @@ def compute_error_metrics(
         Maximum representable value of the output word, used for the
         normalised metrics (MED, relative WCE).
     """
-    exact_outputs = _as_output_words(exact_outputs)
-    approx_outputs = _as_output_words(approx_outputs)
-    if exact_outputs.shape != approx_outputs.shape:
-        raise ValueError("exact and approximate output vectors must have the same shape")
-    if exact_outputs.size == 0:
-        raise ValueError("cannot compute error metrics on an empty output vector")
-    if max_output <= 0:
-        raise ValueError("max_output must be positive")
-
-    difference = np.abs(approx_outputs - exact_outputs).astype(np.float64)
-    mae = float(difference.mean())
-    wce = float(difference.max())
-    denominator = np.maximum(np.abs(exact_outputs).astype(np.float64), 1.0)
-    mre = float((difference / denominator).mean())
-    error_probability = float((difference > 0).mean())
-    mse = float((difference ** 2).mean())
-    return ErrorMetrics(
-        med=mae / float(max_output),
-        mae=mae,
-        wce=wce,
-        wce_relative=wce / float(max_output),
-        mre=mre,
-        error_probability=error_probability,
-        mse=mse,
-    )
+    return ErrorAccumulator(max_output).update(exact_outputs, approx_outputs).result()
 
 
 def mean_error_distance(

@@ -71,15 +71,7 @@ DEFAULT_AUTOAX_PARAMS: Dict[str, object] = {
 
 
 def _evaluated_payload(entries: Sequence[object]) -> List[dict]:
-    return [
-        {
-            "multipliers": [int(i) for i in entry.config.multiplier_indices],
-            "adders": [int(i) for i in entry.config.adder_indices],
-            "quality": float(entry.quality),
-            "cost": {name: float(value) for name, value in entry.cost.items()},
-        }
-        for entry in entries
-    ]
+    return [entry.to_payload() for entry in entries]
 
 
 @JOB_FLOWS.register("autoax")

@@ -53,7 +53,7 @@ from .base import (
     build_workload,
     reduce_balanced,
 )
-from .components import ApproxComponent, build_component, components_from_library
+from .components import ApproxComponent, components_from_library
 from .convolution import (
     GAUSSIAN_KERNEL_3X3,
     KERNEL_SHIFT,
@@ -113,7 +113,6 @@ __all__ = [
     "build_workload",
     "reduce_balanced",
     "ApproxComponent",
-    "build_component",
     "components_from_library",
     "ConvolutionAccelerator",
     "GaussianFilterAccelerator",

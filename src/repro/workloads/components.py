@@ -17,10 +17,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..circuits import Netlist
-from ..error import ErrorEvaluator, ErrorReport
+from ..error import ErrorReport
 from ..fpga import FpgaReport, FpgaSynthesizer
 
-__all__ = ["ApproxComponent", "build_component", "components_from_library"]
+__all__ = ["ApproxComponent", "components_from_library"]
 
 
 @dataclass
@@ -57,23 +57,6 @@ class ApproxComponent:
             width_b = self.netlist.word_width("b")
             return table[a * (1 << width_b) + b]
         return self.netlist.evaluate_words({"a": a, "b": b})
-
-
-def build_component(
-    netlist: Netlist,
-    fpga_synthesizer: FpgaSynthesizer,
-    evaluator: ErrorEvaluator,
-    fpga_report: Optional[FpgaReport] = None,
-    error_report: Optional[ErrorReport] = None,
-) -> ApproxComponent:
-    """Wrap a netlist into an :class:`ApproxComponent` with costs and error."""
-    return ApproxComponent(
-        name=netlist.name,
-        kind=netlist.kind,
-        netlist=netlist,
-        fpga=fpga_report or fpga_synthesizer.synthesize(netlist),
-        error=error_report or evaluator.evaluate(netlist),
-    )
 
 
 def components_from_library(

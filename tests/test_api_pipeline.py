@@ -3,7 +3,10 @@ and the search-strategy calling convention."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +165,24 @@ class TestBuiltinRegistries:
         with pytest.raises(ValueError):
             ApproxFpgasConfig(min_training_circuits=1)
         assert ApproxFpgasConfig(min_training_circuits=2).min_training_circuits == 2
+
+    def test_readme_registry_table_lists_every_builtin_key(self):
+        """Each row of the README "Plugin registries" table names exactly the
+        live registry's keys (``ML1`` … ``ML18`` spelled as a range)."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Plugin registries", 1)[1]
+        table = section[section.index("| Registry |"):].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([\w.]+)` \| (.+) \|$", table, re.MULTILINE)
+        assert len(rows) == 7
+        for name, module, cell in rows:
+            keys = re.findall(r"`(\w+?)(\d*)`", cell)
+            if "…" in cell:
+                (prefix, first), (_, last) = keys
+                keys = [(prefix, str(i)) for i in range(int(first), int(last) + 1)]
+            keys = ["".join(key) for key in keys]
+            registry = getattr(importlib.import_module(module), name)
+            assert sorted(keys) == sorted(registry.keys()), name
+            assert len(set(keys)) == len(keys), name
 
 
 # --------------------------------------------------------------------- #

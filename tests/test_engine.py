@@ -230,21 +230,21 @@ class TestBatchEvaluator:
         with pytest.raises(ValueError, match="mode"):
             BatchEvaluator(mode="threads")
 
-    def test_evaluate_library(self, small_multiplier_library):
-        engine = BatchEvaluator(small_multiplier_library.reference(), mode="serial")
-        evaluation = engine.evaluate_library(small_multiplier_library, include_fpga=True)
-        assert evaluation.names == small_multiplier_library.names()
-        assert len(evaluation.errors) == len(small_multiplier_library)
-        assert len(evaluation.asic) == len(small_multiplier_library)
-        assert evaluation.fpga is not None
-        assert len(evaluation.fpga) == len(small_multiplier_library)
+    def test_reference_and_error_evaluator_are_exclusive(self, multiplier4):
+        """The evaluator carries its own reference: passing a second one
+        used to evaluate silently against the evaluator's."""
+        with pytest.raises(ValueError, match="not both"):
+            BatchEvaluator(multiplier4, error_evaluator=ErrorEvaluator(array_multiplier(4)))
+        with pytest.raises(ValueError, match="not both"):
+            BatchEvaluator(multiplier4, error_evaluator=ErrorEvaluator(ripple_carry_adder(4)))
 
     def test_different_references_do_not_share_entries(self, multiplier4):
         cache = EvalCache()
         engine_a = BatchEvaluator(array_multiplier(4), cache=cache, mode="serial")
-        engine_b = BatchEvaluator(
-            array_multiplier(4), cache=cache, mode="serial", num_samples=16, seed=2, max_exhaustive_inputs=4
+        sampled = ErrorEvaluator(
+            array_multiplier(4), num_samples=16, seed=2, max_exhaustive_inputs=4
         )
+        engine_b = BatchEvaluator(error_evaluator=sampled, cache=cache, mode="serial")
         engine_a.evaluate_errors([multiplier4])
         engine_b.evaluate_errors([multiplier4])
         # Contexts differ (exhaustive vs monte-carlo) so both were misses.

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import Netlist, simulate_words
+from repro.circuits import simulate as simulate_module
+from repro.circuits.simulate import expand_operand_bits
 from repro.error import ErrorEvaluator, compute_error_metrics, evaluate_error, mean_error_distance
+from repro.error import evaluation as evaluation_module
 from repro.generators import (
     array_multiplier,
     ripple_carry_adder,
@@ -98,6 +102,47 @@ def test_monte_carlo_reproducible_with_seed():
 def test_interface_mismatch_rejected(multiplier4_evaluator):
     with pytest.raises(ValueError):
         multiplier4_evaluator.evaluate(array_multiplier(8))
+
+
+@pytest.mark.parametrize("packed_min_patterns", [1, 2**62], ids=["packed", "bool"])
+def test_operands_expanded_once_per_input_layout(multiplier4, monkeypatch, packed_min_patterns):
+    """An evaluator expands its shared operands into each input-bit layout
+    once, on either simulation path: the reference and every circuit wired
+    like it reuse that expansion, and a circuit wired differently gets its
+    own, correct one."""
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", packed_min_patterns)
+    expanded = []
+
+    def spy(netlist, operands):
+        expanded.append(netlist.name)
+        return expand_operand_bits(netlist, operands)
+
+    # Both bindings: an evaluator that re-expanded through simulate_words
+    # would be counted too.
+    monkeypatch.setattr(simulate_module, "expand_operand_bits", spy)
+    monkeypatch.setattr(evaluation_module, "expand_operand_bits", spy)
+    evaluator = ErrorEvaluator(multiplier4)
+    circuits = [truncated_multiplier(4, cut) for cut in (1, 2, 3)] + [multiplier4]
+    assert all(c.input_words == multiplier4.input_words for c in circuits)
+    reports = [evaluator.evaluate(circuit) for circuit in circuits]
+    assert expanded == [multiplier4.name]
+    assert reports[-1].metrics.med == 0.0 < reports[0].metrics.med
+
+    rewired = Netlist(
+        name="a_bits_reversed",
+        kind=multiplier4.kind,
+        input_words={"a": multiplier4.input_words["a"][::-1], "b": multiplier4.input_words["b"]},
+        output_bits=multiplier4.output_bits,
+        gates=list(multiplier4.gates),
+    )
+    report = evaluator.evaluate(rewired)
+    evaluator.evaluate(rewired)
+    assert expanded == [multiplier4.name, rewired.name]
+    outputs = simulate_words(rewired, evaluator.operands)
+    assert report.metrics == compute_error_metrics(
+        evaluator.exact_outputs, outputs, evaluator.max_output
+    )
+    assert report.metrics.med > 0.0
 
 
 def test_evaluate_error_one_shot():

@@ -419,7 +419,9 @@ class TestFidelityRungCacheIsolation:
         reference = library.reference()
         circuits = list(library.circuits[:4])
         cache = EvalCache()
-        screen = BatchEvaluator(reference, cache=cache, mode="serial", fidelity=100)
+        screen = BatchEvaluator(
+            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache, mode="serial"
+        )
         exact = BatchEvaluator(reference, cache=cache, mode="serial")
 
         screened = screen.evaluate_errors(circuits)
@@ -470,9 +472,9 @@ class TestFidelityRungCacheIsolation:
 
         # Tenant A runs a 100-pattern screen against the shared store.
         cache_a = EvalCache(store=store)
-        BatchEvaluator(reference, cache=cache_a, mode="serial", fidelity=100).evaluate_errors(
-            circuits
-        )
+        BatchEvaluator(
+            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache_a, mode="serial"
+        ).evaluate_errors(circuits)
         # Tenant B's *exact* request through a fresh cache on the same store
         # must miss all the way to a recompute...
         cache_b = EvalCache(store=store)
@@ -482,9 +484,9 @@ class TestFidelityRungCacheIsolation:
         assert stats.hits == 0 and stats.misses == len(circuits)
         # ... while a tenant C screen at A's rung is a pure disk hit.
         cache_c = EvalCache(store=store)
-        BatchEvaluator(reference, cache=cache_c, mode="serial", fidelity=100).evaluate_errors(
-            circuits
-        )
+        BatchEvaluator(
+            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache_c, mode="serial"
+        ).evaluate_errors(circuits)
         stats = cache_c.stats()
         assert stats.misses == 0 and stats.hits == len(circuits)
 

@@ -90,9 +90,7 @@ class TestBatchedExactEvaluation:
     def test_process_mode_configurations_bit_identical(self, setup):
         """Process-pool fan-out (or its fallback) matches serial bits."""
         serial_engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        process_engine = BatchEvaluator(
-            cache=EvalCache(), mode="process", max_workers=2, parallel_threshold=1
-        )
+        process_engine = BatchEvaluator(cache=EvalCache(), mode="process", max_workers=2)
         rng = np.random.default_rng(41)
         configs = [setup.accelerator.random_configuration(rng) for _ in range(6)]
         serial = serial_engine.evaluate_configurations(setup.accelerator, setup.images, configs)
@@ -110,6 +108,39 @@ class TestBatchedExactEvaluation:
         for a, b in zip(cold, warm):
             assert (a.config, a.quality, a.cost) == (b.config, b.quality, b.cost)
             assert np.array_equal(a.features, b.features)
+
+    def test_inputs_prepared_only_for_misses_and_memoised(self, setup, monkeypatch):
+        """A fully cached batch prepares no inputs; the first batch with a
+        miss prepares them, and later batches in the same context reuse
+        them."""
+        accelerator, images = setup.accelerator, setup.images
+        prepared = []
+
+        def spy(inputs):
+            prepared.append(len(inputs))
+            return type(accelerator).prepare_inputs(accelerator, inputs)
+
+        monkeypatch.setattr(accelerator, "prepare_inputs", spy)
+        rng = np.random.default_rng(7)
+        configs = []
+        while len(configs) < 4:
+            config = accelerator.random_configuration(rng)
+            if config not in configs:
+                configs.append(config)
+        cache = EvalCache()
+        BatchEvaluator(cache=cache, mode="serial").evaluate_configurations(
+            accelerator, images, configs[:2]
+        )
+        assert prepared == [len(images)]
+
+        engine = BatchEvaluator(cache=cache, mode="serial")
+        prepared.clear()
+        engine.evaluate_configurations(accelerator, images, configs[:2])
+        assert prepared == []
+        engine.evaluate_configurations(accelerator, images, configs[1:3])
+        engine.evaluate_configurations(accelerator, images, configs[3:])
+        assert prepared == [len(images)]
+        assert cache.stats().misses == 4
 
     def test_duplicate_configurations_computed_once(self, setup):
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")

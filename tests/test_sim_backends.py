@@ -21,6 +21,7 @@ contract several ways:
   each path by patching ``PACKED_MIN_PATTERNS``;
 * the rule itself: which path each entry point (``simulate_words``, lookup
   tables, the batch evaluator, streamed evaluator blocks) takes at the
+  threshold, that an evaluator's expanded operands follow a moved
   threshold, and that the retired ``sim_backend`` keyword is rejected.
 """
 
@@ -56,8 +57,8 @@ from repro.circuits import simulate as simulate_module
 from repro.circuits.gates import GATE_FUNCTIONS
 from repro.circuits.simulate import expand_operand_bits, node_values, use_packed_path
 from repro.engine import BatchEvaluator, EvalCache
-from repro.engine import evaluator as evaluator_module
 from repro.error import ErrorEvaluator, evaluate_error
+from repro.error import evaluation as evaluation_module
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 from repro.generators.perturbation import PerturbationConfig
 
@@ -112,7 +113,7 @@ def packed_calls(monkeypatch):
         return simulate_planes(netlist, planes)
 
     monkeypatch.setattr(simulate_module, "simulate_planes", spy)
-    monkeypatch.setattr(evaluator_module, "simulate_planes", spy)
+    monkeypatch.setattr(evaluation_module, "simulate_planes", spy)
     return calls
 
 
@@ -145,9 +146,8 @@ def test_packed_path_from_packed_min_patterns(multiplier4, packed_calls, monkeyp
         monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
         for patterns in (threshold - 1, threshold):
             expected = [circuit.name] if patterns >= threshold else []
-            engine = BatchEvaluator(
-                multiplier4, max_exhaustive_inputs=0, num_samples=patterns, mode="serial"
-            )
+            evaluator = ErrorEvaluator(multiplier4, max_exhaustive_inputs=0, num_samples=patterns)
+            engine = BatchEvaluator(error_evaluator=evaluator, mode="serial")
             packed_calls.clear()
             engine.evaluate_errors([circuit])
             assert [name for name, _ in packed_calls] == expected, (threshold, patterns)
@@ -169,6 +169,30 @@ def test_component_lookup_tables_take_the_packed_path(multiplier4, multiplier8, 
     assert packed_calls == []
     a, b = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
     assert np.array_equal(small, (a * b).reshape(-1))
+
+
+def test_operand_memo_follows_a_patched_threshold(multiplier4, packed_calls, monkeypatch):
+    """An evaluator keeps its expanded operands only in the form its path
+    consumes, keyed by the path: moving the threshold under a live
+    evaluator expands them once more, as packed planes, with identical
+    results."""
+    circuit = perturb_netlist(multiplier4, seed=11)
+    evaluator = ErrorEvaluator(multiplier4)  # 256 patterns: the bool path
+    on_bool = evaluator.evaluate(circuit)
+    assert packed_calls == []
+
+    expanded = []
+
+    def spy(netlist, operands):
+        expanded.append(netlist.name)
+        return expand_operand_bits(netlist, operands)
+
+    monkeypatch.setattr(evaluation_module, "expand_operand_bits", spy)
+    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
+    assert evaluator.evaluate(circuit) == on_bool
+    assert evaluator.evaluate(circuit) == on_bool
+    assert expanded == [circuit.name]
+    assert packed_calls == [(circuit.name, num_planes(256))] * 2
 
 
 def test_streamed_blocks_pick_their_path_by_block_size(multiplier4, packed_calls, monkeypatch):
@@ -461,9 +485,10 @@ def test_engine_results_and_cache_shared_across_backends(multiplier4, monkeypatc
 
 
 def test_process_pool_task_carries_streaming_and_fidelity(multiplier4):
-    """Pool workers rebuild the error evaluator from the task tuple; its
-    chunking and fidelity rung must survive the trip (a dropped rung would
-    evaluate all 256 patterns exhaustively instead of 200 sampled ones)."""
+    """Pool workers rebuild the error evaluator from its pickled constructor
+    arguments; its chunking and fidelity rung must survive the trip (a
+    dropped rung would evaluate all 256 patterns exhaustively instead of 200
+    sampled ones)."""
     circuits = [perturb_netlist(multiplier4, seed=s) for s in range(4)]
 
     def engine(mode):
