@@ -443,7 +443,7 @@ def nsga2_pareto(
         return mutated.multiplier_indices + mutated.adder_indices
 
     def crossover(a, b, rng: np.random.Generator):
-        take_first = rng.random(len(a)) < 0.5
+        take_first = (rng.random(len(a)) < 0.5).tolist()
         return tuple(x if flag else y for x, y, flag in zip(a, b, take_first))
 
     def batch_scores(estimator, configs, features) -> np.ndarray:

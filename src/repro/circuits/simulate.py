@@ -53,7 +53,9 @@ def node_values(netlist: Netlist, input_bits: np.ndarray) -> List[np.ndarray]:
     gate's output in topological order.  Floating (``-1``) operands read as
     constant 0.
     """
-    values = [input_bits[:, i] for i in range(netlist.num_inputs)]
+    # One contiguous row per primary input: gates read rows, not strided
+    # columns of the pattern-major matrix.
+    values = list(np.ascontiguousarray(input_bits[:, : netlist.num_inputs].T))
     zeros = np.zeros(input_bits.shape[0], dtype=bool)
     for gate in netlist.gates:
         a = values[gate.a] if gate.a >= 0 else zeros
@@ -99,9 +101,9 @@ def words_to_bits(values: np.ndarray, width: int) -> np.ndarray:
         )
     if values.size and (int(values.min()) < 0 or int(values.max()) >= (1 << width)):
         raise ValueError(f"operand values out of range for a {width}-bit unsigned word")
-    values = values.astype(np.int64, copy=False)
-    shifts = np.arange(width, dtype=np.int64)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(bool)
+    # A word's little-endian bytes, unpacked LSB first, are its bits.
+    octets = np.ascontiguousarray(values, dtype="<i8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little").view(bool)
 
 
 def bits_to_words(bits: np.ndarray) -> np.ndarray:
@@ -151,9 +153,7 @@ def expand_operand_bits(
 
     input_bits = np.zeros((patterns, netlist.num_inputs), dtype=bool)
     for name, bit_ids in netlist.input_words.items():
-        word_bits = words_to_bits(np.asarray(operands[name]), len(bit_ids))
-        for position, node_id in enumerate(bit_ids):
-            input_bits[:, node_id] = word_bits[:, position]
+        input_bits[:, list(bit_ids)] = words_to_bits(np.asarray(operands[name]), len(bit_ids))
     return input_bits
 
 

@@ -64,14 +64,7 @@ class Regressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for ``X``."""
-        if not self._fitted:
-            raise RuntimeError(f"{type(self).__name__} must be fitted before calling predict()")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"{type(self).__name__} was fitted with {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
+        X = self._check_input(X, "predict")
         return np.asarray(self._predict(X), dtype=np.float64).ravel()
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
@@ -94,6 +87,18 @@ class Regressor:
             for key, value in vars(self).items()
             if not key.startswith("_") and not key.endswith("_")
         }
+
+    def _check_input(self, X: np.ndarray, method: str) -> np.ndarray:
+        """``X`` as a 2-D float array of the fitted width; the check of every predict path."""
+        if not self._fitted:
+            raise RuntimeError(f"{type(self).__name__} must be fitted before calling {method}()")
+        X = check_array(X)
+        if X.shape[1] != self.n_features_in_:
+            raise ValueError(
+                f"{type(self).__name__} was fitted with {self.n_features_in_} features, "
+                f"got {X.shape[1]}"
+            )
+        return X
 
     # -- subclass hooks -------------------------------------------------- #
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:

@@ -6,8 +6,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .base import Regressor, check_array
-from .tree import DecisionTreeRegressor
+from .base import Regressor
+from .tree import DecisionTreeRegressor, check_tree_params, stack_trees, walk_trees
 
 
 class RandomForestRegressor(Regressor):
@@ -24,6 +24,7 @@ class RandomForestRegressor(Regressor):
         super().__init__()
         if n_estimators < 1:
             raise ValueError("n_estimators must be at least 1")
+        check_tree_params(min_samples_leaf, max_features, none_ok=False)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -45,10 +46,10 @@ class RandomForestRegressor(Regressor):
             )
             tree.fit(X[sample], y[sample])
             self.estimators_.append(tree)
+        self.trees_ = stack_trees(self.estimators_)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_], axis=0)
-        return predictions.mean(axis=0)
+        return walk_trees(self.trees_, X).mean(axis=0)
 
     def predict_with_std(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and member-disagreement standard deviation.
@@ -58,17 +59,8 @@ class RandomForestRegressor(Regressor):
         regions they disagree on.  This is what feeds the EHVI acquisition
         in :mod:`repro.search.multifidelity` for forest-backed estimators.
         """
-        if not self._fitted:
-            raise RuntimeError(
-                f"{type(self).__name__} must be fitted before calling predict_with_std()"
-            )
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"{type(self).__name__} was fitted with {self.n_features_in_} features, "
-                f"got {X.shape[1]}"
-            )
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_], axis=0)
+        X = self._check_input(X, "predict_with_std")
+        predictions = walk_trees(self.trees_, X)
         return predictions.mean(axis=0), predictions.std(axis=0)
 
 
@@ -87,6 +79,7 @@ class GradientBoostingRegressor(Regressor):
         super().__init__()
         if not (0.0 < subsample <= 1.0):
             raise ValueError("subsample must be in (0, 1]")
+        check_tree_params(min_samples_leaf)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -118,11 +111,12 @@ class GradientBoostingRegressor(Regressor):
             update = tree.predict(X)
             current = current + self.learning_rate * update
             self.estimators_.append(tree)
+        self.trees_ = stack_trees(self.estimators_)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         prediction = np.full(X.shape[0], self.initial_prediction_)
-        for tree in self.estimators_:
-            prediction += self.learning_rate * tree.predict(X)
+        for update in walk_trees(self.trees_, X):
+            prediction += self.learning_rate * update
         return prediction
 
 
@@ -177,11 +171,12 @@ class AdaBoostRegressor(Regressor):
             self.estimator_weights_.append(self.learning_rate * np.log(1.0 / max(beta, 1e-12)))
             weights = weights * beta ** ((1.0 - relative_error) * self.learning_rate)
             weights /= weights.sum()
+        self.trees_ = stack_trees(self.estimators_)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         if not self.estimators_:
             return np.zeros(X.shape[0])
-        predictions = np.stack([tree.predict(X) for tree in self.estimators_], axis=0)
+        predictions = walk_trees(self.trees_, X)
         weights = np.asarray(self.estimator_weights_)
 
         # Weighted median over estimators (the AdaBoost.R2 combination rule).

@@ -105,10 +105,8 @@ class GaussianProcessRegressor(Regressor):
         ``~sqrt(noise)`` at ``x0`` to the prior
         ``sqrt(signal_variance + noise)`` far away.
         """
-        mean = self.predict(X)
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = self._check_input(X, "predict_with_std")
+        mean = self._predict(X)
         K_star = self._kernel(X, self._X_train, self.length_scale_)
         v = linalg.solve_triangular(self._chol, K_star.T, lower=True)
         prior_var = self.signal_variance + self.noise

@@ -87,11 +87,7 @@ class ScaledRegressor(Regressor):
         an error -- so uncertainty-aware consumers can treat every wrapped
         model uniformly.
         """
-        if not self._fitted:
-            raise RuntimeError(
-                f"{type(self).__name__} must be fitted before calling predict_with_std()"
-            )
-        X = check_array(X)
+        X = self._check_input(X, "predict_with_std")
         inner_with_std = getattr(self.inner, "predict_with_std", None)
         if inner_with_std is None:
             return self.predict(X), np.zeros(X.shape[0], dtype=np.float64)

@@ -26,6 +26,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -54,8 +55,13 @@ class ArchiveEntry:
 
 def _weakly_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """``a`` dominates ``b``: no worse everywhere, strictly better somewhere."""
-    not_worse = all(x <= y for x, y in zip(a, b))
-    return not_worse and any(x < y for x, y in zip(a, b))
+    better = False
+    for x, y in zip(a, b):
+        if not x <= y:
+            return False
+        if x < y:
+            better = True
+    return better
 
 
 class ParetoArchive:
@@ -85,7 +91,7 @@ class ParetoArchive:
         values = tuple(float(value) for value in objectives)
         if not values:
             raise ValueError("objectives must not be empty")
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"objectives contain NaN or infinite values: {values}")
         if self.num_objectives is None:
             self.num_objectives = len(values)
@@ -304,20 +310,35 @@ def crowding_distances(points: np.ndarray) -> np.ndarray:
 
 
 def non_dominated_ranks(points: np.ndarray) -> np.ndarray:
-    """Front rank per point (0 = first Pareto front), by successive peeling."""
-    from ..core.pareto import pareto_front_indices
+    """Front rank per point (0 = first Pareto front), by successive peeling.
 
+    Dominance is that of :func:`repro.core.pareto.pareto_front_indices`
+    (duplicates do not dominate each other), decided once per pair: each
+    peel takes the points no remaining point dominates and drops their
+    votes from the dominance counts of the rest.  The pairwise matrix is
+    ``n x n``, sized for populations rather than whole libraries.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D (n, objectives), got shape {points.shape}")
-    ranks = np.full(points.shape[0], -1, dtype=np.int64)
-    remaining = list(range(points.shape[0]))
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points contain NaN or infinite values")
+    n = points.shape[0]
+    # dominated_by[i, j]: point j dominates point i.
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    for values in points.T:
+        no_worse &= values[None, :] <= values[:, None]
+        better |= values[None, :] < values[:, None]
+    dominated_by = no_worse & better
+    counts = dominated_by.sum(axis=1)
+    ranks = np.full(n, -1, dtype=np.int64)
+    front = np.flatnonzero(counts == 0)
     rank = 0
-    while remaining:
-        front_local = pareto_front_indices(points[remaining])
-        front = [remaining[i] for i in front_local]
+    while front.size:
         ranks[front] = rank
-        in_front = set(front)
-        remaining = [index for index in remaining if index not in in_front]
+        counts -= dominated_by[:, front].sum(axis=1)
+        counts[front] = -1
+        front = np.flatnonzero(counts == 0)
         rank += 1
     return ranks

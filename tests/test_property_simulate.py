@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits import Netlist
 from repro.circuits.simulate import (
     bits_to_words,
     exhaustive_operands,
     exhaustive_simulate,
+    expand_operand_bits,
     simulate_words,
     words_to_bits,
 )
@@ -43,6 +45,37 @@ class TestWordBitRoundTrip:
         bits = rng.random((128, width)) < 0.5
         values = bits_to_words(bits)
         assert np.array_equal(words_to_bits(values, width), bits)
+
+    @pytest.mark.parametrize("width", [1, 8, 13, 32, 63, 64])
+    def test_words_to_bits_matches_shift_and_mask(self, width):
+        """Bit ``k`` of each word, for every width up to 64, from strided
+        and unsigned inputs alike."""
+        rng = np.random.default_rng(3000 + width)
+        values = rng.integers(0, 2**64, size=300, dtype=np.uint64) >> np.uint64(64 - width)
+        expected = np.array(
+            [[(int(value) >> k) & 1 for k in range(width)] for value in values], dtype=bool
+        )
+        assert np.array_equal(words_to_bits(values, width), expected)
+        assert np.array_equal(words_to_bits(values[::3], width), expected[::3])
+        if width < 64:
+            signed = values.astype(np.int64)
+            assert np.array_equal(words_to_bits(signed, width), expected)
+
+    def test_expansion_scatters_words_to_their_input_ids(self):
+        """Interleaved word layouts land on their own input nodes."""
+        base = array_multiplier(3)
+        interleaved = Netlist(
+            name="interleaved",
+            kind=base.kind,
+            input_words={"a": (4, 0, 2), "b": (5, 1, 3)},
+            output_bits=base.output_bits,
+            gates=base.gates,
+        )
+        operands = {"a": np.array([0, 5, 7, 2]), "b": np.array([6, 1, 7, 0])}
+        input_bits = expand_operand_bits(interleaved, operands)
+        for name, ids in interleaved.input_words.items():
+            for position, node in enumerate(ids):
+                assert np.array_equal(input_bits[:, node], (operands[name] >> position) & 1)
 
     def test_edge_values(self):
         for width in (1, 7, 16):

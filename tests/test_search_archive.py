@@ -187,6 +187,27 @@ class TestRanksAndSelection:
         assert sorted(np.nonzero(ranks == 0)[0]) == sorted(pareto_front_indices(points))
         assert np.all(ranks >= 0)
 
+    @given(points=st.one_of(point_lists, point_lists_3d))
+    @settings(max_examples=120, deadline=None)
+    def test_ranks_match_front_by_front_peeling(self, points):
+        """One dominance matrix per call ranks exactly like re-running the
+        Pareto filter on what each front leaves behind."""
+        points = np.array(points)
+        expected = np.full(len(points), -1)
+        remaining = list(range(len(points)))
+        rank = 0
+        while remaining:
+            front = [remaining[i] for i in pareto_front_indices(points[remaining])]
+            expected[front] = rank
+            remaining = [index for index in remaining if index not in set(front)]
+            rank += 1
+        assert non_dominated_ranks(points).tolist() == expected.tolist()
+
+    def test_ranks_reject_non_finite_points(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            non_dominated_ranks(np.array([[0.0, 1.0], [np.inf, 0.0]]))
+        assert non_dominated_ranks(np.empty((0, 2))).tolist() == []
+
     @given(points=point_lists)
     @settings(max_examples=80, deadline=None)
     def test_same_rank_points_do_not_dominate_each_other(self, points):
