@@ -61,7 +61,8 @@ class AsicSynthesizer:
         dynamic power.  When ``None``, the circuit's own critical path is
         used (i.e. the circuit runs at its maximum frequency).
     activity_samples, activity_seed:
-        Monte-Carlo parameters for the switching-activity estimate.
+        Monte-Carlo parameters for the switching-activity estimate; at
+        least one sample (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -71,6 +72,8 @@ class AsicSynthesizer:
         activity_samples: int = 256,
         activity_seed: int = 99,
     ):
+        if activity_samples < 1:
+            raise ValueError(f"activity_samples must be at least 1, got {activity_samples}")
         self.cell_library = cell_library or default_cell_library()
         self.clock_period_ns = clock_period_ns
         self.activity_samples = activity_samples

@@ -18,7 +18,12 @@ from .simulate import expand_operand_bits, node_values, random_operands
 def node_signal_probabilities(
     netlist: Netlist, num_samples: int = 256, seed: int = 99
 ) -> np.ndarray:
-    """Probability of each node being logic-1 under uniform random inputs."""
+    """Probability of each node being logic-1 under uniform random inputs.
+
+    Raises :class:`ValueError` when ``num_samples`` is below 1.
+    """
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     rng = np.random.default_rng(seed)
     input_bits = expand_operand_bits(netlist, random_operands(netlist, num_samples, rng))
     values = node_values(netlist, input_bits)

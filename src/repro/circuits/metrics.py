@@ -8,7 +8,7 @@ in tests (an approximate circuit should never be *larger* than it claims).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Dict, Iterable
 
@@ -61,15 +61,28 @@ def gate_type_counts(netlist: Netlist, live_only: bool = True) -> Dict[str, int]
     """Number of gates of each type, optionally restricted to live logic."""
     if not live_only:
         return _tally(netlist.gates)
-    live = netlist.transitive_fanin()[netlist.num_inputs :].tolist()
-    return _tally(compress(netlist.gates, live))
+    return structural_metrics(netlist).gate_counts
 
 
 def structural_metrics(netlist: Netlist) -> StructuralMetrics:
-    """Compute the full structural summary of a netlist.
+    """The full structural summary of a netlist.
 
-    The live mask is computed once; live-gate count, live gate-type counts
-    and the live fan-out statistics are all derived from it.
+    Computed once per netlist and memoised on it beside its fingerprint
+    (see :meth:`~repro.circuits.netlist.Netlist.fingerprint`); every call
+    returns a fresh ``gate_counts`` dict, so a caller cannot change what
+    the next call returns.
+    """
+    summary = netlist.__dict__.get("_structural_metrics")
+    if summary is None:
+        summary = netlist.__dict__["_structural_metrics"] = _summarise(netlist)
+    return replace(summary, gate_counts=dict(summary.gate_counts))
+
+
+def _summarise(netlist: Netlist) -> StructuralMetrics:
+    """Compute the summary from one fan-out and one depth sweep.
+
+    Live-gate count, live gate-type counts and the live fan-out statistics
+    are all derived from the netlist's memoised live mask.
     """
     num_inputs = netlist.num_inputs
     gates = netlist.gates

@@ -75,9 +75,12 @@ class Netlist:
         Free-form metadata (generator family, seed, bit-width, ...).
 
     ``num_inputs`` and ``num_nodes`` are derived from ``input_words`` and
-    ``gates`` on every access (nothing but the fingerprint is memoised), so
-    a hot loop should read them once, before the loop.  Every structural
-    query below is one linear pass over the topologically ordered gates.
+    ``gates`` on every access, so a hot loop should read them once, before
+    the loop.  Every structural query below is one linear pass over the
+    topologically ordered gates.  Three results of pure structure are
+    memoised on the instance (see :meth:`fingerprint`): the fingerprint,
+    the default-root live mask of :meth:`transitive_fanin` and the
+    :func:`~repro.circuits.metrics.structural_metrics` summary.
     """
 
     name: str
@@ -205,7 +208,14 @@ class Netlist:
         One reverse sweep: gates are topologically ordered, so a gate's
         liveness is final by the time the sweep reaches it.  Floating
         (``-1``) operands reference no node and mark nothing.
+
+        The default-root mask is memoised on the instance and is read-only;
+        explicit ``roots`` always sweep and return a fresh, writeable mask.
         """
+        if roots is None:
+            cached = self.__dict__.get("_live_mask")
+            if cached is not None:
+                return cached
         num_inputs = self.num_inputs
         gates = self.gates
         num_nodes = num_inputs + len(gates)
@@ -226,7 +236,12 @@ class Netlist:
                     live[gate.a] = 1
                 if arity == 2 and gate.b >= 0:
                     live[gate.b] = 1
-        return np.frombuffer(live, dtype=bool)
+        if roots is not None:
+            return np.frombuffer(live, dtype=bool)
+        # A view of immutable bytes: no caller can make it writeable again.
+        mask = np.frombuffer(bytes(live), dtype=bool)
+        self.__dict__["_live_mask"] = mask
+        return mask
 
     def live_gate_count(self) -> int:
         """Number of gates reachable from the outputs (dead logic excluded)."""
@@ -248,7 +263,16 @@ class Netlist:
 
         The digest is cached on the instance; netlists are treated as
         immutable once built (all transformations return copies), so the
-        cache is never invalidated.
+        cache is never invalidated.  The same contract memoises the other
+        two results of pure structure: the default-root live mask of
+        :meth:`transitive_fanin` (read by :meth:`live_gate_count`,
+        :meth:`pruned`, compilation and ASIC synthesis) and the
+        :func:`~repro.circuits.metrics.structural_metrics` summary (read by
+        feature extraction).  Nothing else -- no switching activity,
+        compiled program or evaluation report -- is kept on a netlist.
+        :meth:`copy` and :meth:`pruned` return unmemoised netlists, and the
+        live mask and summary stay out of pickles (see
+        :meth:`__getstate__`).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -272,6 +296,17 @@ class Netlist:
         value = digest.hexdigest()
         self.__dict__["_fingerprint"] = value
         return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle state without the live mask and structural summary.
+
+        An unpickled array comes back writeable, so process-pool workers
+        rebuild both on first use instead of receiving them.
+        """
+        state = dict(self.__dict__)
+        state.pop("_live_mask", None)
+        state.pop("_structural_metrics", None)
+        return state
 
     # ------------------------------------------------------------------ #
     # Transformations

@@ -117,7 +117,8 @@ class FpgaSynthesizer:
         Operating period for the power model; ``None`` uses each circuit's
         critical path (maximum-frequency operation).
     activity_samples, activity_seed:
-        Monte-Carlo parameters of the switching-activity estimation.
+        Monte-Carlo parameters of the switching-activity estimation; at
+        least one sample (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -127,6 +128,8 @@ class FpgaSynthesizer:
         activity_samples: int = 256,
         activity_seed: int = 99,
     ):
+        if activity_samples < 1:
+            raise ValueError(f"activity_samples must be at least 1, got {activity_samples}")
         self.device = device or default_device()
         self.clock_period_ns = clock_period_ns
         self.activity_samples = activity_samples

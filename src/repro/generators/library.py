@@ -10,7 +10,7 @@ parametric family with random functional perturbations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ class CircuitLibrary:
     circuits: List[Netlist] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self._reference: Optional[Netlist] = None
         self._by_name: Dict[str, Netlist] = {}
         for circuit in self.circuits:
             self._register(circuit)
@@ -66,8 +67,14 @@ class CircuitLibrary:
         return [circuit for circuit in self.circuits if circuit.meta.get("exact")]
 
     def reference(self) -> Netlist:
-        """Golden reference used for error evaluation."""
-        return exact.exact_reference(self.kind, self.bitwidth)
+        """Golden reference used for error evaluation, built on first use.
+
+        The same netlist is returned on every call, so its fingerprint and
+        structure are derived once per library.
+        """
+        if self._reference is None:
+            self._reference = exact.exact_reference(self.kind, self.bitwidth)
+        return self._reference
 
     def random_subset(self, fraction: float, seed: int) -> List[Netlist]:
         """Uniformly random subset of the library (at least one circuit)."""

@@ -56,10 +56,11 @@ class ShardedJsonStore:
     marker is written on first use and a later open with a different count
     raises instead of silently missing every existing entry.
 
-    Corrupt entries (truncated or mangled JSON, e.g. after a power loss)
-    count as misses; they are additionally tallied in :attr:`corrupt_count`
-    (surfaced as ``CacheStats.corrupt`` when the store backs an
-    :class:`~repro.engine.EvalCache`) and logged once per store instance.
+    Corrupt entries (truncated or mangled JSON, or bytes that are not
+    UTF-8, e.g. after a power loss) count as misses; they are additionally
+    tallied in :attr:`corrupt_count` (surfaced as ``CacheStats.corrupt``
+    when the store backs an :class:`~repro.engine.EvalCache`) and logged
+    once per store instance.
     """
 
     _MARKER = ".shards"
@@ -121,9 +122,9 @@ class ShardedJsonStore:
         path = self._path(key)
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError):
+        except OSError:
             return None
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             self._record_corrupt(path)
             return None
         if not isinstance(entry, dict) or entry.get("key") != key:
@@ -161,7 +162,7 @@ class ShardedJsonStore:
                 entry = json.loads(path.read_text(encoding="utf-8"))
             except OSError:
                 continue
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, UnicodeDecodeError):
                 self._record_corrupt(path)
                 continue
             if isinstance(entry, dict) and "key" in entry:

@@ -241,12 +241,16 @@ class JobRegistry:
     def list_jobs(
         self, state: Optional[str] = None, tenant: Optional[str] = None
     ) -> List[JobRecord]:
-        """All job records, oldest submission first, optionally filtered."""
+        """All job records, oldest submission first, optionally filtered.
+
+        Unreadable or corrupt records (bad JSON, non-UTF-8 bytes, missing
+        fields) are skipped, so one bad file cannot stop every ``claim``.
+        """
         records = []
         for path in self.jobs_dir.glob("*.json"):
             try:
                 records.append(JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, json.JSONDecodeError, KeyError):
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError):
                 continue
         records.sort(key=lambda record: (record.submitted_at, record.job_id))
         if state is not None:
@@ -281,7 +285,7 @@ class JobRegistry:
         """The current lease (worker + heartbeat), or ``None`` if unleased."""
         try:
             return json.loads(self._lease_path(job_id).read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
 
     def lease_expired(self, job_id: str) -> bool:
@@ -396,5 +400,5 @@ class JobRegistry:
         """The stored ``{"digest", "payload"}`` envelope, or ``None``."""
         try:
             return json.loads(self._result_path(job_id).read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None

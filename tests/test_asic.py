@@ -1,5 +1,6 @@
 """Tests of the ASIC synthesis substrate."""
 
+import pytest
 
 from repro.asic import AsicSynthesizer, default_cell_library, synthesize_asic
 from repro.circuits import GateType
@@ -84,3 +85,11 @@ def test_dead_logic_not_counted():
     netlist = builder.finish([live])
     report = synthesize_asic(netlist)
     assert report.cell_count == 1
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_synthesizer_rejects_activity_samples_below_one(samples):
+    # Zero samples would report NaN dynamic power and negative ones would
+    # fail inside NumPy, both only once ``synthesize`` runs.
+    with pytest.raises(ValueError, match="activity_samples"):
+        AsicSynthesizer(activity_samples=samples)

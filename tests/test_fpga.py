@@ -161,3 +161,11 @@ def test_asic_fpga_pareto_divergence(small_multiplier_library, fpga_synth, asic_
     asic_order = np.argsort(asic_area)
     fpga_order = np.argsort(fpga_area)
     assert not np.array_equal(asic_order, fpga_order)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_synthesizer_rejects_activity_samples_below_one(samples):
+    # Zero samples would report NaN dynamic power and negative ones would
+    # fail inside NumPy, both only once ``synthesize`` runs.
+    with pytest.raises(ValueError, match="activity_samples"):
+        FpgaSynthesizer(activity_samples=samples)

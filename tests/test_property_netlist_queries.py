@@ -8,13 +8,20 @@ them against straightforward DFS / per-node loops over ``Gate.operands()``
 constant gates (with and without stray operands), unary gates carrying a
 stray ``b`` operand, repeated output bits, wire-only netlists and explicit
 fan-in roots.
+
+The default-root live mask and the structural summary are memoised on the
+netlist, so the last block checks the memo itself: repeated calls, explicit
+roots after a default-root call, read-only results, unmemoised copies and
+pickle round trips all still match the naive references.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -230,3 +237,107 @@ def test_pruned_keeps_exactly_the_live_gates(netlist):
     assert pruned.live_gate_count() == pruned.num_gates
     assert pruned.depth() == netlist.depth()
     assert structural_metrics(pruned).gate_counts == structural_metrics(netlist).gate_counts
+
+
+# --------------------------------------------------------------------- #
+# The memo: live mask and structural summary, derived once per netlist
+# --------------------------------------------------------------------- #
+def grow(netlist: Netlist) -> None:
+    """Change ``netlist`` in place: one more gate, a constant driving a new output."""
+    netlist.gates.append(Gate(GateType.CONST1))
+    netlist.output_bits = netlist.output_bits + (netlist.num_nodes - 1,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlist=netlists())
+@example(netlist=WIRE_ONLY)
+@example(netlist=DEGENERATE)
+@example(netlist=EMPTY)
+def test_memoised_queries_match_naive_reference_on_every_call(netlist):
+    live = naive_fanin(netlist)
+    expected = naive_metrics(netlist)
+    for _ in range(2):
+        assert_same_array(netlist.transitive_fanin(), live)
+        assert netlist.live_gate_count() == expected.live_gates
+        assert gate_type_counts(netlist) == expected.gate_counts
+        assert structural_metrics(netlist) == expected
+        pruned = netlist.pruned()
+        assert pruned.num_gates == expected.live_gates
+        assert structural_metrics(pruned).gate_counts == expected.gate_counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_explicit_roots_sweep_after_a_default_root_call(data):
+    netlist = data.draw(netlists(), label="netlist")
+    if netlist.num_nodes:
+        node = st.integers(0, netlist.num_nodes - 1)
+        roots = data.draw(st.lists(node, max_size=6), label="roots")
+    else:
+        roots = []
+    netlist.transitive_fanin()
+    structural_metrics(netlist)
+    assert_same_array(netlist.transitive_fanin(roots), naive_fanin(netlist, roots))
+    # Explicit roots equal to the outputs still get a fresh, writeable mask.
+    outputs = netlist.transitive_fanin(netlist.output_bits)
+    assert outputs.flags.writeable
+    assert_same_array(outputs, naive_fanin(netlist))
+
+
+@settings(max_examples=50, deadline=None)
+@given(netlist=netlists())
+@example(netlist=DEGENERATE)
+@example(netlist=EMPTY)
+def test_callers_cannot_write_into_the_memo(netlist):
+    mask = netlist.transitive_fanin()
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask.flags.writeable = True
+    # Writing into what a query returned leaves the next query unchanged.
+    netlist.transitive_fanin(netlist.output_bits)[:] = True
+    structural_metrics(netlist).gate_counts.clear()
+    gate_type_counts(netlist).clear()
+    expected = naive_metrics(netlist)
+    assert_same_array(netlist.transitive_fanin(), naive_fanin(netlist))
+    assert structural_metrics(netlist) == expected
+    assert gate_type_counts(netlist) == expected.gate_counts
+
+
+@settings(max_examples=75, deadline=None)
+@given(netlist=netlists())
+@example(netlist=WIRE_ONLY)
+@example(netlist=DEGENERATE)
+@example(netlist=EMPTY)
+def test_copies_start_unmemoised(netlist):
+    mask = netlist.transitive_fanin().copy()
+    metrics = structural_metrics(netlist)
+    for derived in (netlist.copy(), netlist.pruned()):
+        grow(derived)  # changed before its first query
+        expected = naive_metrics(derived)
+        assert_same_array(derived.transitive_fanin(), naive_fanin(derived))
+        assert derived.live_gate_count() == expected.live_gates
+        assert structural_metrics(derived) == expected
+    assert_same_array(netlist.transitive_fanin(), mask)
+    assert structural_metrics(netlist) == metrics
+
+
+@settings(max_examples=50, deadline=None)
+@given(netlist=netlists())
+@example(netlist=DEGENERATE)
+@example(netlist=EMPTY)
+def test_pickle_round_trip_keeps_results_and_a_read_only_memo(netlist):
+    expected = naive_metrics(netlist)
+    netlist.fingerprint()
+    structural_metrics(netlist)  # memoised before pickling
+    clone = pickle.loads(pickle.dumps(netlist))
+    assert clone == netlist
+    assert clone.fingerprint() == netlist.fingerprint()
+    for _ in range(2):
+        mask = clone.transitive_fanin()
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask.flags.writeable = True
+        assert_same_array(mask, naive_fanin(netlist))
+        assert clone.live_gate_count() == expected.live_gates
+        structural_metrics(clone).gate_counts.clear()
+        assert structural_metrics(clone) == expected

@@ -118,6 +118,21 @@ class TestShardedJsonStore:
         store.put("first", 10)
         assert store.get("first") == 10
 
+    def test_non_utf8_entry_is_a_counted_miss(self, tmp_path):
+        # A torn or mangled entry need not even be UTF-8; it must degrade
+        # to a counted miss like corrupt JSON, not raise out of ``get``.
+        store = ShardedJsonStore(tmp_path / "s", shards=2)
+        store.put("first", 1)
+        (entry,) = (tmp_path / "s").rglob("*.json")
+        entry.write_bytes(b"\xff\x00\x01")
+        store.put("second", 2)
+        assert store.get("first") is None
+        assert store.get("second") == 2
+        assert list(store.keys()) == ["second"]
+        assert store.corrupt_count == 2  # once from get, once from keys
+        store.put("first", 10)
+        assert store.get("first") == 10
+
     def test_keys_clear_contains(self, tmp_path):
         store = ShardedJsonStore(tmp_path / "s", shards=4)
         store.put("a", 1)
@@ -202,6 +217,19 @@ class TestJobRegistry:
         with pytest.raises(RuntimeError, match="no longer held"):
             registry.heartbeat("orphan", "worker-a")
         registry.heartbeat("orphan", "worker-b")  # owner renews fine
+
+    def test_non_utf8_files_do_not_wedge_the_queue(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="good")
+        garbage = b"\xff\x00\x01"
+        (registry.jobs_dir / "garbage.json").write_bytes(garbage)
+        assert [record.job_id for record in registry.list_jobs()] == ["good"]
+        assert registry.claim("worker-a").job_id == "good"
+        (registry.leases_dir / "good.lease").write_bytes(garbage)
+        assert registry.lease_info("good") is None
+        registry.store_result("good", {"answer": 1}, "digest")
+        (registry.results_dir / "good.json").write_bytes(garbage)
+        assert registry.result("good") is None
 
     def test_claim_skips_cancelled_jobs(self, tmp_path):
         registry = JobRegistry(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for Verilog export, structural metrics and activity estimation."""
 
 import numpy as np
+import pytest
 
 from repro.circuits import GateType, random_operands, structural_metrics, to_verilog
 from repro.circuits.activity import node_signal_probabilities, node_switching_activities
@@ -83,3 +84,11 @@ def test_activity_deterministic_for_fixed_seed(multiplier4):
     first = node_switching_activities(multiplier4, num_samples=64, seed=11)
     second = node_switching_activities(multiplier4, num_samples=64, seed=11)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("num_samples", [0, -5])
+def test_activity_rejects_sample_counts_below_one(multiplier4, num_samples):
+    # Zero samples would divide by zero (NaN activities) and negative ones
+    # would fail deep inside the simulation.
+    with pytest.raises(ValueError, match="num_samples"):
+        node_signal_probabilities(multiplier4, num_samples=num_samples)
