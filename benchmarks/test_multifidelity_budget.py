@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
+from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, random_search
 from repro.autoax.search import SEARCH_STRATEGIES
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache
@@ -97,15 +97,15 @@ def workload():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(32)[:3]
-    samples = collect_training_samples(
+    samples = random_search(
         accelerator,
         images,
         40,
         seed=17,
         engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
     )
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("area").fit(samples)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("area").fit(accelerator, samples)
 
     def ctx(**fields):
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")

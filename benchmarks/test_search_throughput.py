@@ -7,10 +7,10 @@ same exact re-evaluation of their final front (the flow's one exact pass,
 :meth:`repro.autoax.SearchContext.evaluate`, timed with each strategy), so
 the comparison isolates *how* the budget is spent:
 
-* ``hill_climb`` scores one configuration at a time -- one feature walk and
-  one regressor ``predict`` call per evaluation;
-* ``nsga2`` scores whole generations through one vectorised feature gather
-  and one batched ``predict``.
+* ``hill_climb`` scores one configuration at a time -- a one-row feature
+  matrix and one regressor ``predict`` call per estimator and evaluation;
+* ``nsga2`` scores whole generations through the same scoring helper: one
+  vectorised feature gather and one batched ``predict`` per estimator.
 
 The exact pass costs each side in proportion to the distinct
 configurations on its front: the hill climber's archive keeps revisits as
@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
+from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, random_search
 from repro.autoax.search import SEARCH_STRATEGIES
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache
@@ -61,15 +61,15 @@ def workload():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(32)[:3]
-    samples = collect_training_samples(
+    samples = random_search(
         accelerator,
         images,
         40,
         seed=17,
         engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
     )
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("area").fit(samples)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("area").fit(accelerator, samples)
 
     def ctx():
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")

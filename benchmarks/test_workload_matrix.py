@@ -12,10 +12,8 @@ runs the AutoAx-FPGA flow twice (cold + warm repeat) through a fresh
 * a non-empty exact Pareto front and a sane hypervolume comparison per
   cell;
 * a 100 % warm-repeat hit rate per cell on the **exact-evaluation cache
-  domain** (``axq:`` keys).  Only that domain is gated: the estimator
-  cache domain (``axe:``) is *designed* to miss across runs, because
-  estimators mint a fresh ``cache_token`` per ``fit()`` (estimates from a
-  differently-trained surrogate must never be reused);
+  domain** (``axq:`` keys), counted apart from any other domain sharing
+  the cache (surrogate estimates are never cached);
 * zero cross-workload cache aliasing: every workload's engine cache
   namespace (``accelerator_token``) is distinct, and re-running workload
   A after workload B never creates new exact-domain misses for A;
@@ -75,9 +73,8 @@ class DomainCountingCache(EvalCache):
     """EvalCache that additionally counts lookups/hits per key domain.
 
     Cache keys are ``"<domain>:<context>:<subject>"``; the warm-repeat
-    gate must measure the exact-evaluation domain (``axq``) in isolation,
-    because the estimator domain (``axe``) misses across runs by design
-    (fresh per-fit ``cache_token``).
+    gate measures the exact-evaluation domain (``axq``) in isolation from
+    any other domain sharing the cache.
     """
 
     def __init__(self, *args, **kwargs):

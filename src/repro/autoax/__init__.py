@@ -10,22 +10,18 @@ strategies and the staged flow.  Pick a workload with
 
 Every :data:`SEARCH_STRATEGIES` entry is called as ``strategy(ctx,
 **tuning)`` with one :class:`SearchContext`; the flow re-evaluates the
-returned candidates exactly through ``ctx.evaluate``.
+returned candidates exactly through ``ctx.evaluate``.  The estimators are
+fitted on exactly evaluated configurations (a :func:`random_search`) and
+score configurations through :func:`configuration_feature_matrix`, the one
+feature encoding.
 """
 
-from .estimators import (
-    HwCostEstimator,
-    QorEstimator,
-    TrainingSample,
-    configuration_feature_matrix,
-    configuration_features,
-)
+from .estimators import HwCostEstimator, QorEstimator, configuration_feature_matrix
 from .search import (
     SEARCH_STRATEGIES,
     EvaluatedConfiguration,
     SearchContext,
     SearchEvalStats,
-    collect_training_samples,
     hill_climb_pareto,
     nsga2_pareto,
     random_archive,
@@ -43,14 +39,11 @@ from .stages import (
 __all__ = [
     "HwCostEstimator",
     "QorEstimator",
-    "TrainingSample",
     "configuration_feature_matrix",
-    "configuration_features",
     "SEARCH_STRATEGIES",
     "EvaluatedConfiguration",
     "SearchContext",
     "SearchEvalStats",
-    "collect_training_samples",
     "hill_climb_pareto",
     "nsga2_pareto",
     "random_archive",

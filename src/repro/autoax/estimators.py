@@ -3,56 +3,21 @@
 AutoAx evaluates a random sample of configurations exactly, trains
 estimators on that sample, and then lets the search explore the full design
 space through the (cheap) estimators.  This module provides the feature
-encoding of a configuration and thin estimator wrappers around the
+encoding of configurations and thin estimator wrappers around the
 :mod:`repro.ml` regressors.
 """
 
 from __future__ import annotations
 
-import uuid
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ml import Regressor, RandomForestRegressor, RidgeRegression, ScaledRegressor
 from ..workloads import ApproxAccelerator, SlotConfiguration
 
-
-def configuration_features(
-    accelerator: ApproxAccelerator, config: SlotConfiguration
-) -> np.ndarray:
-    """Numeric feature vector of a configuration.
-
-    Per slot the assigned component contributes its error (MED), LUT count,
-    latency and power; slot-aggregated sums are appended so linear models can
-    pick up the additive structure of the composed cost directly.
-    """
-    per_slot: List[float] = []
-    for index in config.multiplier_indices:
-        component = accelerator.multipliers[index]
-        per_slot.extend(
-            [
-                component.error.med,
-                component.fpga.area_luts,
-                component.fpga.latency_ns,
-                component.fpga.total_power_mw,
-            ]
-        )
-    for index in config.adder_indices:
-        component = accelerator.adders[index]
-        per_slot.extend(
-            [
-                component.error.med,
-                component.fpga.area_luts,
-                component.fpga.latency_ns,
-                component.fpga.total_power_mw,
-            ]
-        )
-    values = np.asarray(per_slot, dtype=np.float64)
-    grouped = values.reshape(-1, 4)
-    aggregates = np.concatenate([grouped.sum(axis=0), grouped.max(axis=0)])
-    return np.concatenate([values, aggregates])
+if TYPE_CHECKING:
+    from .search import EvaluatedConfiguration
 
 
 def _component_feature_table(components) -> np.ndarray:
@@ -74,16 +39,14 @@ def _component_feature_table(components) -> np.ndarray:
 def configuration_feature_matrix(
     accelerator: ApproxAccelerator, configs: Sequence[SlotConfiguration]
 ) -> np.ndarray:
-    """Stacked feature matrix of a whole population of configurations.
+    """Feature matrix of configurations, one row per configuration.
 
-    The population path is fully vectorised: per-component features are
-    tabulated once and gathered by slot index for every configuration, so
-    building a generation's matrix is a couple of NumPy gathers instead of
-    ``population x slots`` Python-level attribute walks -- and the single
-    ``predict`` call per generation amortises the regressors' call
-    overhead.  Population strategies score generations through this path
-    (see ``estimate_batch``); per-configuration scoring keeps using
-    :func:`configuration_features` (same features up to summation order).
+    Per slot the assigned component contributes its error (MED), LUT count,
+    latency and power; slot-aggregated sums and maxima are appended so
+    linear models can pick up the additive structure of the composed cost
+    directly.  Per-component features are tabulated once and gathered by
+    slot index, so a generation's matrix is a couple of NumPy gathers
+    instead of ``population x slots`` attribute walks.
     """
     if not configs:
         return np.empty((0, 0), dtype=np.float64)
@@ -100,67 +63,28 @@ def configuration_feature_matrix(
     return np.concatenate([values, aggregates], axis=1)
 
 
-@dataclass
-class TrainingSample:
-    """One exactly-evaluated configuration."""
+class _Estimator:
+    """A regressor over :func:`configuration_feature_matrix` rows.
 
-    config: SlotConfiguration
-    features: np.ndarray
-    quality: float
-    cost: Dict[str, float]
-
-
-def _batch_with_std(
-    model: Regressor, features: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(mean, std) predictions, with zero std for uncertainty-free models.
-
-    Models exposing ``predict_with_std`` (Gaussian processes, forests,
-    their :class:`~repro.ml.ScaledRegressor` wrappers) report their own
-    predictive uncertainty; anything else is treated as deterministic.
-    Uncertainty-aware consumers (the EHVI acquisition in
-    :mod:`repro.search.multifidelity`) thus work with *any* estimator
-    model, degrading gracefully to point predictions.
+    The one fit/estimate implementation behind :class:`QorEstimator` and
+    :class:`HwCostEstimator`, which differ only in their default model and
+    in the measured value they learn (:meth:`_targets`).
     """
-    with_std = getattr(model, "predict_with_std", None)
-    if with_std is not None:
-        mean, std = with_std(features)
-        return (
-            np.asarray(mean, dtype=np.float64).ravel(),
-            np.asarray(std, dtype=np.float64).ravel(),
-        )
-    mean = np.asarray(model.predict(features), dtype=np.float64).ravel()
-    return mean, np.zeros_like(mean)
 
+    model: Regressor
 
-def _fresh_cache_token(prefix: str) -> str:
-    """Globally unique token versioning one estimator state.
+    def _targets(self, evaluated: Sequence["EvaluatedConfiguration"]) -> np.ndarray:
+        raise NotImplementedError
 
-    Cached estimates (see :func:`repro.autoax.search.hill_climb_pareto`) are
-    keyed by this token, so they can never be served across different
-    estimator instances or fits -- including across processes sharing a
-    disk-backed cache, which is why this is a UUID and not a counter.
-    """
-    return f"{prefix}-{uuid.uuid4().hex}"
-
-
-class QorEstimator:
-    """Estimates the SSIM of a configuration from its feature vector."""
-
-    def __init__(self, model: Optional[Regressor] = None):
-        self.model = model or RandomForestRegressor(n_estimators=40, max_depth=8)
-        self.cache_token = _fresh_cache_token("qor")
-
-    def fit(self, samples: Sequence[TrainingSample]) -> "QorEstimator":
-        X = np.vstack([sample.features for sample in samples])
-        y = np.array([sample.quality for sample in samples])
-        self.model.fit(X, y)
-        self.cache_token = _fresh_cache_token("qor")
+    def fit(
+        self, accelerator: ApproxAccelerator, evaluated: Sequence["EvaluatedConfiguration"]
+    ) -> "_Estimator":
+        """Fit on exactly evaluated configurations (at least two); returns ``self``."""
+        if len(evaluated) < 2:
+            raise ValueError("need at least two training samples")
+        features = configuration_feature_matrix(accelerator, [entry.config for entry in evaluated])
+        self.model.fit(features, self._targets(evaluated))
         return self
-
-    def estimate(self, accelerator: ApproxAccelerator, config: SlotConfiguration) -> float:
-        features = configuration_features(accelerator, config).reshape(1, -1)
-        return float(self.model.predict(features)[0])
 
     def estimate_batch(
         self,
@@ -168,16 +92,16 @@ class QorEstimator:
         configs: Sequence[SlotConfiguration],
         features: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """SSIM estimates for a whole population in one ``predict`` call.
+        """Estimates of ``configs`` in one ``predict`` call.
 
-        Pass a precomputed ``features`` matrix to share feature extraction
-        with other estimators scoring the same population.
+        Pass their precomputed ``features`` matrix to share feature
+        extraction with other estimators scoring the same configurations.
         """
         if not configs:
             return np.empty(0, dtype=np.float64)
         if features is None:
             features = configuration_feature_matrix(accelerator, configs)
-        return np.asarray(self.model.predict(features), dtype=np.float64)
+        return self.model.predict(features)
 
     def estimate_batch_with_std(
         self,
@@ -185,59 +109,31 @@ class QorEstimator:
         configs: Sequence[SlotConfiguration],
         features: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Population estimates with predictive uncertainty (see ``_batch_with_std``)."""
+        """Estimates with the model's predictive standard deviation (zero for
+        models without uncertainty, see :meth:`repro.ml.Regressor.predict_with_std`)."""
         if not configs:
             return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
         if features is None:
             features = configuration_feature_matrix(accelerator, configs)
-        return _batch_with_std(self.model, features)
+        return self.model.predict_with_std(features)
 
 
-class HwCostEstimator:
+class QorEstimator(_Estimator):
+    """Estimates the quality (SSIM) of a configuration."""
+
+    def __init__(self, model: Optional[Regressor] = None):
+        self.model = model or RandomForestRegressor(n_estimators=40, max_depth=8)
+
+    def _targets(self, evaluated: Sequence["EvaluatedConfiguration"]) -> np.ndarray:
+        return np.array([entry.quality for entry in evaluated])
+
+
+class HwCostEstimator(_Estimator):
     """Estimates one FPGA cost parameter of a configuration."""
 
     def __init__(self, parameter: str, model: Optional[Regressor] = None):
         self.parameter = parameter
         self.model = model or ScaledRegressor(RidgeRegression(alpha=1.0))
-        self.cache_token = _fresh_cache_token(f"hw-{parameter}")
 
-    def fit(self, samples: Sequence[TrainingSample]) -> "HwCostEstimator":
-        X = np.vstack([sample.features for sample in samples])
-        y = np.array([sample.cost[self.parameter] for sample in samples])
-        self.model.fit(X, y)
-        self.cache_token = _fresh_cache_token(f"hw-{self.parameter}")
-        return self
-
-    def estimate(self, accelerator: ApproxAccelerator, config: SlotConfiguration) -> float:
-        features = configuration_features(accelerator, config).reshape(1, -1)
-        return float(self.model.predict(features)[0])
-
-    def estimate_batch(
-        self,
-        accelerator: ApproxAccelerator,
-        configs: Sequence[SlotConfiguration],
-        features: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Cost estimates for a whole population in one ``predict`` call.
-
-        Pass a precomputed ``features`` matrix to share feature extraction
-        with other estimators scoring the same population.
-        """
-        if not configs:
-            return np.empty(0, dtype=np.float64)
-        if features is None:
-            features = configuration_feature_matrix(accelerator, configs)
-        return np.asarray(self.model.predict(features), dtype=np.float64)
-
-    def estimate_batch_with_std(
-        self,
-        accelerator: ApproxAccelerator,
-        configs: Sequence[SlotConfiguration],
-        features: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Population estimates with predictive uncertainty (see ``_batch_with_std``)."""
-        if not configs:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
-        if features is None:
-            features = configuration_feature_matrix(accelerator, configs)
-        return _batch_with_std(self.model, features)
+    def _targets(self, evaluated: Sequence["EvaluatedConfiguration"]) -> np.ndarray:
+        return np.array([entry.cost[self.parameter] for entry in evaluated])

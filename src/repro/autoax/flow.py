@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.pareto import hypervolume_2d
+from ..fpga import FPGA_PARAMETERS
 from ..search import ParetoArchive
 from ..workloads import WORKLOADS
 from .search import SEARCH_STRATEGIES, EvaluatedConfiguration
@@ -33,6 +34,8 @@ class AutoAxConfig:
     """Configuration of the AutoAx-FPGA case study."""
 
     parameters: Sequence[str] = ("latency", "power", "area")
+    """FPGA cost parameters to optimise, one scenario each: distinct names
+    from :data:`repro.fpga.FPGA_PARAMETERS`, stored as a tuple."""
     num_training_samples: int = 80
     num_random_baseline: int = 80
     hill_climb_iterations: int = 300
@@ -60,6 +63,21 @@ class AutoAxConfig:
     knob."""
 
     def __post_init__(self) -> None:
+        if isinstance(self.parameters, str):
+            raise ValueError(
+                f"parameters must be a sequence of FPGA parameter names, "
+                f"not the string {self.parameters!r}"
+            )
+        parameters = tuple(self.parameters)
+        unknown = [name for name in parameters if name not in FPGA_PARAMETERS]
+        if unknown:
+            raise ValueError(
+                f"unknown FPGA parameters {unknown} in {parameters!r}; "
+                f"available: {list(FPGA_PARAMETERS)}"
+            )
+        if len(set(parameters)) != len(parameters):
+            raise ValueError(f"duplicate FPGA parameters in {parameters!r}")
+        self.parameters = parameters
         if self.num_training_samples < 2:
             raise ValueError("num_training_samples must be at least 2")
         if self.num_random_baseline < 1:

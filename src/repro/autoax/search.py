@@ -17,19 +17,18 @@ the historical list-based implementations (pinned by
 Every exact evaluation goes through the evaluation engine
 (:meth:`repro.engine.BatchEvaluator.evaluate_configurations`), batched and
 cached under ``axq`` keys scoped to the workload, its components and the
-input set.  Estimated evaluations inside the estimator-driven strategies
-are cached in the same :class:`~repro.engine.EvalCache` under ``axe`` keys
-versioned by the fitted estimator state, and memoised per configuration
-within one run, so revisiting a configuration never recomputes the
-estimators.  Caching never changes results -- every evaluation is a
-deterministic function of its key -- and random-number consumption is
-independent of hits, so seeded searches are reproducible on a cold or warm
-cache.
+input set.  Estimated evaluations are scored by one helper
+(:func:`_surrogate_scores`: one feature matrix shared by both estimators,
+one ``predict`` call each) and never touch the engine cache: an estimate
+is only as current as the fit that produced it, so it is memoised per
+configuration within one run and recomputed by the next.  Caching never
+changes results -- every exact evaluation is a deterministic function of
+its key -- and random-number consumption is independent of hits, so
+seeded searches are reproducible on a cold or warm cache.
 """
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from ..engine import (
     BatchEvaluator,
     accelerator_token,
     blake_token,
-    cache_key,
     configuration_token,
     images_token,
 )
@@ -54,13 +52,7 @@ from ..search import (
     run_successive_halving,
 )
 from ..workloads import ApproxAccelerator, SlotConfiguration, fidelity_inputs
-from .estimators import (
-    HwCostEstimator,
-    QorEstimator,
-    TrainingSample,
-    configuration_feature_matrix,
-    configuration_features,
-)
+from .estimators import HwCostEstimator, QorEstimator, configuration_feature_matrix
 
 #: Registry of configuration-space search strategies.  Every entry is
 #: called as ``strategy(ctx, **tuning) -> List[EvaluatedConfiguration]``:
@@ -89,7 +81,7 @@ class EvaluatedConfiguration:
     @classmethod
     def from_payload(cls, config: SlotConfiguration, payload: dict) -> "EvaluatedConfiguration":
         """``config`` with the values of a JSON-able ``{"quality", "cost"}``
-        payload (engine results, cached estimates, checkpoints)."""
+        payload (engine results, checkpoints)."""
         return cls(
             config=config,
             quality=float(payload["quality"]),
@@ -198,50 +190,6 @@ def random_search(
     return _exact_evaluation(engine, accelerator, images, configs)
 
 
-def collect_training_samples(
-    accelerator: ApproxAccelerator,
-    images: Sequence[np.ndarray],
-    num_samples: int,
-    seed: int = 17,
-    *,
-    engine: BatchEvaluator,
-) -> List[TrainingSample]:
-    """The estimators' training set: a :func:`random_search` of
-    ``num_samples`` exactly evaluated configurations plus their features.
-
-    The sample lands in the engine's cache under the same ``axq`` keys as
-    every other exact evaluation of the study.
-    """
-    if num_samples < 2:
-        raise ValueError("need at least two training samples")
-    return [
-        TrainingSample(
-            config=entry.config,
-            features=configuration_features(accelerator, entry.config),
-            quality=entry.quality,
-            cost=entry.cost,
-        )
-        for entry in random_search(accelerator, images, num_samples, seed, engine=engine)
-    ]
-
-
-def _estimator_context(
-    accelerator: ApproxAccelerator,
-    qor_estimator: QorEstimator,
-    hw_estimator: HwCostEstimator,
-) -> str:
-    """Cache context of estimated evaluations, versioned by the fitted state.
-
-    Estimators without a ``cache_token`` get a run-unique token so foreign
-    objects can never share stale estimates.
-    """
-    return blake_token(
-        accelerator_token(accelerator),
-        getattr(qor_estimator, "cache_token", None) or f"anon-qor-{uuid.uuid4().hex}",
-        getattr(hw_estimator, "cache_token", None) or f"anon-hw-{uuid.uuid4().hex}",
-    )
-
-
 @dataclass
 class SearchEvalStats:
     """In-run evaluation accounting of one estimator-driven search.
@@ -265,35 +213,36 @@ class SearchEvalStats:
         return self.memo_hits / self.evaluations if self.evaluations else 0.0
 
 
+def _surrogate_scores(
+    ctx: SearchContext, configs: Sequence[SlotConfiguration]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(quality, cost) estimates of ``configs``, quality clipped to [0, 1].
+
+    The one surrogate-scoring path: both estimators share one
+    :func:`configuration_feature_matrix` and make one ``predict`` call each.
+    Sequential strategies pass one configuration at a time -- a one-row
+    ``predict`` is not bit-identical to the same row predicted inside a
+    larger batch, so batching their scores would change seeded results.
+    """
+    features = configuration_feature_matrix(ctx.accelerator, configs)
+    quality = ctx.qor.estimate_batch(ctx.accelerator, configs, features=features)
+    cost = ctx.hw.estimate_batch(ctx.accelerator, configs, features=features)
+    return np.clip(quality, 0.0, 1.0), cost
+
+
 def _estimated_evaluator(ctx: SearchContext):
     """A ``config -> EvaluatedConfiguration`` closure scoring via the estimators.
 
-    Scores are memoised per configuration for the lifetime of the closure
-    and cached in the engine's cache under ``axe`` keys (keyed by the
-    accelerator/estimator context the closure is bound to), so a search
-    that revisits a configuration -- the hill climber mutating a slot back
-    to its parent's component, for instance -- never pays the estimators
-    twice.  Hits return the identical values a recomputation would, so
-    seeded trajectories are unchanged; the ``stats`` attribute of the
-    closure reports the memo accounting.
+    Scores are memoised per configuration for the lifetime of the closure,
+    so a search that revisits a configuration -- the hill climber mutating
+    a slot back to its parent's component, for instance -- never pays the
+    estimators twice.  Memo hits return the identical values a
+    recomputation would, so seeded trajectories are unchanged; the
+    ``stats`` attribute of the closure reports the memo accounting.
     """
-    accelerator, qor_estimator, hw_estimator = ctx.accelerator, ctx.qor, ctx.hw
-    parameter = hw_estimator.parameter
-    context = _estimator_context(accelerator, qor_estimator, hw_estimator)
-    cache = ctx.engine.cache
+    accelerator, parameter = ctx.accelerator, ctx.hw.parameter
     memo: Dict[str, EvaluatedConfiguration] = {}
     stats = SearchEvalStats()
-
-    def estimate(config: SlotConfiguration, token: str) -> EvaluatedConfiguration:
-        key = cache_key("axe", context, token)
-        hit = cache.get(key)
-        if hit is not None:
-            return EvaluatedConfiguration.from_payload(config, hit)
-        quality = float(np.clip(qor_estimator.estimate(accelerator, config), 0.0, 1.0))
-        cost = dict(accelerator.hw_cost(config))
-        cost[parameter] = hw_estimator.estimate(accelerator, config)
-        cache.put(key, {"quality": quality, "cost": dict(cost)})
-        return EvaluatedConfiguration(config=config, quality=quality, cost=cost)
 
     def evaluate(config: SlotConfiguration) -> EvaluatedConfiguration:
         stats.evaluations += 1
@@ -302,7 +251,10 @@ def _estimated_evaluator(ctx: SearchContext):
         if hit is not None:
             return hit
         stats.computed += 1
-        result = memo[token] = estimate(config, token)
+        quality, estimate = _surrogate_scores(ctx, [config])
+        cost = dict(accelerator.hw_cost(config))
+        cost[parameter] = float(estimate[0])
+        result = memo[token] = EvaluatedConfiguration(config, float(quality[0]), cost)
         return result
 
     evaluate.stats = stats
@@ -326,11 +278,11 @@ def hill_climb_pareto(
     the (estimated cost, estimated quality loss) plane.  Returns the final
     archive of *estimated* Pareto-optimal configurations.
 
-    Revisited configurations are served from the evaluator's in-run memo
-    (and the engine cache across runs); archive membership is maintained
-    incrementally by :class:`repro.search.ParetoArchive` with
-    ``dedupe_keys`` off, preserving the historical semantics where a
-    revisited candidate occupies one archive slot per visit.
+    Revisited configurations are served from the evaluator's in-run memo;
+    archive membership is maintained incrementally by
+    :class:`repro.search.ParetoArchive` with ``dedupe_keys`` off, preserving
+    the historical semantics where a revisited candidate occupies one
+    archive slot per visit.
     """
     accelerator = ctx.accelerator
     rng = np.random.default_rng(ctx.seed)
@@ -393,9 +345,9 @@ def nsga2_pareto(
     works -- the Gaussian case study's 9 + 8 as well as the MVM family's
     8 + 7); variation is per-parameter uniform crossover plus the same
     single-slot mutation move the hill climber uses.  Whole generations are
-    scored through the estimators in **one batched call**
-    (``estimate_batch``), which is what makes the strategy faster than the
-    sequential hill climber at equal evaluation budget; the global
+    scored through the estimators in **one batched call** each
+    (:func:`_surrogate_scores`), which is what makes the strategy faster
+    than the sequential hill climber at equal evaluation budget; the global
     non-dominated front accumulates in a shared
     :class:`repro.search.ParetoArchive` truncated by crowding distance.
 
@@ -446,21 +398,8 @@ def nsga2_pareto(
         take_first = (rng.random(len(a)) < 0.5).tolist()
         return tuple(x if flag else y for x, y, flag in zip(a, b, take_first))
 
-    def batch_scores(estimator, configs, features) -> np.ndarray:
-        batch = getattr(estimator, "estimate_batch", None)
-        if batch is not None:
-            return np.asarray(batch(accelerator, configs, features=features), dtype=np.float64)
-        # Duck-typed estimators without a batch API degrade to per-config
-        # scoring (slower, same values).
-        return np.array(
-            [estimator.estimate(accelerator, config) for config in configs], dtype=np.float64
-        )
-
     def evaluate(genomes):
-        configs = [to_config(genome) for genome in genomes]
-        features = configuration_feature_matrix(accelerator, configs)
-        qualities = np.clip(batch_scores(ctx.qor, configs, features), 0.0, 1.0)
-        costs = batch_scores(ctx.hw, configs, features)
+        qualities, costs = _surrogate_scores(ctx, [to_config(genome) for genome in genomes])
         return [
             (float(cost), float(1.0 - quality))
             for cost, quality in zip(costs, qualities)

@@ -25,18 +25,12 @@ from ..api.pipeline import Pipeline, PipelineRun, Stage
 from ..engine import BatchEvaluator, blake_token, images_token
 from ..search import ParetoArchive
 from ..workloads import ApproxAccelerator, ApproxComponent, build_workload
-from .estimators import (
-    HwCostEstimator,
-    QorEstimator,
-    TrainingSample,
-    configuration_features,
-)
+from .estimators import HwCostEstimator, QorEstimator
 from .search import (
     SEARCH_STRATEGIES,
     EvaluatedConfiguration,
     SearchContext,
     accelerator_token,
-    collect_training_samples,
     random_search,
 )
 
@@ -79,10 +73,10 @@ class AutoAxState:
     """The evaluation engine: every exact configuration evaluation
     (training samples, candidate re-evaluation, the random baseline) runs
     generation-batched through
-    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations`, and the
-    search's estimated evaluations share its cache."""
+    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations`."""
 
-    samples: List[TrainingSample] = field(default_factory=list)
+    samples: List[EvaluatedConfiguration] = field(default_factory=list)
+    """The exactly evaluated training sample the estimators are fitted on."""
     qor_estimator: Optional[QorEstimator] = None
     scenarios: Dict[str, "ScenarioResult"] = field(default_factory=dict)  # noqa: F821
     baseline: List[EvaluatedConfiguration] = field(default_factory=list)
@@ -152,34 +146,17 @@ class CollectSamplesStage(Stage):
     name = "collect-samples"
 
     def compute(self, state: AutoAxState) -> list:
-        samples = collect_training_samples(
+        samples = random_search(
             state.accelerator,
             state.images,
             state.config.num_training_samples,
             seed=state.config.seed,
             engine=state.engine,
         )
-        # Checkpointed as evaluated configurations: one payload encoding.
-        return [
-            EvaluatedConfiguration(sample.config, sample.quality, sample.cost).to_payload()
-            for sample in samples
-        ]
+        return [entry.to_payload() for entry in samples]
 
     def absorb(self, state: AutoAxState, payload: list) -> None:
-        # Feature vectors are a deterministic function of the configuration,
-        # so they are recomputed instead of serialised.
-        samples: List[TrainingSample] = []
-        for raw in payload:
-            entry = _evaluated_from_payload(raw, state.accelerator)
-            samples.append(
-                TrainingSample(
-                    config=entry.config,
-                    features=configuration_features(state.accelerator, entry.config),
-                    quality=entry.quality,
-                    cost=entry.cost,
-                )
-            )
-        state.samples = samples
+        state.samples = [_evaluated_from_payload(raw, state.accelerator) for raw in payload]
 
 
 class FitEstimatorsStage(Stage):
@@ -197,7 +174,7 @@ class FitEstimatorsStage(Stage):
         return None
 
     def absorb(self, state: AutoAxState, payload) -> None:
-        state.qor_estimator = QorEstimator().fit(state.samples)
+        state.qor_estimator = QorEstimator().fit(state.accelerator, state.samples)
 
 
 class ScenarioStage(Stage):
@@ -214,7 +191,7 @@ class ScenarioStage(Stage):
         ctx = SearchContext(
             accelerator=state.accelerator,
             qor=state.qor_estimator,
-            hw=HwCostEstimator(self.parameter).fit(state.samples),
+            hw=HwCostEstimator(self.parameter).fit(state.accelerator, state.samples),
             images=state.images,
             engine=state.engine,
             iterations=config.hill_climb_iterations,
@@ -341,9 +318,9 @@ def run_autoax_pipeline(
 
     ``engine`` evaluates training samples, baselines and candidate
     re-evaluations as generation batches (amortised per-image work,
-    optional process-pool fan-out) and its cache serves the search's
-    estimates; :meth:`repro.api.ExplorationSession.run_autoax` passes the
-    session's accelerator engine.
+    optional process-pool fan-out);
+    :meth:`repro.api.ExplorationSession.run_autoax` passes the session's
+    accelerator engine.
 
     With a ``store``, checkpoints are written at two granularities: the
     pipeline checkpoints every completed stage, and generation-aware

@@ -2,8 +2,9 @@
 
 Every cached value is addressed by ``"<domain>:<context>:<subject>"``:
 
-* the *domain* names what was computed (``err``, ``asic``, ``fpga``,
-  ``axq`` for exact accelerator evaluations, ``axe`` for estimated ones),
+* the *domain* names what was computed (``err``, ``asic``, ``fpga`` and
+  ``axq`` for exact accelerator evaluations; surrogate estimates are not
+  cached),
 * the *context* is a digest of everything the computation depends on besides
   the subject itself (the golden reference, sampling seeds, synthesizer
   settings, image sets, ...),

@@ -67,6 +67,19 @@ class Regressor:
         X = self._check_input(X, "predict")
         return np.asarray(self._predict(X), dtype=np.float64).ravel()
 
+    def predict_with_std(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Predictive mean and standard deviation for ``X``.
+
+        The mean is always :meth:`predict`.  Models without predictive
+        uncertainty report zero standard deviation -- deterministic
+        predictions, not an error -- so uncertainty-aware consumers (the
+        EHVI acquisition in :mod:`repro.search.multifidelity`) treat every
+        model uniformly; Gaussian processes and forests override this with
+        their own spread.
+        """
+        mean = self.predict(X)
+        return mean, np.zeros_like(mean)
+
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Coefficient of determination R^2 on the given data."""
         from .metrics import r2_score

@@ -80,20 +80,9 @@ class ScaledRegressor(Regressor):
         return predictions
 
     def predict_with_std(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Mean/std forwarded from the inner model, in target units.
-
-        Inner models without predictive uncertainty (Ridge, SGD, ...)
-        report zero standard deviation -- deterministic predictions, not
-        an error -- so uncertainty-aware consumers can treat every wrapped
-        model uniformly.
-        """
+        """Mean/std forwarded from the inner model, in target units."""
         X = self._check_input(X, "predict_with_std")
-        inner_with_std = getattr(self.inner, "predict_with_std", None)
-        if inner_with_std is None:
-            return self.predict(X), np.zeros(X.shape[0], dtype=np.float64)
-        mean, std = inner_with_std(self._scaler.transform(X))
-        mean = np.asarray(mean, dtype=np.float64).ravel()
-        std = np.asarray(std, dtype=np.float64).ravel()
+        mean, std = self.inner.predict_with_std(self._scaler.transform(X))
         if self.scale_target:
             mean = mean * self._y_scale + self._y_mean
             std = std * self._y_scale

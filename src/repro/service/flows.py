@@ -91,6 +91,20 @@ def run_autoax_job(
     p = dict(DEFAULT_AUTOAX_PARAMS)
     p.update(params or {})
 
+    # Validated before any library is built, so bad knobs fail the job fast.
+    config = AutoAxConfig(
+        workload=str(p["workload"]),
+        search_strategy=str(p["search_strategy"]),
+        parameters=p["parameters"],
+        num_training_samples=int(p["num_training_samples"]),
+        num_random_baseline=int(p["num_random_baseline"]),
+        hill_climb_iterations=int(p["hill_climb_iterations"]),
+        image_size=int(p["image_size"]),
+        seed=int(p["seed"]),
+        fidelity_ladder=(
+            tuple(int(f) for f in p["fidelity_ladder"]) if p.get("fidelity_ladder") else None
+        ),
+    )
     multiplier_library = build_multiplier_library(
         int(p["multiplier_bits"]), size=int(p["multiplier_library_size"]),
         seed=int(p["multiplier_seed"]),
@@ -115,19 +129,6 @@ def run_autoax_job(
         engine=session.engine_for(adder_library.reference()),
     )
 
-    config = AutoAxConfig(
-        workload=str(p["workload"]),
-        search_strategy=str(p["search_strategy"]),
-        parameters=tuple(p["parameters"]),
-        num_training_samples=int(p["num_training_samples"]),
-        num_random_baseline=int(p["num_random_baseline"]),
-        hill_climb_iterations=int(p["hill_climb_iterations"]),
-        image_size=int(p["image_size"]),
-        seed=int(p["seed"]),
-        fidelity_ladder=(
-            tuple(int(f) for f in p["fidelity_ladder"]) if p.get("fidelity_ladder") else None
-        ),
-    )
     result = session.run_autoax(
         multipliers,
         adders,

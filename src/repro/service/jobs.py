@@ -222,12 +222,23 @@ class JobRegistry:
         return record
 
     def get(self, job_id: str) -> JobRecord:
+        """The job's record.
+
+        Raises ``KeyError`` for an unknown job, and ``RuntimeError`` naming
+        the job and its record file when the record exists but cannot be
+        read back (non-UTF-8 bytes, torn JSON, missing or mistyped fields).
+        """
         path = self._record_path(job_id)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            return JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except FileNotFoundError:
             raise KeyError(f"unknown job {job_id!r}") from None
-        return JobRecord.from_dict(raw)
+        # ValueError covers undecodable bytes and bad JSON; KeyError and
+        # TypeError a document that is not a complete record.
+        except (ValueError, KeyError, TypeError) as error:
+            raise RuntimeError(
+                f"job {job_id!r} has an unreadable record at {path}: {error!r}"
+            ) from error
 
     def update(self, record: JobRecord) -> None:
         """Atomically publish a record (last writer wins)."""
@@ -356,22 +367,34 @@ class JobRegistry:
         worker) are reclaimed via the takeover protocol.  The returned
         record is already marked ``running`` with this worker and a fresh
         heartbeat; ``attempts > 1`` tells the caller this is a resumption.
+        A job that stopped being runnable between listing and leasing
+        (cancelled, finished, or its record became unreadable) is released
+        and skipped.
         """
         for record in self.list_jobs(state="queued"):
             if not self._try_acquire_lease(record.job_id, worker_id):
                 continue
-            return self._start(record.job_id, worker_id)
+            started = self._start(record.job_id, worker_id)
+            if started is not None:
+                return started
         for record in self.list_jobs(state="running"):
             if not self.lease_expired(record.job_id):
                 continue
             if not self._try_takeover_lease(record.job_id, worker_id):
                 continue
-            return self._start(record.job_id, worker_id)
+            started = self._start(record.job_id, worker_id)
+            if started is not None:
+                return started
         return None
 
     def _start(self, job_id: str, worker_id: str) -> Optional[JobRecord]:
         """Post-lease bookkeeping: re-read, verify runnable, mark running."""
-        record = self.get(job_id)
+        try:
+            record = self.get(job_id)
+        except RuntimeError:
+            # The record became unreadable after listing.
+            self.release(job_id)
+            return None
         if record.state not in ("queued", "running"):
             # Cancelled (or already finished) between listing and leasing.
             self.release(job_id)

@@ -78,7 +78,7 @@ def autoax_searchables():
     """
     from types import SimpleNamespace
 
-    from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
+    from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, random_search
     from repro.engine import BatchEvaluator, EvalCache
     from repro.workloads import GaussianFilterAccelerator, components_from_library, default_image_set
 
@@ -90,11 +90,11 @@ def autoax_searchables():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(24)[:2]
-    samples = collect_training_samples(
+    samples = random_search(
         accelerator, images, 12, seed=17, engine=BatchEvaluator(mode="serial")
     )
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("area").fit(samples)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("area").fit(accelerator, samples)
 
     def ctx(**fields):
         fields.setdefault("engine", BatchEvaluator(cache=EvalCache(), mode="serial"))

@@ -9,8 +9,7 @@ from repro.autoax import (
     HwCostEstimator,
     QorEstimator,
     SearchContext,
-    collect_training_samples,
-    configuration_features,
+    configuration_feature_matrix,
     hill_climb_pareto,
     random_search,
 )
@@ -163,19 +162,37 @@ def test_design_space_size(accelerator):
 
 
 # ------------------------- estimators and search -------------------------- #
-def test_configuration_features_length(accelerator):
-    config = accelerator.exact_configuration()
-    features = configuration_features(accelerator, config)
-    assert features.shape == ((NUM_MULTIPLIER_SLOTS + NUM_ADDER_SLOTS) * 4 + 8,)
+def test_configuration_feature_matrix_rows(accelerator):
+    """One row per configuration: the per-slot (MED, LUTs, latency, power)
+    walk followed by the slot sums and maxima, bit for bit."""
+    rng = np.random.default_rng(0)
+    configs = [accelerator.exact_configuration()]
+    configs += [accelerator.random_configuration(rng) for _ in range(20)]
+    matrix = configuration_feature_matrix(accelerator, configs)
+    assert matrix.shape == (len(configs), (NUM_MULTIPLIER_SLOTS + NUM_ADDER_SLOTS) * 4 + 8)
+    for config, row in zip(configs, matrix):
+        slots = [accelerator.multipliers[i] for i in config.multiplier_indices]
+        slots += [accelerator.adders[i] for i in config.adder_indices]
+        per_slot = np.array(
+            [
+                [c.error.med, c.fpga.area_luts, c.fpga.latency_ns, c.fpga.total_power_mw]
+                for c in slots
+            ]
+        )
+        expected = np.concatenate([per_slot.ravel(), per_slot.sum(axis=0), per_slot.max(axis=0)])
+        np.testing.assert_array_equal(row, expected)
 
 
 def test_estimators_learn_from_samples(accelerator, images, engine):
-    samples = collect_training_samples(accelerator, images[:2], 20, seed=3, engine=engine)
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("area").fit(samples)
-    config = samples[0].config
-    assert 0.0 <= qor.estimate(accelerator, config) <= 1.5
-    assert hw.estimate(accelerator, config) == pytest.approx(samples[0].cost["area"], rel=0.3)
+    samples = random_search(accelerator, images[:2], 20, seed=3, engine=engine)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("area").fit(accelerator, samples)
+    configs = [samples[0].config]
+    assert 0.0 <= qor.estimate_batch(accelerator, configs)[0] <= 1.5
+    estimate = hw.estimate_batch(accelerator, configs)[0]
+    assert estimate == pytest.approx(samples[0].cost["area"], rel=0.3)
+    with pytest.raises(ValueError, match="two training samples"):
+        QorEstimator().fit(accelerator, samples[:1])
 
 
 def test_random_search_returns_requested_count(accelerator, images, engine):
@@ -189,9 +206,9 @@ def test_random_search_returns_requested_count(accelerator, images, engine):
 def test_hill_climb_archive_is_nondominated(accelerator, images, engine):
     from repro.core import dominates
 
-    samples = collect_training_samples(accelerator, images[:2], 15, seed=5, engine=engine)
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("area").fit(samples)
+    samples = random_search(accelerator, images[:2], 15, seed=5, engine=engine)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("area").fit(accelerator, samples)
     ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=40, seed=2)
     archive = hill_climb_pareto(ctx)
     assert archive
@@ -203,9 +220,9 @@ def test_hill_climb_archive_is_nondominated(accelerator, images, engine):
 
 
 def test_exact_reevaluation_replaces_estimates(accelerator, images, engine):
-    samples = collect_training_samples(accelerator, images[:2], 8, seed=9, engine=engine)
-    qor = QorEstimator().fit(samples)
-    hw = HwCostEstimator("latency").fit(samples)
+    samples = random_search(accelerator, images[:2], 8, seed=9, engine=engine)
+    qor = QorEstimator().fit(accelerator, samples)
+    hw = HwCostEstimator("latency").fit(accelerator, samples)
     ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=20, seed=3)
     archive = hill_climb_pareto(ctx)
     exact = ctx.evaluate([entry.config for entry in archive])
@@ -242,3 +259,20 @@ def test_autoax_config_validation():
         AutoAxConfig(num_training_samples=1)
     with pytest.raises(ValueError):
         AutoAxConfig(num_random_baseline=0)
+
+
+@pytest.mark.parametrize(
+    "parameters, match",
+    [
+        (("areaa",), "unknown FPGA parameters \\['areaa'\\]"),
+        ("area", "not the string 'area'"),
+        (("area", "power", "area"), "duplicate FPGA parameters"),
+    ],
+)
+def test_autoax_config_rejects_bad_parameters(parameters, match):
+    with pytest.raises(ValueError, match=match):
+        AutoAxConfig(parameters=parameters)
+
+
+def test_autoax_config_stores_parameters_as_a_tuple():
+    assert AutoAxConfig(parameters=["power", "area"]).parameters == ("power", "area")

@@ -72,27 +72,6 @@ class TestHillClimbDeterminism:
         cold = hill_climb_pareto(ctx)
         warm = hill_climb_pareto(ctx)
         assert _config_signature(cold) == _config_signature(warm)
-        assert ctx.engine.stats().hits > 0
-
-
-class TestEstimatorCacheTokens:
-    """Fitted-state tokens must never collide, or stale estimates get served."""
-
-    def test_tokens_unique_per_instance_and_per_fit(self, autoax_searchables):
-        from repro.autoax import HwCostEstimator, QorEstimator, collect_training_samples
-
-        s = autoax_searchables
-        samples = collect_training_samples(
-            s.accelerator, s.images, 6, seed=3, engine=BatchEvaluator(mode="serial")
-        )
-        first = QorEstimator().fit(samples)
-        second = QorEstimator().fit(samples)
-        assert first.cache_token != second.cache_token
-        before = first.cache_token
-        first.fit(samples)
-        assert first.cache_token != before
-        assert QorEstimator().cache_token != QorEstimator().cache_token
-        assert HwCostEstimator("area").cache_token != HwCostEstimator("area").cache_token
 
 
 class TestPerturbationDeterminism:

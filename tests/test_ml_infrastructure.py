@@ -144,6 +144,9 @@ def test_model_zoo_has_all_18_models():
 
 
 def test_every_zoo_model_fits_and_predicts():
+    """Every model also answers ``predict_with_std``: the mean is its
+    ``predict`` bit for bit, the std non-negative (zero without predictive
+    uncertainty)."""
     rng = np.random.default_rng(7)
     X = rng.uniform(1, 10, size=(40, len(FEATURE_NAMES)))
     y = X[:, -3] * 2.0 + rng.normal(0, 0.1, 40)
@@ -153,6 +156,9 @@ def test_every_zoo_model_fits_and_predicts():
         predictions = model.predict(X)
         assert predictions.shape == (40,)
         assert np.all(np.isfinite(predictions)), model_id
+        mean, std = model.predict_with_std(X)
+        np.testing.assert_array_equal(mean, predictions, err_msg=model_id)
+        assert std.shape == (40,) and np.all(std >= 0.0), model_id
 
 
 def test_asic_regression_models_use_single_feature():

@@ -19,7 +19,6 @@ from repro.autoax import (
     SEARCH_STRATEGIES,
     AutoAxConfig,
     SearchContext,
-    collect_training_samples,
     random_search,
 )
 from repro.io import JsonDirectoryStore
@@ -44,8 +43,6 @@ class TestSearchContext:
             SearchContext(s.accelerator, s.qor, s.hw, s.images)
         with pytest.raises(TypeError, match="engine"):
             random_search(s.accelerator, s.images, 3)
-        with pytest.raises(TypeError, match="engine"):
-            collect_training_samples(s.accelerator, s.images, 3)
 
     def test_evaluate_empty_batch_touches_nothing(self, autoax_searchables):
         ctx = autoax_searchables.ctx()

@@ -6,7 +6,9 @@ seeded setup and assert the strategies -- called through a
 :class:`~repro.autoax.SearchContext` over a serial engine -- still produce
 **bit-identical** results now that archives, memoisation and batched
 evaluation sit underneath.  The dedupe tests pin the fix for the hill
-climber's duplicate re-evaluation of unchanged configurations.
+climber's duplicate re-evaluation of unchanged configurations, and the one
+surrogate-scoring path (one shared feature row per computed score, no
+engine-cache traffic).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autoax import random_search
+from repro.autoax import QorEstimator, random_search
+from repro.autoax import search as search_module
 from repro.autoax.search import SEARCH_STRATEGIES, _estimated_evaluator
 from repro.engine import BatchEvaluator, EvalCache
 
@@ -97,17 +100,14 @@ class TestBatchedExactEvaluation:
         parallel = process_engine.evaluate_configurations(setup.accelerator, setup.images, configs)
         assert serial == parallel
 
-    def test_collect_training_samples_bit_identical_on_a_warm_engine(self, setup):
-        from repro.autoax import collect_training_samples
-
+    def test_training_sample_bit_identical_on_a_warm_engine(self, setup):
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")
-        cold = collect_training_samples(setup.accelerator, setup.images, 8, seed=3, engine=engine)
+        cold = random_search(setup.accelerator, setup.images, 8, seed=3, engine=engine)
         before = engine.stats()
-        warm = collect_training_samples(setup.accelerator, setup.images, 8, seed=3, engine=engine)
+        warm = random_search(setup.accelerator, setup.images, 8, seed=3, engine=engine)
         assert engine.stats().since(before).misses == 0
         for a, b in zip(cold, warm):
             assert (a.config, a.quality, a.cost) == (b.config, b.quality, b.cost)
-            assert np.array_equal(a.features, b.features)
 
     def test_inputs_prepared_only_for_misses_and_memoised(self, setup, monkeypatch):
         """A fully cached batch prepares no inputs; the first batch with a
@@ -183,18 +183,14 @@ class TestEstimatorDedupe:
         every revisit (mutating a slot back to the same component is a
         frequent move in a 4x3-component space)."""
 
-        class CountingQor:
+        class CountingQor(QorEstimator):
             def __init__(self, inner):
-                self.inner = inner
+                super().__init__(inner.model)
                 self.calls = 0
 
-            @property
-            def cache_token(self):
-                return self.inner.cache_token
-
-            def estimate(self, accelerator, config):
+            def estimate_batch(self, *args, **kwargs):
                 self.calls += 1
-                return self.inner.estimate(accelerator, config)
+                return super().estimate_batch(*args, **kwargs)
 
         counting = CountingQor(setup.qor)
         iterations = 120
@@ -205,24 +201,38 @@ class TestEstimatorDedupe:
         total_evaluations = iterations + 8  # iterations + initial archive
         # With only 4*3 components across 17 slots, revisits are guaranteed;
         # the memo must convert them into hits instead of recomputation.
-        assert counting.calls < total_evaluations
+        assert 0 < counting.calls < total_evaluations
         # And the memo never changes seeded results.
         plain = SEARCH_STRATEGIES.get("hill_climb")(setup.ctx(iterations=iterations, seed=31))
         assert digest(archive) == digest(plain)
 
-    def test_cache_hit_rate_reflects_dedupe(self, setup):
-        """Cache-backed run: misses == distinct configurations, so the
-        cache-hit rate of a warm re-run is 100%."""
-        ctx = setup.ctx(iterations=120, seed=31)
-        cache = ctx.engine.cache
-        SEARCH_STRATEGIES.get("hill_climb")(ctx)
-        cold = cache.stats()
-        # The in-run memo keeps revisits away from the cache: every cache
-        # lookup is a distinct configuration, and each missed exactly once.
-        assert cold.misses == cold.lookups
-        SEARCH_STRATEGIES.get("hill_climb")(ctx)
-        warm = cache.stats()
-        repeat_lookups = warm.lookups - cold.lookups
-        repeat_hits = warm.hits - cold.hits
-        assert repeat_lookups > 0
-        assert repeat_hits / repeat_lookups == pytest.approx(1.0)
+    def test_hill_climb_builds_one_feature_row_per_computed_score(self, setup, monkeypatch):
+        """Both estimators share one feature matrix per score."""
+        rows = []
+        evaluators = []
+        build_matrix = search_module.configuration_feature_matrix
+        make_evaluator = search_module._estimated_evaluator
+
+        def counting_matrix(accelerator, configs):
+            rows.append(len(configs))
+            return build_matrix(accelerator, configs)
+
+        def capturing_evaluator(ctx):
+            evaluators.append(make_evaluator(ctx))
+            return evaluators[-1]
+
+        monkeypatch.setattr(search_module, "configuration_feature_matrix", counting_matrix)
+        monkeypatch.setattr(search_module, "_estimated_evaluator", capturing_evaluator)
+        SEARCH_STRATEGIES.get("hill_climb")(setup.ctx(iterations=120, seed=31))
+        (evaluate,) = evaluators
+        assert set(rows) == {1}
+        assert len(rows) == evaluate.stats.computed
+        assert evaluate.stats.memo_hits > 0
+
+    def test_estimated_strategies_make_no_cache_lookups(self, setup):
+        """Surrogate estimates never go through the engine cache: the
+        in-run memo is their only reuse."""
+        for key in ("hill_climb", "random_archive", "nsga2"):
+            ctx = setup.ctx(iterations=120, seed=31)
+            SEARCH_STRATEGIES.get(key)(ctx)
+            assert ctx.engine.stats().lookups == 0, key

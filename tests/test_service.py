@@ -231,6 +231,40 @@ class TestJobRegistry:
         (registry.results_dir / "good.json").write_bytes(garbage)
         assert registry.result("good") is None
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\x00\x01", b'{"job_id": "broken", "spec": {"fl', b'{"job_id": "broken"}'],
+        ids=["non-utf8", "torn-json", "no-spec"],
+    )
+    def test_corrupt_record_raises_one_error_naming_job_and_path(self, tmp_path, content):
+        """Neither the ``KeyError`` of an unknown job nor the ``ValueError``
+        of an unfinished one: a ``RuntimeError`` naming the job and file."""
+        client = JobClient(tmp_path)
+        job_id = client.submit("autoax", {}, job_id="broken")
+        path = client.registry.jobs_dir / "broken.json"
+        path.write_bytes(content)
+        for call in (client.status, client.result, client.cancel):
+            with pytest.raises(RuntimeError, match="broken") as caught:
+                call(job_id)
+            assert str(path) in str(caught.value)
+
+    def test_claim_releases_and_skips_a_record_unreadable_after_listing(
+        self, tmp_path, monkeypatch
+    ):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="first")
+        registry.submit(JobSpec(flow="autoax"), job_id="second")
+        list_jobs = registry.list_jobs
+
+        def list_then_corrupt(*args, **kwargs):
+            records = list_jobs(*args, **kwargs)
+            (registry.jobs_dir / "first.json").write_bytes(b"\xff\x00\x01")
+            return records
+
+        monkeypatch.setattr(registry, "list_jobs", list_then_corrupt)
+        assert registry.claim("worker-a").job_id == "second"
+        assert registry.lease_info("first") is None  # released, not leaked
+
     def test_claim_skips_cancelled_jobs(self, tmp_path):
         registry = JobRegistry(tmp_path)
         registry.submit(JobSpec(flow="autoax"), job_id="gone")
@@ -269,6 +303,13 @@ class TestClientAndWorker:
         payload = client.result(job_id)
         assert payload["flow"] == "autoax"
         assert payload["scenarios"]["area"]["front"]
+
+    def test_bare_string_parameters_fail_the_job_naming_the_value(self, tmp_path):
+        client = JobClient(tmp_path)
+        job_id = client.submit("autoax", dict(TINY_AUTOAX, parameters="area"))
+        record = Worker(tmp_path, engine_mode="serial").run_once()
+        assert record.job_id == job_id and record.state == "failed"
+        assert "ValueError" in record.error and "'area'" in record.error
 
     def test_failed_flow_marks_job_failed_and_releases_lease(self, tmp_path):
         if "always-fails" not in JOB_FLOWS:

@@ -409,15 +409,15 @@ class TestWorkloadGoldens:
 class TestSearchStrategiesOnNewWorkloads:
     @pytest.mark.parametrize("strategy", ["hill_climb", "random_archive", "nsga2"])
     def test_sobel_strategies_run(self, components, strategy):
-        from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, collect_training_samples
+        from repro.autoax import HwCostEstimator, QorEstimator, SearchContext, random_search
         from repro.autoax.search import SEARCH_STRATEGIES
 
         sobel = build_workload("sobel", *components)
         images = sobel.default_inputs(16)[:2]
         engine = BatchEvaluator(mode="serial")
-        samples = collect_training_samples(sobel, images, 8, seed=3, engine=engine)
-        qor = QorEstimator().fit(samples)
-        hw = HwCostEstimator("area").fit(samples)
+        samples = random_search(sobel, images, 8, seed=3, engine=engine)
+        qor = QorEstimator().fit(sobel, samples)
+        hw = HwCostEstimator("area").fit(sobel, samples)
         ctx = SearchContext(sobel, qor, hw, images, engine, iterations=20, seed=7)
         archive = SEARCH_STRATEGIES.get(strategy)(ctx)
         assert archive
