@@ -97,15 +97,10 @@ def workload():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(32)[:3]
-    samples = random_search(
-        accelerator,
-        images,
-        40,
-        seed=17,
-        engine=BatchEvaluator(cache=EvalCache(), mode="serial"),
-    )
-    qor = QorEstimator().fit(accelerator, samples)
-    hw = HwCostEstimator("area").fit(accelerator, samples)
+    engine = BatchEvaluator(cache=EvalCache(), mode="serial")
+    samples = random_search(accelerator, images, 40, seed=17, engine=engine)
+    qor = QorEstimator().fit(accelerator, samples, engine=engine)
+    hw = HwCostEstimator("area").fit(accelerator, samples, engine=engine)
 
     def ctx(**fields):
         engine = BatchEvaluator(cache=EvalCache(), mode="serial")

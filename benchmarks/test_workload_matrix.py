@@ -13,7 +13,7 @@ runs the AutoAx-FPGA flow twice (cold + warm repeat) through a fresh
   cell;
 * a 100 % warm-repeat hit rate per cell on the **exact-evaluation cache
   domain** (``axq:`` keys), counted apart from any other domain sharing
-  the cache (surrogate estimates are never cached);
+  the cache (the estimators' ``fit`` entries, for one);
 * zero cross-workload cache aliasing: every workload's engine cache
   namespace (``accelerator_token``) is distinct, and re-running workload
   A after workload B never creates new exact-domain misses for A;

@@ -13,11 +13,6 @@ stages a first-class API:
   ``get``/``put``, in practice :class:`repro.io.JsonDirectoryStore`), every
   completed stage is checkpointed, so an interrupted run resumes from the
   last completed stage instead of starting over.
-
-Stages whose products cannot be serialised (e.g. fitted estimators) set
-``checkpoint = False``; they are recomputed deterministically on resume from
-the already-restored state, so resumed and uninterrupted runs still produce
-identical results.
 """
 
 from __future__ import annotations
@@ -54,11 +49,6 @@ class Stage(ABC):
     #: Stage name; unique within a pipeline and used as the checkpoint key.
     name: str = ""
 
-    #: Whether the payload is persisted to the artifact store.  Stages whose
-    #: payload cannot be serialised set this to ``False`` and are recomputed
-    #: (deterministically) when a run resumes.
-    checkpoint: bool = True
-
     @abstractmethod
     def compute(self, state) -> object:
         """Produce this stage's JSON-serialisable payload from ``state``."""
@@ -79,10 +69,8 @@ class FunctionStage(Stage):
         name: str,
         compute: Callable[[object], object],
         absorb: Callable[[object, object], None],
-        checkpoint: bool = True,
     ):
         self.name = name
-        self.checkpoint = checkpoint
         self._compute = compute
         self._absorb = absorb
 
@@ -131,9 +119,6 @@ class PipelineRun:
         """Stage name -> elapsed seconds (0.0 for restored stages)."""
         return {record.name: record.elapsed_s for record in self.records}
 
-    def total_elapsed_s(self) -> float:
-        return float(sum(record.elapsed_s for record in self.records))
-
 
 class Pipeline:
     """Runs named stages in order, checkpointing artifacts between them.
@@ -144,7 +129,7 @@ class Pipeline:
         The stages, executed in sequence; names must be unique.
     store:
         Optional artifact store (``get``/``put``).  When present, every
-        checkpointable stage's payload is persisted under
+        stage's payload is persisted under
         ``"pipeline:<run_id>:<stage>"`` and a manifest guards against
         resuming with a different configuration or stage list.
     run_id:
@@ -217,24 +202,18 @@ class Pipeline:
 
         for index, stage in enumerate(self.stages):
             self._emit(StageEvent(stage.name, index, total, "started"))
-            entry = None
-            if resuming and stage.checkpoint:
-                entry = self.store.get(self._key(stage.name))
-                if entry is not None and entry.get("stage") != stage.name:
-                    entry = None
-            if entry is not None:
-                payload = entry.get("payload")
-                stage.absorb(state, payload)
+            entry = self.store.get(self._key(stage.name)) if resuming else None
+            if entry is not None and entry.get("stage") == stage.name:
+                stage.absorb(state, entry.get("payload"))
                 records.append(StageRecord(stage.name, 0.0, from_checkpoint=True))
                 self._emit(StageEvent(stage.name, index, total, "restored"))
                 continue
-            if stage.checkpoint:
-                # First missing checkpoint: everything downstream runs fresh.
-                resuming = False
+            # First missing checkpoint: everything downstream runs fresh.
+            resuming = False
             started = time.perf_counter()
             payload = stage.compute(state)
             elapsed = time.perf_counter() - started
-            if stage.checkpoint and self.store is not None:
+            if self.store is not None:
                 self.store.put(
                     self._key(stage.name), {"stage": stage.name, "payload": payload}
                 )

@@ -4,7 +4,8 @@ AutoAx evaluates a random sample of configurations exactly, trains
 estimators on that sample, and then lets the search explore the full design
 space through the (cheap) estimators.  This module provides the feature
 encoding of configurations and thin estimator wrappers around the
-:mod:`repro.ml` regressors.
+:mod:`repro.ml` regressors.  Fits run through the evaluation engine, which
+caches them by model and training data like any exact evaluation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine import BatchEvaluator
 from ..ml import Regressor, RandomForestRegressor, RidgeRegression, ScaledRegressor
 from ..workloads import ApproxAccelerator, SlotConfiguration
 
@@ -77,13 +79,21 @@ class _Estimator:
         raise NotImplementedError
 
     def fit(
-        self, accelerator: ApproxAccelerator, evaluated: Sequence["EvaluatedConfiguration"]
+        self,
+        accelerator: ApproxAccelerator,
+        evaluated: Sequence["EvaluatedConfiguration"],
+        *,
+        engine: BatchEvaluator,
     ) -> "_Estimator":
-        """Fit on exactly evaluated configurations (at least two); returns ``self``."""
+        """Fit on exactly evaluated configurations (at least two); returns ``self``.
+
+        The fit runs through :meth:`engine.fit <repro.engine.BatchEvaluator.fit>`,
+        so a fit on the same training data restores the cached model.
+        """
         if len(evaluated) < 2:
             raise ValueError("need at least two training samples")
         features = configuration_feature_matrix(accelerator, [entry.config for entry in evaluated])
-        self.model.fit(features, self._targets(evaluated))
+        self.model = engine.fit(self.model, features, self._targets(evaluated))
         return self
 
     def estimate_batch(
@@ -121,8 +131,8 @@ class _Estimator:
 class QorEstimator(_Estimator):
     """Estimates the quality (SSIM) of a configuration."""
 
-    def __init__(self, model: Optional[Regressor] = None):
-        self.model = model or RandomForestRegressor(n_estimators=40, max_depth=8)
+    def __init__(self):
+        self.model = RandomForestRegressor(n_estimators=40, max_depth=8)
 
     def _targets(self, evaluated: Sequence["EvaluatedConfiguration"]) -> np.ndarray:
         return np.array([entry.quality for entry in evaluated])
@@ -131,9 +141,9 @@ class QorEstimator(_Estimator):
 class HwCostEstimator(_Estimator):
     """Estimates one FPGA cost parameter of a configuration."""
 
-    def __init__(self, parameter: str, model: Optional[Regressor] = None):
+    def __init__(self, parameter: str):
         self.parameter = parameter
-        self.model = model or ScaledRegressor(RidgeRegression(alpha=1.0))
+        self.model = ScaledRegressor(RidgeRegression(alpha=1.0))
 
     def _targets(self, evaluated: Sequence["EvaluatedConfiguration"]) -> np.ndarray:
         return np.array([entry.cost[self.parameter] for entry in evaluated])

@@ -5,7 +5,9 @@ ApproxFPGAs methodology (9 multipliers and 8 adders in the paper), the flow:
 
 1. evaluates a random sample of accelerator configurations exactly
    (behavioural SSIM + composed FPGA cost) to build a training set;
-2. trains a QoR estimator and a HW-cost estimator per FPGA parameter;
+2. trains a QoR estimator and a HW-cost estimator per FPGA parameter
+   (fits are cached by model and training data, so the QoR forest is grown
+   once per study);
 3. runs the configured search strategy in each (parameter, SSIM) plane to
    select a small set of candidate configurations;
 4. re-evaluates the candidates exactly and reports, per scenario, the final
@@ -24,9 +26,8 @@ import numpy as np
 
 from ..core.pareto import hypervolume_2d
 from ..fpga import FPGA_PARAMETERS
-from ..search import ParetoArchive
 from ..workloads import WORKLOADS
-from .search import SEARCH_STRATEGIES, EvaluatedConfiguration
+from .search import SEARCH_STRATEGIES, EvaluatedConfiguration, _non_dominated
 
 
 @dataclass
@@ -128,10 +129,7 @@ class AutoAxResult:
 
     def baseline_front(self, parameter: str) -> List[EvaluatedConfiguration]:
         """Pareto front of the random-search baseline for one parameter."""
-        front = ParetoArchive(num_objectives=2, dedupe_keys=False)
-        for entry in self.baseline:
-            front.insert(None, (entry.cost[parameter], 1.0 - entry.quality), item=entry)
-        return front.items()
+        return _non_dominated(self.baseline, parameter)
 
     def hypervolume_comparison(self, parameter: str) -> Dict[str, float]:
         """Dominated hypervolume of AutoAx-FPGA vs the random baseline.

@@ -1,15 +1,16 @@
 """Stage decomposition of the AutoAx-FPGA case study on :mod:`repro.api`.
 
-The case study becomes four kinds of stages over a shared
-:class:`AutoAxState`: exact training-sample collection, estimator fitting,
-one search-and-reevaluate scenario per FPGA parameter, and the random
+The case study becomes three kinds of stages over a shared
+:class:`AutoAxState`: exact training-sample collection, one
+fit-search-and-reevaluate scenario per FPGA parameter, and the random
 baseline.  Sample and candidate payloads are JSON-serialisable (component
 indices plus measured quality/cost), so a pipeline with an artifact store
 resumes an interrupted study per scenario.
 
-The estimator-fitting stage is not checkpointable (fitted regressors do not
-serialise); it recomputes deterministically from the restored samples, so a
-resumed run still matches an uninterrupted one exactly.
+Each scenario fits its estimators through the engine, which caches fits by
+model and training data: the QoR forest is grown once per training set
+and restored by every later scenario, warm study, tenant or resumed job
+that shares the cache.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import numpy as np
 
 from ..api.pipeline import Pipeline, PipelineRun, Stage
 from ..engine import BatchEvaluator, blake_token, images_token
-from ..search import ParetoArchive
 from ..workloads import ApproxAccelerator, ApproxComponent, build_workload
 from .estimators import HwCostEstimator, QorEstimator
 from .search import (
     SEARCH_STRATEGIES,
     EvaluatedConfiguration,
     SearchContext,
+    _non_dominated,
     accelerator_token,
     random_search,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "default_autoax_run_id",
     "run_autoax_pipeline",
     "CollectSamplesStage",
-    "FitEstimatorsStage",
     "ScenarioStage",
     "RandomBaselineStage",
 ]
@@ -73,11 +73,11 @@ class AutoAxState:
     """The evaluation engine: every exact configuration evaluation
     (training samples, candidate re-evaluation, the random baseline) runs
     generation-batched through
-    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations`."""
+    :meth:`~repro.engine.BatchEvaluator.evaluate_configurations`, and every
+    estimator fit through :meth:`~repro.engine.BatchEvaluator.fit`."""
 
     samples: List[EvaluatedConfiguration] = field(default_factory=list)
     """The exactly evaluated training sample the estimators are fitted on."""
-    qor_estimator: Optional[QorEstimator] = None
     scenarios: Dict[str, "ScenarioResult"] = field(default_factory=dict)  # noqa: F821
     baseline: List[EvaluatedConfiguration] = field(default_factory=list)
 
@@ -159,27 +159,12 @@ class CollectSamplesStage(Stage):
         state.samples = [_evaluated_from_payload(raw, state.accelerator) for raw in payload]
 
 
-class FitEstimatorsStage(Stage):
-    """Fit the shared QoR estimator on the training samples.
-
-    Fitted regressors do not serialise, so this stage is never checkpointed;
-    fitting is deterministic given the samples, which keeps resumed runs
-    identical to uninterrupted ones.
-    """
-
-    name = "fit-estimators"
-    checkpoint = False
-
-    def compute(self, state: AutoAxState) -> None:
-        return None
-
-    def absorb(self, state: AutoAxState, payload) -> None:
-        state.qor_estimator = QorEstimator().fit(state.accelerator, state.samples)
-
-
 class ScenarioStage(Stage):
-    """One (FPGA parameter, SSIM) scenario: fit the cost estimator, run the
-    configured search strategy and re-evaluate the candidates exactly."""
+    """One (FPGA parameter, SSIM) scenario: fit the QoR and cost estimators,
+    run the configured search strategy and re-evaluate the candidates
+    exactly.  The QoR forest is the same for every scenario of a study, so
+    all scenarios after the first restore it from the engine's ``fit``
+    cache."""
 
     def __init__(self, parameter: str, offset: int):
         self.parameter = parameter
@@ -188,12 +173,13 @@ class ScenarioStage(Stage):
 
     def compute(self, state: AutoAxState) -> dict:
         config = state.config
+        accelerator, samples, engine = state.accelerator, state.samples, state.engine
         ctx = SearchContext(
-            accelerator=state.accelerator,
-            qor=state.qor_estimator,
-            hw=HwCostEstimator(self.parameter).fit(state.accelerator, state.samples),
+            accelerator=accelerator,
+            qor=QorEstimator().fit(accelerator, samples, engine=engine),
+            hw=HwCostEstimator(self.parameter).fit(accelerator, samples, engine=engine),
             images=state.images,
-            engine=state.engine,
+            engine=engine,
             iterations=config.hill_climb_iterations,
             seed=config.seed + 100 + self.offset,
             fidelity_ladder=config.fidelity_ladder,
@@ -215,13 +201,10 @@ class ScenarioStage(Stage):
         evaluated = [
             _evaluated_from_payload(entry, state.accelerator) for entry in payload["candidates"]
         ]
-        front = ParetoArchive(num_objectives=2, dedupe_keys=False)
-        for entry in evaluated:
-            front.insert(None, entry.objectives(self.parameter), item=entry)
         state.scenarios[self.parameter] = ScenarioResult(
             parameter=self.parameter,
             candidates=evaluated,
-            front=front.items(),
+            front=_non_dominated(evaluated, self.parameter),
             num_candidates=len(evaluated),
         )
 
@@ -252,7 +235,7 @@ class RandomBaselineStage(Stage):
 # --------------------------------------------------------------------- #
 def autoax_stages(config) -> List[Stage]:
     """The stage sequence of the AutoAx-FPGA case study for one configuration."""
-    stages: List[Stage] = [CollectSamplesStage(), FitEstimatorsStage()]
+    stages: List[Stage] = [CollectSamplesStage()]
     for offset, parameter in enumerate(config.parameters):
         stages.append(ScenarioStage(parameter, offset))
     stages.append(RandomBaselineStage())

@@ -196,11 +196,6 @@ class CompiledProgram:
     num_ops: int
     num_levels: int
 
-    @property
-    def folded_gates(self) -> int:
-        """Live gates that compile to no tape op (constants and aliases)."""
-        return self.live_gates - self.num_ops
-
     def run(self, input_planes: np.ndarray) -> np.ndarray:
         """Execute the tape on ``(num_inputs, planes)`` packed input planes.
 

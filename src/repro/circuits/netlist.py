@@ -111,14 +111,6 @@ class Netlist:
     def num_outputs(self) -> int:
         return len(self.output_bits)
 
-    @property
-    def input_names(self) -> Tuple[str, ...]:
-        return tuple(self.input_words.keys())
-
-    def gate_node_id(self, gate_index: int) -> int:
-        """Node id of the output of gate ``gate_index``."""
-        return self.num_inputs + gate_index
-
     def gate_of_node(self, node_id: int) -> Gate:
         """Gate driving ``node_id``; raises for primary inputs."""
         if node_id < self.num_inputs:
@@ -359,15 +351,6 @@ class Netlist:
     # ------------------------------------------------------------------ #
     # Evaluation (thin wrappers around repro.circuits.simulate)
     # ------------------------------------------------------------------ #
-    def evaluate_bits(self, input_bits: np.ndarray) -> np.ndarray:
-        """Evaluate on a (patterns, num_inputs) boolean matrix.
-
-        Returns a (patterns, num_outputs) boolean matrix.
-        """
-        from .simulate import simulate_bits
-
-        return simulate_bits(self, input_bits)
-
     def evaluate_words(self, operands: Mapping[str, Sequence[int]]) -> np.ndarray:
         """Evaluate the circuit on integer operand vectors.
 

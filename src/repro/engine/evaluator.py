@@ -3,7 +3,8 @@
 :class:`BatchEvaluator` is the single entry point through which the
 methodology, the exploration accounting and the AutoAx search evaluate
 circuits (error metrics, ASIC and FPGA reports) and accelerator
-configurations.  Every domain runs through one loop,
+configurations, and through which AutoAx fits its estimators.  Every
+domain runs through one loop,
 :meth:`BatchEvaluator._evaluate`, which combines four mechanisms:
 
 * **Caching** -- every result is stored in an :class:`~repro.engine.cache.EvalCache`
@@ -39,8 +40,9 @@ from ..circuits import Netlist
 from ..error import ErrorEvaluator, ErrorReport
 from ..error.metrics import ErrorMetrics
 from ..fpga import FpgaReport, FpgaSynthesizer
+from ..ml.base import Regressor, check_X_y
 from .cache import EvalCache
-from .keys import accelerator_context, blake_token, cache_key, configuration_token
+from .keys import accelerator_context, blake_token, cache_key, configuration_token, model_token
 
 __all__ = [
     "BatchEvaluator",
@@ -117,6 +119,11 @@ def _configuration_payload(state, configuration) -> dict:
     accelerator, prepared = state
     quality, cost = accelerator.evaluate_prepared(prepared, configuration)
     return {"quality": float(quality), "cost": {name: float(v) for name, v in cost.items()}}
+
+
+def _fit_payload(model: Regressor, data) -> dict:
+    # A clone, so the caller's model stays unfitted.
+    return model.clone().fit(*data).to_payload()
 
 
 _WORKER_STATE: Dict[str, object] = {}
@@ -437,6 +444,26 @@ class BatchEvaluator:
         return self._evaluate(
             configurations, keys, context, prepared_inputs, _configuration_payload
         )
+
+    def fit(self, model: Regressor, X: np.ndarray, y: np.ndarray) -> Regressor:
+        """``model`` fitted on ``(X, y)``, as restored from its ``fit`` payload.
+
+        A fit is a pure function of the model's class and hyperparameters
+        (its seed included) and of the training data, so it is cached like
+        an exact evaluation: under ``fit`` keys whose context is
+        :func:`~repro.engine.keys.model_token` and whose subject is a digest
+        of ``X`` and ``y``.  A repeated fit -- a later scenario of the same
+        study, a warm study, another tenant or a resumed service job --
+        restores the fitted state instead of growing it again.  ``model``
+        itself stays unfitted, and the returned model is always the one
+        restored from the payload (:meth:`repro.ml.Regressor.to_payload`),
+        so a fresh fit and a cache hit predict byte for byte alike.
+        """
+        X, y = check_X_y(X, y)
+        context = model_token(model)
+        key = cache_key("fit", context, blake_token(X, y))
+        [payload] = self._evaluate([(X, y)], [key], context, lambda: model, _fit_payload)
+        return model.restored(payload)
 
     def stats(self):
         """Shortcut to the underlying cache statistics."""

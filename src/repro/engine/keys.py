@@ -2,14 +2,14 @@
 
 Every cached value is addressed by ``"<domain>:<context>:<subject>"``:
 
-* the *domain* names what was computed (``err``, ``asic``, ``fpga`` and
-  ``axq`` for exact accelerator evaluations; surrogate estimates are not
-  cached),
+* the *domain* names what was computed (``err``, ``asic``, ``fpga``,
+  ``axq`` for exact accelerator evaluations and ``fit`` for fitted
+  surrogate models),
 * the *context* is a digest of everything the computation depends on besides
   the subject itself (the golden reference, sampling seeds, synthesizer
-  settings, image sets, ...),
-* the *subject* identifies what was evaluated (a netlist fingerprint or an
-  accelerator configuration).
+  settings, image sets, a model's class and hyperparameters, ...),
+* the *subject* identifies what was evaluated (a netlist fingerprint, an
+  accelerator configuration or a digest of a model's training data).
 
 Keeping the context explicit makes the cache safe to share across whole
 flows and across processes: two evaluations collide only when they would
@@ -51,6 +51,21 @@ def blake_token(*parts: object) -> str:
 def cache_key(domain: str, context: str, subject: str) -> str:
     """Assemble the canonical three-part cache key."""
     return f"{domain}:{context}:{subject}"
+
+
+def model_token(model) -> str:
+    """Digest of a regressor's class and hyperparameters, its seed included.
+
+    The cache context of ``fit`` entries: a fit is a pure function of this
+    and its training data.  Duck-typed over ``get_params()`` (see
+    :meth:`repro.ml.Regressor.get_params`); nested models, such as the
+    regressor a :class:`repro.ml.ScaledRegressor` wraps, contribute their
+    own token.
+    """
+    parts = [type(model).__module__, type(model).__qualname__]
+    for name, value in sorted(model.get_params().items()):
+        parts += [name, model_token(value) if hasattr(value, "get_params") else value]
+    return blake_token(*parts)
 
 
 def images_token(images: Iterable[np.ndarray]) -> str:

@@ -49,9 +49,6 @@ class LutMapping:
         """Maximum LUT level over all mapped LUTs (0 when no LUT is needed)."""
         return max((lut.level for lut in self.luts), default=0)
 
-    def lut_by_root(self) -> Dict[int, Lut]:
-        return {lut.root: lut for lut in self.luts}
-
     def fanout_counts(self) -> Dict[int, int]:
         """How many LUT inputs / circuit outputs each mapped LUT (or PI) drives."""
         counts: Dict[int, int] = {}

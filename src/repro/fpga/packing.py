@@ -42,17 +42,6 @@ class PackingResult:
     def num_slices(self) -> int:
         return len(self.slices)
 
-    @property
-    def mean_occupancy(self) -> float:
-        if not self.slices:
-            return 0.0
-        return self.num_luts / len(self.slices)
-
-    @property
-    def external_nets(self) -> int:
-        """Total number of distinct signals entering slices (routing demand proxy)."""
-        return sum(len(s.input_signals) for s in self.slices)
-
 
 def pack_slices(mapping: LutMapping, device: FpgaDevice) -> PackingResult:
     """Pack the LUTs of ``mapping`` into slices of ``device``."""

@@ -42,11 +42,6 @@ class FpgaReport:
         return self.dynamic_power_mw + self.static_power_mw
 
     @property
-    def power_mw(self) -> float:
-        """Alias: the paper's "power" FPGA parameter (total on-chip power)."""
-        return self.total_power_mw
-
-    @property
     def area_luts(self) -> float:
         """Alias: the paper's "area" FPGA parameter (#LUTs)."""
         return float(self.luts)

@@ -26,12 +26,6 @@ class TimingReport:
     logic_delay_ns: float
     routing_delay_ns: float
 
-    @property
-    def max_frequency_mhz(self) -> float:
-        if self.critical_path_ns <= 0:
-            return float("inf")
-        return 1e3 / self.critical_path_ns
-
 
 def analyze_timing(mapping: LutMapping, device: FpgaDevice) -> TimingReport:
     """Compute the critical path of a LUT mapping on ``device``."""

@@ -7,7 +7,7 @@ circuit libraries themselves (the "zero error" end of every Pareto front).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..circuits import NetlistBuilder, Netlist
 
@@ -171,9 +171,3 @@ def exact_reference(kind: str, width: int) -> Netlist:
     if kind == "multiplier":
         return array_multiplier(width)
     raise ValueError(f"unknown circuit kind {kind!r}")
-
-
-def exact_product_table(width: int) -> Tuple[int, int]:
-    """(max operand, max product) helper for normalising multiplier error."""
-    max_operand = (1 << width) - 1
-    return max_operand, max_operand * max_operand

@@ -101,10 +101,35 @@ class Regressor:
             if not key.startswith("_") and not key.endswith("_")
         }
 
-    def _check_input(self, X: np.ndarray, method: str) -> np.ndarray:
-        """``X`` as a 2-D float array of the fitted width; the check of every predict path."""
+    def to_payload(self) -> dict:
+        """JSON-able payload of the fitted state, restored by :meth:`restored`.
+
+        Arrays are stored as lists of Python ints and floats.  JSON writes a
+        float as its ``repr``, which reads back as the same float64, so a
+        model restored from the payload -- also after a trip through a JSON
+        file -- predicts byte for byte like the fitted one.  Hyper-parameters
+        are not part of the payload: they live on the model it is restored
+        into.  Models that support this implement :meth:`_state` and
+        :meth:`_restore`.
+        """
+        self._require_fitted("to_payload")
+        return {"n_features_in": self.n_features_in_, "state": self._state()}
+
+    def restored(self, payload: dict) -> "Regressor":
+        """A fitted copy of this model holding the state of a :meth:`to_payload` payload."""
+        model = self.clone()
+        model._restore(payload["state"])
+        model.n_features_in_ = int(payload["n_features_in"])
+        model._fitted = True
+        return model
+
+    def _require_fitted(self, method: str) -> None:
         if not self._fitted:
             raise RuntimeError(f"{type(self).__name__} must be fitted before calling {method}()")
+
+    def _check_input(self, X: np.ndarray, method: str) -> np.ndarray:
+        """``X`` as a 2-D float array of the fitted width; the check of every predict path."""
+        self._require_fitted(method)
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -119,6 +144,14 @@ class Regressor:
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _state(self) -> dict:
+        """JSON-able fitted state (the ``state`` of :meth:`to_payload`)."""
+        raise NotImplementedError(f"{type(self).__name__} has no fitted-state payload")
+
+    def _restore(self, state: dict) -> None:
+        """Set the fitted state from :meth:`_state`'s output."""
+        raise NotImplementedError(f"{type(self).__name__} has no fitted-state payload")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))

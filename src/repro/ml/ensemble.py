@@ -7,11 +7,16 @@ from typing import List, Tuple
 import numpy as np
 
 from .base import Regressor
-from .tree import DecisionTreeRegressor, check_tree_params, stack_trees, walk_trees
+from .tree import DecisionTreeRegressor, TreeArrays, check_tree_params, stack_trees, walk_trees
 
 
 class RandomForestRegressor(Regressor):
-    """Bagged regression trees with per-split feature subsampling."""
+    """Bagged regression trees with per-split feature subsampling.
+
+    The fitted-state payload (:meth:`~repro.ml.Regressor.to_payload`) is the
+    stacked ``trees_`` arrays, which are all prediction reads; a restored
+    forest has no per-tree ``estimators_``.
+    """
 
     def __init__(
         self,
@@ -50,6 +55,12 @@ class RandomForestRegressor(Regressor):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return walk_trees(self.trees_, X).mean(axis=0)
+
+    def _state(self) -> dict:
+        return self.trees_.to_payload()
+
+    def _restore(self, state: dict) -> None:
+        self.trees_ = TreeArrays.from_payload(state)
 
     def predict_with_std(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and member-disagreement standard deviation.

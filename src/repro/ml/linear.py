@@ -60,6 +60,13 @@ class RidgeRegression(Regressor):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef_ + self.intercept_
 
+    def _state(self) -> dict:
+        return {"coef": self.coef_.tolist(), "intercept": self.intercept_}
+
+    def _restore(self, state: dict) -> None:
+        self.coef_ = np.array(state["coef"], dtype=np.float64)
+        self.intercept_ = float(state["intercept"])
+
 
 class BayesianRidgeRegression(Regressor):
     """Bayesian ridge regression with evidence-approximation hyper-parameter updates.

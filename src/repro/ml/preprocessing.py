@@ -88,6 +88,24 @@ class ScaledRegressor(Regressor):
             std = std * self._y_scale
         return mean, std
 
+    def _state(self) -> dict:
+        state = {
+            "mean": self._scaler.mean_.tolist(),
+            "scale": self._scaler.scale_.tolist(),
+            "inner": self.inner.to_payload(),
+        }
+        if self.scale_target:
+            state["target"] = [self._y_mean, self._y_scale]
+        return state
+
+    def _restore(self, state: dict) -> None:
+        self._scaler = StandardScaler()
+        self._scaler.mean_ = np.array(state["mean"], dtype=np.float64)
+        self._scaler.scale_ = np.array(state["scale"], dtype=np.float64)
+        self.inner = self.inner.restored(state["inner"])
+        if self.scale_target:
+            self._y_mean, self._y_scale = (float(value) for value in state["target"])
+
 
 class FeatureSubsetRegressor(Regressor):
     """Restricts a regressor to a subset of feature columns.

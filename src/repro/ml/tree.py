@@ -47,6 +47,17 @@ def check_tree_params(
         raise ValueError("max_features must be None or in (0, 1]")
 
 
+#: Element type of each :class:`TreeArrays` field.
+_NODE_DTYPES = {
+    "feature": np.intp,
+    "threshold": np.float64,
+    "left": np.intp,
+    "right": np.intp,
+    "value": np.float64,
+    "roots": np.intp,
+}
+
+
 class TreeArrays(NamedTuple):
     """Node arrays of one or more fitted trees; ``roots`` holds each tree's root."""
 
@@ -57,23 +68,31 @@ class TreeArrays(NamedTuple):
     value: np.ndarray
     roots: np.ndarray
 
+    def to_payload(self) -> dict:
+        """The arrays as JSON-able lists (exact: see :meth:`Regressor.to_payload`)."""
+        return {name: array.tolist() for name, array in zip(self._fields, self)}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "TreeArrays":
+        return cls(*(np.array(payload[name], dtype=_NODE_DTYPES[name]) for name in cls._fields))
+
 
 def stack_trees(trees: Sequence["DecisionTreeRegressor"]) -> TreeArrays:
     """Concatenate the node arrays of fitted trees, child indices shifted to match."""
     roots = np.cumsum([0] + [tree.value_.size for tree in trees], dtype=np.intp)[:-1]
 
-    def joined(name: str, dtype, shift: bool = False) -> np.ndarray:
-        parts = [getattr(tree, name) for tree in trees]
+    def joined(name: str, shift: bool = False) -> np.ndarray:
+        parts = [getattr(tree, f"{name}_") for tree in trees]
         if shift:
             parts = [np.where(part >= 0, part + root, -1) for part, root in zip(parts, roots)]
-        return np.concatenate([np.empty(0, dtype=dtype), *parts])
+        return np.concatenate([np.empty(0, dtype=_NODE_DTYPES[name]), *parts])
 
     return TreeArrays(
-        feature=joined("feature_", np.intp),
-        threshold=joined("threshold_", np.float64),
-        left=joined("left_", np.intp, shift=True),
-        right=joined("right_", np.intp, shift=True),
-        value=joined("value_", np.float64),
+        feature=joined("feature"),
+        threshold=joined("threshold"),
+        left=joined("left", shift=True),
+        right=joined("right", shift=True),
+        value=joined("value"),
         roots=roots,
     )
 

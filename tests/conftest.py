@@ -90,11 +90,10 @@ def autoax_searchables():
     )
     accelerator = GaussianFilterAccelerator(multipliers, adders)
     images = default_image_set(24)[:2]
-    samples = random_search(
-        accelerator, images, 12, seed=17, engine=BatchEvaluator(mode="serial")
-    )
-    qor = QorEstimator().fit(accelerator, samples)
-    hw = HwCostEstimator("area").fit(accelerator, samples)
+    engine = BatchEvaluator(mode="serial")
+    samples = random_search(accelerator, images, 12, seed=17, engine=engine)
+    qor = QorEstimator().fit(accelerator, samples, engine=engine)
+    hw = HwCostEstimator("area").fit(accelerator, samples, engine=engine)
 
     def ctx(**fields):
         fields.setdefault("engine", BatchEvaluator(cache=EvalCache(), mode="serial"))

@@ -188,7 +188,7 @@ class TestBuiltinRegistries:
 # --------------------------------------------------------------------- #
 # Pipeline machinery on synthetic stages
 # --------------------------------------------------------------------- #
-def _counter_stage(name, calls, checkpoint=True):
+def _counter_stage(name, calls):
     """A stage that appends to ``calls`` on compute and sums into the state."""
 
     def compute(state):
@@ -198,7 +198,7 @@ def _counter_stage(name, calls, checkpoint=True):
     def absorb(state, payload):
         state[name] = payload["value"]
 
-    return FunctionStage(name, compute, absorb, checkpoint=checkpoint)
+    return FunctionStage(name, compute, absorb)
 
 
 class TestPipeline:
@@ -267,29 +267,6 @@ class TestPipeline:
         ).run({"base": 1})
         assert calls == ["a"]  # manifest says t2, so the t1 run cannot resume
         assert run.resumed_stages == []
-
-    def test_non_checkpoint_stage_recomputes_on_resume(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "artifacts")
-        calls: list = []
-        stages = [
-            _counter_stage("a", calls),
-            _counter_stage("fit", calls, checkpoint=False),
-            _counter_stage("bb", calls),
-        ]
-        Pipeline(stages, store=store, run_id="r", token="t").run({"base": 1})
-        calls.clear()
-        run = Pipeline(
-            [
-                _counter_stage("a", calls),
-                _counter_stage("fit", calls, checkpoint=False),
-                _counter_stage("bb", calls),
-            ],
-            store=store,
-            run_id="r",
-            token="t",
-        ).run({"base": 1})
-        assert calls == ["fit"]  # only the unserialisable stage re-ran
-        assert run.resumed_stages == ["a", "bb"]
 
 
 # --------------------------------------------------------------------- #

@@ -185,14 +185,14 @@ def test_configuration_feature_matrix_rows(accelerator):
 
 def test_estimators_learn_from_samples(accelerator, images, engine):
     samples = random_search(accelerator, images[:2], 20, seed=3, engine=engine)
-    qor = QorEstimator().fit(accelerator, samples)
-    hw = HwCostEstimator("area").fit(accelerator, samples)
+    qor = QorEstimator().fit(accelerator, samples, engine=engine)
+    hw = HwCostEstimator("area").fit(accelerator, samples, engine=engine)
     configs = [samples[0].config]
     assert 0.0 <= qor.estimate_batch(accelerator, configs)[0] <= 1.5
     estimate = hw.estimate_batch(accelerator, configs)[0]
     assert estimate == pytest.approx(samples[0].cost["area"], rel=0.3)
     with pytest.raises(ValueError, match="two training samples"):
-        QorEstimator().fit(accelerator, samples[:1])
+        QorEstimator().fit(accelerator, samples[:1], engine=engine)
 
 
 def test_random_search_returns_requested_count(accelerator, images, engine):
@@ -207,8 +207,8 @@ def test_hill_climb_archive_is_nondominated(accelerator, images, engine):
     from repro.core import dominates
 
     samples = random_search(accelerator, images[:2], 15, seed=5, engine=engine)
-    qor = QorEstimator().fit(accelerator, samples)
-    hw = HwCostEstimator("area").fit(accelerator, samples)
+    qor = QorEstimator().fit(accelerator, samples, engine=engine)
+    hw = HwCostEstimator("area").fit(accelerator, samples, engine=engine)
     ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=40, seed=2)
     archive = hill_climb_pareto(ctx)
     assert archive
@@ -221,8 +221,8 @@ def test_hill_climb_archive_is_nondominated(accelerator, images, engine):
 
 def test_exact_reevaluation_replaces_estimates(accelerator, images, engine):
     samples = random_search(accelerator, images[:2], 8, seed=9, engine=engine)
-    qor = QorEstimator().fit(accelerator, samples)
-    hw = HwCostEstimator("latency").fit(accelerator, samples)
+    qor = QorEstimator().fit(accelerator, samples, engine=engine)
+    hw = HwCostEstimator("latency").fit(accelerator, samples, engine=engine)
     ctx = SearchContext(accelerator, qor, hw, images[:2], engine, iterations=20, seed=3)
     archive = hill_climb_pareto(ctx)
     exact = ctx.evaluate([entry.config for entry in archive])

@@ -14,6 +14,10 @@ every tree each model grows and the exact bytes its predictions return:
   midpoints between them (exactly on split thresholds) and outside the
   training range.
 
+The QoR forest restored from its fitted-state payload, after a trip
+through JSON text (what the engine's ``fit`` cache stores), is checked
+against the fitted forest's entries: same trees, same prediction bytes.
+
 A split search or tree walk that drifts by a single ulp, or breaks a tie
 between equally scored partitions the other way, fails here: the seeds of
 the AutoAx-shaped and smooth sets are ones on which a split search that
@@ -39,7 +43,7 @@ from hypothesis import strategies as st
 
 from repro.autoax.estimators import QorEstimator
 from repro.ml import DecisionTreeRegressor, build_model
-from repro.ml.tree import walk_trees
+from repro.ml.tree import stack_trees, walk_trees
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "tree_golden.json"
 
@@ -118,7 +122,9 @@ MODELS = {
     "ML18": lambda names: build_model("ML18", names, random_state=MODEL_SEED),
     "qor_forest": lambda names: QorEstimator().model,
 }
-WITH_STD = ("ML5", "qor_forest")
+#: Restored models and the fitted model whose fixture entries they must match.
+RESTORED = {"qor_forest_restored": "qor_forest"}
+WITH_STD = ("ML5", "qor_forest", "qor_forest_restored")
 
 
 def query_rows(X: np.ndarray, seed: int, count: int = max(BATCH_SIZES)) -> np.ndarray:
@@ -134,12 +140,29 @@ def query_rows(X: np.ndarray, seed: int, count: int = max(BATCH_SIZES)) -> np.nd
     return np.column_stack(columns)
 
 
-def node_table(tree: DecisionTreeRegressor) -> list:
-    """Pre-order ``[feature, repr(threshold), repr(value)]`` rows of a fitted tree."""
+def tree_tables(model) -> list:
+    """Pre-order ``[feature, repr(threshold), repr(value)]`` rows of every tree
+    of a fitted model, read from its stacked node arrays (a restored forest
+    keeps only those)."""
+    trees = model.trees_ if hasattr(model, "trees_") else stack_trees([model])
+    bounds = trees.roots.tolist() + [trees.value.size]
     return [
-        [int(feature), repr(float(threshold)), repr(float(value))]
-        for feature, threshold, value in zip(tree.feature_, tree.threshold_, tree.value_)
+        [
+            [int(feature), repr(float(threshold)), repr(float(value))]
+            for feature, threshold, value in zip(
+                trees.feature[start:end], trees.threshold[start:end], trees.value[start:end]
+            )
+        ]
+        for start, end in zip(bounds, bounds[1:])
     ]
+
+
+def fitted(model_id: str, X: np.ndarray, y: np.ndarray):
+    source = RESTORED.get(model_id)
+    if source is None:
+        return MODELS[model_id]([f"f{i}" for i in range(X.shape[1])]).fit(X, y)
+    payload = json.loads(json.dumps(fitted(source, X, y).to_payload()))
+    return MODELS[source]([]).restored(payload)
 
 
 def _digest(table: list) -> str:
@@ -155,9 +178,8 @@ def _exact(values) -> list:
 def snapshot(dataset: str, model_id: str) -> dict:
     """Node tables and prediction reprs of one model fitted on one data set."""
     X, y = DATASETS[dataset]()
-    model = MODELS[model_id]([f"f{i}" for i in range(X.shape[1])]).fit(X, y)
-    trees = getattr(model, "estimators_", [model])
-    tables = [node_table(tree) for tree in trees]
+    model = fitted(model_id, X, y)
+    tables = tree_tables(model)
     Q = query_rows(X, seed=0)
     entry = {
         "trees": [_digest(table) for table in tables],
@@ -178,10 +200,10 @@ def fixture_data():
         return json.load(handle)["datasets"]
 
 
-@pytest.mark.parametrize("model_id", sorted(MODELS))
+@pytest.mark.parametrize("model_id", sorted(MODELS) + sorted(RESTORED))
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 def test_trees_and_predictions_match_frozen_fixture(dataset, model_id, fixture_data):
-    expected = fixture_data[dataset][model_id]
+    expected = fixture_data[dataset][RESTORED.get(model_id, model_id)]
     actual = snapshot(dataset, model_id)
     assert actual["first_tree"] == expected["first_tree"]
     assert len(actual["trees"]) == len(expected["trees"])
@@ -303,7 +325,7 @@ def test_mirrored_partition_keeps_the_scalar_winner():
     tree = DecisionTreeRegressor(min_samples_leaf=2)
     assert tree._best_split(MIRRORED_X, MIRRORED_Y, features) == expected
     tree.fit(MIRRORED_X, MIRRORED_Y)
-    assert node_table(tree)[0][:2] == [1, "2.5"]
+    assert tree_tables(tree)[0][0][:2] == [1, "2.5"]
 
 
 if __name__ == "__main__":

@@ -185,7 +185,8 @@ class TestEstimatorDedupe:
 
         class CountingQor(QorEstimator):
             def __init__(self, inner):
-                super().__init__(inner.model)
+                super().__init__()
+                self.model = inner.model
                 self.calls = 0
 
             def estimate_batch(self, *args, **kwargs):

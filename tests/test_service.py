@@ -11,7 +11,9 @@ Covers the three load-bearing guarantees of :mod:`repro.service`:
   contender;
 * a **killed worker loses no work**: a job reclaimed after its worker died
   mid-stage or mid-generation resumes from the last checkpoint and
-  finishes with a payload digest bit-identical to an uninterrupted run.
+  finishes with a payload digest bit-identical to an uninterrupted run;
+  fitted estimators ride the shared store too, so the resumed job and a
+  second tenant's identical job restore them instead of fitting again.
 
 Run alone with ``pytest -m service``.
 """
@@ -20,12 +22,14 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.engine import EvalCache
 from repro.io import JsonDirectoryStore, ShardedJsonStore
+from repro.ml import Regressor
 from repro.registry import RegistryError
 from repro.service import (
     JOB_FLOWS,
@@ -458,6 +462,48 @@ class TestCrashResume:
         # search stage itself resumes from its NSGA-II generation checkpoints.
         assert "collect-samples" in record.resumed_stages
         assert record.digest == reference_digest
+
+    def test_resumed_job_and_second_tenant_restore_the_fits(self, tmp_path, monkeypatch):
+        params = dict(TINY_AUTOAX, parameters=["area", "latency"])
+        reference_digest = _run_reference(tmp_path, params)
+        fits = Counter()
+        fit = Regressor.fit
+
+        def counted_fit(model, X, y):
+            fits[type(model).__name__] += 1
+            return fit(model, X, y)
+
+        monkeypatch.setattr(Regressor, "fit", counted_fit)
+
+        registry = JobRegistry(tmp_path / "service", lease_ttl=0.05)
+        JobClient(registry).submit("autoax", params, job_id="victim")
+        killer = KilledAfterStage(registry, engine_mode="serial", kill_after="scenario-area")
+        with pytest.raises(KeyboardInterrupt):
+            killer.run_once()
+        assert fits["RandomForestRegressor"] == 1
+        time.sleep(0.1)
+
+        fits.clear()
+        resumed = Worker(registry, engine_mode="serial").run_once()
+        assert resumed.job_id == "victim" and resumed.state == "done"
+        assert resumed.resumed_stages == ["collect-samples", "scenario-area"]
+        # scenario-latency restores the forest scenario-area fitted and
+        # fits only its own cost model.
+        assert fits["RandomForestRegressor"] == 0
+        assert fits["ScaledRegressor"] == 1
+        assert resumed.digest == reference_digest
+
+        def fit_keys():
+            return sorted(key for key in registry.cache_store().keys() if key.startswith("fit:"))
+
+        keys = fit_keys()
+        assert len(keys) == 3  # the forest and one cost model per parameter
+        fits.clear()
+        JobClient(registry, tenant="bob").submit("autoax", params)
+        second = Worker(registry, engine_mode="serial").run_once()
+        assert second.state == "done" and second.digest == reference_digest
+        assert sum(fits.values()) == 0
+        assert fit_keys() == keys  # the tenant is not part of a fit key
 
 
 # --------------------------------------------------------------------- #

@@ -416,8 +416,8 @@ class TestSearchStrategiesOnNewWorkloads:
         images = sobel.default_inputs(16)[:2]
         engine = BatchEvaluator(mode="serial")
         samples = random_search(sobel, images, 8, seed=3, engine=engine)
-        qor = QorEstimator().fit(sobel, samples)
-        hw = HwCostEstimator("area").fit(sobel, samples)
+        qor = QorEstimator().fit(sobel, samples, engine=engine)
+        hw = HwCostEstimator("area").fit(sobel, samples, engine=engine)
         ctx = SearchContext(sobel, qor, hw, images, engine, iterations=20, seed=7)
         archive = SEARCH_STRATEGIES.get(strategy)(ctx)
         assert archive
