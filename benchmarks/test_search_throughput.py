@@ -175,6 +175,8 @@ def test_generation_batched_exact_evaluation_amortises(benchmark, workload):
     print(f"{'serial loop':<24}{timings['serial_s'] * 1000:>10.1f} ms")
     print(f"{'engine cold (batched)':<24}{timings['engine_cold_s'] * 1000:>10.1f} ms")
     print(f"{'engine warm (cached)':<24}{timings['engine_warm_s'] * 1000:>10.1f} ms")
+    ratio = timings["engine_cold_s"] / timings["serial_s"]
+    print(f"{'cold / serial':<24}{ratio:>10.2f}    (floor <= 1.05)")
     print(f"{'cache hit rate':<24}{stats.hit_rate * 100:>10.1f} %")
 
     # The warm pass is pure cache hits; the cold batched pass must not be

@@ -388,10 +388,13 @@ class BatchEvaluator:
 
         The one exact-evaluation path of accelerator configurations (the
         AutoAx flow and its search strategies reach it through
-        :meth:`repro.autoax.SearchContext.evaluate`): per-image work (shifted
-        planes, golden reference outputs) is prepared once per image set,
-        only when the batch has a miss, and shared by the whole batch;
-        repeated configurations within one call are computed once, and
+        :meth:`repro.autoax.SearchContext.evaluate`): the input set is
+        prepared once (every input's operands stacked into one datapath
+        input, plus the golden reference outputs), only when the batch has
+        a miss, and shared by the whole batch, so each configuration is one
+        datapath pass over all inputs; the ``axq`` context digests the raw
+        input set, not the prepared form.  Repeated configurations within
+        one call are computed once, and
         large miss sets fan out over the process pool.  Results are cached
         under ``axq`` keys (:func:`repro.engine.keys.accelerator_context`,
         which namespaces by workload identity), so repeated studies and
@@ -434,8 +437,9 @@ class BatchEvaluator:
             prepared = self._prepared_images.get(context)
             if prepared is None:
                 prepared = accelerator.prepare_inputs(images)
-                # Keep the memo tiny: prepared planes are per-image arrays
-                # and sessions rarely juggle more than a few image sets.
+                # Keep the memo tiny: a prepared set holds stacked copies
+                # of its inputs' operands, and sessions rarely juggle more
+                # than a few input sets.
                 if len(self._prepared_images) >= 4:
                     self._prepared_images.clear()
                 self._prepared_images[context] = prepared

@@ -13,10 +13,12 @@ The evaluation contract mirrors what the engine and the search layers
 already consume:
 
 * ``slots()`` declares the component slots by kind and operand width;
-* ``prepare_inputs(inputs)`` precomputes the per-input work every
-  configuration shares (shifted planes, golden reference outputs);
+* ``prepare_inputs(inputs)`` precomputes the work every configuration
+  shares: every input's operands, stacked along the datapath's pattern
+  axis, and each input's golden reference output;
 * ``evaluate_prepared(prepared, config)`` returns the ``(quality,
-  hw_cost)`` pair of one configuration against prepared inputs;
+  hw_cost)`` pair of one configuration from one datapath pass over the
+  stack, each input scored on its own slice of the output;
 * ``quality_metric`` names the :data:`repro.workloads.QUALITY_METRICS`
   entry the workload judges quality with (larger is better, in
   ``[0, 1]``);
@@ -120,6 +122,13 @@ def reduce_balanced(values, combine, slot: int = 0, *, empty=_NO_EMPTY):
     return values[0], slot
 
 
+def _concatenate(parts: Sequence):
+    """Same-structure nested lists/tuples of arrays, concatenated leaf by leaf."""
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return type(parts[0])(_concatenate(leaves) for leaves in zip(*parts))
+
+
 @dataclass(frozen=True)
 class ComponentSlot:
     """One group of operator slots of an accelerator datapath.
@@ -156,8 +165,8 @@ class ApproxAccelerator(abc.ABC):
 
     Subclasses declare the workload identity as class attributes
     (:attr:`workload_name`, :attr:`quality_metric`, :attr:`input_seed`)
-    and implement the datapath (:meth:`prepare_inputs`,
-    :meth:`_apply_planes`, :meth:`_latency`).  Everything the search and
+    and implement the datapath (:meth:`_exact_from_planes` for images or
+    :meth:`_prepare_input`, :meth:`_apply_planes`).  Everything the search and
     engine layers consume -- configuration sampling and mutation, design
     space size, composed cost, ``(quality, cost)`` evaluation against
     prepared inputs -- is provided here, generic over the slot counts.
@@ -315,44 +324,58 @@ class ApproxAccelerator(abc.ABC):
                 planes.append(padded[dy:dy + height, dx:dx + width])
         return planes
 
-    @abc.abstractmethod
     def _exact_from_planes(self, planes: List[np.ndarray]) -> np.ndarray:
-        """Golden output computed with exact integer arithmetic."""
+        """Golden output of one image's window planes, in exact integer arithmetic."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _apply_planes(self, planes: List[np.ndarray], config: SlotConfiguration) -> np.ndarray:
-        """Configured datapath output for one prepared input's planes."""
+        """Configured datapath output over prepared operands.
 
-    def exact_filter(self, image: np.ndarray) -> np.ndarray:
-        """Golden output of the datapath with exact integer arithmetic."""
-        return self._exact_from_planes(self._shifted_planes(image))
+        Elementwise along the operands' leading (pattern or block) axis, so
+        stacked inputs each get the output they would get alone.
+        """
 
-    def apply(self, image: np.ndarray, config: SlotConfiguration) -> np.ndarray:
-        """Output of the datapath when executed with the configured components."""
+    def _prepare_input(self, image: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """One image's flattened window planes and its exact reference output."""
         image = np.asarray(image)
         if image.ndim != 2:
             raise ValueError("expected a 2-D grayscale image")
-        return self._apply_planes(self._shifted_planes(image), config)
+        planes = self._shifted_planes(image)
+        return [plane.ravel() for plane in planes], self._exact_from_planes(planes)
 
-    def prepare_inputs(self, inputs: Sequence[np.ndarray]) -> List[Tuple]:
-        """Precompute the per-input work every configuration shares.
+    def exact_filter(self, image: np.ndarray) -> np.ndarray:
+        """Golden output of the datapath with exact integer arithmetic."""
+        return self._prepare_input(image)[1]
 
-        Returns one ``(planes, exact reference output)`` entry per input;
-        preparing once and evaluating a whole population against it is
-        what makes generation-batched evaluation
+    def apply(self, image: np.ndarray, config: SlotConfiguration) -> np.ndarray:
+        """Output of the datapath when executed with the configured components."""
+        return self._outputs(self.prepare_inputs([image]), config)[0]
+
+    def prepare_inputs(self, inputs: Sequence[np.ndarray]) -> Tuple:
+        """Precompute the work every configuration shares.
+
+        Returns ``(operands, references, stops)``: every input's operands
+        (:meth:`_prepare_input`) concatenated along the datapath's leading
+        axis, each input's exact reference output, and the end offset of
+        each input's output in the stacked datapath output.  Preparing once
+        and evaluating a whole population against it is what makes
+        generation-batched evaluation
         (:meth:`repro.engine.BatchEvaluator.evaluate_configurations`) pay
         the per-input work once instead of once per configuration.
-        Results are bit-identical to the unprepared path (:meth:`quality`
-        itself runs through it).
         """
-        prepared = []
-        for image in inputs:
-            image = np.asarray(image)
-            if image.ndim != 2:
-                raise ValueError("expected a 2-D grayscale image")
-            planes = self._shifted_planes(image)
-            prepared.append((planes, self._exact_from_planes(planes)))
-        return prepared
+        items = [self._prepare_input(item) for item in inputs]
+        if not items:
+            raise ValueError("cannot prepare an empty input set")
+        references = tuple(reference for _, reference in items)
+        stops = tuple(np.cumsum([reference.size for reference in references]).tolist())
+        return _concatenate([operands for operands, _ in items]), references, stops
+
+    def _outputs(self, prepared: Tuple, config: SlotConfiguration) -> List[np.ndarray]:
+        """Each prepared input's configured output, from one datapath pass."""
+        operands, references, stops = prepared
+        parts = np.split(self._apply_planes(operands, config), stops[:-1])
+        return [part.reshape(reference.shape) for part, reference in zip(parts, references)]
 
     def _tap_products(
         self, planes: List[np.ndarray], taps: Sequence[Tuple[int, int, int]],
@@ -369,7 +392,7 @@ class ApproxAccelerator(abc.ABC):
             plane = planes[dy * self.window_size + dx]
             multiplier = self.multipliers[config.multiplier_indices[slot]]
             coefficients = np.full(plane.size, abs(coefficient), dtype=np.int64)
-            products.append(multiplier.compute(plane.ravel(), coefficients))
+            products.append(multiplier.compute(plane, coefficients))
         return products
 
     def _reduce_groups(self, values: Sequence, groups: Sequence[Sequence[int]], combine) -> List:
@@ -404,20 +427,18 @@ class ApproxAccelerator(abc.ABC):
 
         return add
 
-    def quality_prepared(self, prepared: Sequence[Tuple], config: SlotConfiguration) -> float:
-        """Mean quality-metric score of one configuration against prepared inputs."""
-        scores = []
-        for planes, reference in prepared:
-            approximate = self._apply_planes(planes, config)
-            scores.append(self._quality_fn(reference, approximate))
-        return float(np.mean(scores))
+    def quality_prepared(self, prepared: Tuple, config: SlotConfiguration) -> float:
+        """Mean of each prepared input's quality score, in input order."""
+        _, references, _ = prepared
+        outputs = self._outputs(prepared, config)
+        return float(np.mean([self._quality_fn(r, o) for r, o in zip(references, outputs)]))
 
     def quality(self, inputs: Sequence[np.ndarray], config: SlotConfiguration) -> float:
         """Mean quality of the configured datapath against the exact one."""
         return self.quality_prepared(self.prepare_inputs(inputs), config)
 
     def evaluate_prepared(
-        self, prepared: Sequence[Tuple], config: SlotConfiguration
+        self, prepared: Tuple, config: SlotConfiguration
     ) -> Tuple[float, Dict[str, float]]:
         """(quality, hw cost) of one configuration against prepared inputs."""
         return self.quality_prepared(prepared, config), self.hw_cost(config)
@@ -488,16 +509,16 @@ class VectorAccelerator(ApproxAccelerator):
     """Base class of 1-D signal workloads (MVM, FIR, DCT).
 
     The image-free half of the protocol: inputs are 1-D sample vectors
-    (:func:`repro.workloads.inputs.default_signal_set`), *prepared* form
-    is whatever the subclass's :meth:`_prepare_signal` returns (shifted
-    tap planes for FIR, sign/slice/block triples for the bit-sliced MVM),
-    and the golden reference comes from :meth:`_exact_from_prepared`.
-    Everything downstream -- :meth:`prepare_inputs` tuples,
-    ``evaluate_prepared``, cost composition, cache-key identity -- is the
-    shared :class:`ApproxAccelerator` machinery, so the engine, search
-    strategies and service treat 1-D workloads identically to the image
-    trio (this family is the first exercise of ``prepare_inputs`` beyond
-    image sets).
+    (:func:`repro.workloads.inputs.default_signal_set`), an input's
+    operands are whatever the subclass's :meth:`_prepare_signal` returns
+    (shifted tap planes for FIR, sign/slice/block triples for the
+    bit-sliced MVM, each leaf led by its sample or block axis), and the
+    golden reference comes from :meth:`_exact_from_prepared`.  Everything
+    downstream -- stacking a signal set in :meth:`prepare_inputs`, one
+    datapath pass per configuration in ``evaluate_prepared``, cost
+    composition, cache-key identity -- is the shared
+    :class:`ApproxAccelerator` machinery, so the engine, search strategies
+    and service treat 1-D workloads identically to the image trio.
     """
 
     def default_inputs(self, size: int = 48) -> List[np.ndarray]:
@@ -512,30 +533,10 @@ class VectorAccelerator(ApproxAccelerator):
     def _exact_from_prepared(self, prepared) -> np.ndarray:
         """Golden output computed with exact integer arithmetic."""
 
-    def _check_signal(self, signal: np.ndarray) -> np.ndarray:
+    def _prepare_input(self, signal: np.ndarray) -> Tuple:
+        """One signal's operands and its exact reference output."""
         signal = np.asarray(signal)
         if signal.ndim != 1:
             raise ValueError("expected a 1-D signal vector")
-        return signal.astype(np.int64)
-
-    # The 2-D plane hooks are meaningless here; route the shared
-    # ``quality_prepared`` machinery (which calls ``_apply_planes`` on
-    # whatever ``prepare_inputs`` produced) through the signal hooks.
-    def _exact_from_planes(self, planes) -> np.ndarray:
-        return self._exact_from_prepared(planes)
-
-    def exact_filter(self, signal: np.ndarray) -> np.ndarray:
-        """Golden output of the datapath with exact integer arithmetic."""
-        return self._exact_from_prepared(self._prepare_signal(self._check_signal(signal)))
-
-    def apply(self, signal: np.ndarray, config: SlotConfiguration) -> np.ndarray:
-        """Output of the datapath when executed with the configured components."""
-        return self._apply_planes(self._prepare_signal(self._check_signal(signal)), config)
-
-    def prepare_inputs(self, inputs: Sequence[np.ndarray]) -> List[Tuple]:
-        """One ``(prepared, exact reference)`` entry per 1-D input signal."""
-        prepared = []
-        for signal in inputs:
-            item = self._prepare_signal(self._check_signal(signal))
-            prepared.append((item, self._exact_from_prepared(item)))
-        return prepared
+        operands = self._prepare_signal(signal.astype(np.int64))
+        return operands, self._exact_from_prepared(operands)

@@ -11,7 +11,7 @@ shared engine cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ class ApproxComponent:
     netlist: Netlist
     fpga: FpgaReport
     error: ErrorReport
-    _table: Optional[np.ndarray] = None
+    _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def operand_width(self) -> int:
@@ -45,17 +45,13 @@ class ApproxComponent:
         return self._table
 
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Behaviourally evaluate the component on operand vectors."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        width = self.operand_width
-        mask = (1 << width) - 1
-        a = a & mask
-        b = b & mask
-        if width <= 10:
-            table = self._lookup_table()
-            width_b = self.netlist.word_width("b")
-            return table[a * (1 << width_b) + b]
+        """Behaviourally evaluate the component, each operand masked to its port's width."""
+        width_a = self.operand_width
+        width_b = self.netlist.word_width("b")
+        a = np.asarray(a, dtype=np.int64) & ((1 << width_a) - 1)
+        b = np.asarray(b, dtype=np.int64) & ((1 << width_b) - 1)
+        if width_a + width_b <= 20:
+            return self._lookup_table()[a * (1 << width_b) + b]
         return self.netlist.evaluate_words({"a": a, "b": b})
 
 

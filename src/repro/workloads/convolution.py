@@ -129,7 +129,6 @@ class ConvolutionAccelerator(ApproxAccelerator):
         return [group for group in (self._pos_slots, self._neg_slots) if group]
 
     def _apply_planes(self, planes: List[np.ndarray], config: SlotConfiguration) -> np.ndarray:
-        shape = planes[0].shape
         products = self._tap_products(planes, self._taps, config)
         sums = self._reduce_groups(products, self._slot_groups(), self._adder_combine(config))
         if not self._neg_slots:
@@ -139,8 +138,7 @@ class ConvolutionAccelerator(ApproxAccelerator):
         else:
             total = sums[0] - sums[1]
 
-        result = np.clip(total >> self.shift, 0, 255)
-        return result.reshape(shape).astype(np.uint8)
+        return np.clip(total >> self.shift, 0, 255).astype(np.uint8)
 
     def _exact_from_planes(self, planes: List[np.ndarray]) -> np.ndarray:
         accumulator = np.zeros_like(planes[0])

@@ -88,13 +88,12 @@ class SobelAccelerator(ApproxAccelerator):
         return self._groups
 
     def _apply_planes(self, planes: List[np.ndarray], config: SlotConfiguration) -> np.ndarray:
-        shape = planes[0].shape
         products = self._tap_products(planes, self._taps, config)
         gx_pos, gx_neg, gy_pos, gy_neg = self._reduce_groups(
             products, self._slot_groups(), self._adder_combine(config)
         )
         magnitude = (np.abs(gx_pos - gx_neg) + np.abs(gy_pos - gy_neg)) >> SOBEL_SHIFT
-        return np.clip(magnitude, 0, 255).reshape(shape).astype(np.uint8)
+        return np.clip(magnitude, 0, 255).astype(np.uint8)
 
     def _exact_from_planes(self, planes: List[np.ndarray]) -> np.ndarray:
         gx = np.zeros_like(planes[0])

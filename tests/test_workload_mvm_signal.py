@@ -278,13 +278,14 @@ class TestSignalWorkloadProtocol:
     def test_prepared_equals_unprepared(self, components, key):
         accelerator = build_workload(key, *components)
         inputs = accelerator.default_inputs(12)
-        prepared = accelerator.prepare_inputs(inputs)
+        operands, references, stops = accelerator.prepare_inputs(inputs)
         rng = np.random.default_rng(7)
         config = accelerator.random_configuration(rng)
-        for signal, (item, reference) in zip(inputs, prepared):
-            assert np.array_equal(
-                accelerator.apply(signal, config), accelerator._apply_planes(item, config)
-            )
+        stacked = accelerator._apply_planes(operands, config)
+        assert stops[-1] == stacked.size
+        starts = (0,) + stops[:-1]
+        for signal, reference, start, stop in zip(inputs, references, starts, stops):
+            assert np.array_equal(accelerator.apply(signal, config), stacked[start:stop])
             assert np.array_equal(accelerator.exact_filter(signal), reference)
 
     @pytest.mark.parametrize("key", SIGNAL_WORKLOADS)
