@@ -6,11 +6,22 @@ sharded store, so any number of client and worker processes can share a
 root without a broker:
 
 ``jobs/<job_id>.json``
-    The :class:`JobRecord` (spec + lifecycle state + progress + telemetry).
+    The :class:`JobRecord` (spec + lifecycle state + progress + telemetry),
+    the source of truth.  Records are never removed.
+``queue/<submitted_at>-<job_id>``
+    An empty marker per queued job: the index :meth:`JobRegistry.claim`
+    walks instead of parsing every record, so a claim costs the same with
+    a thousand finished jobs as with none.  The submission time is written
+    zero-padded to the nanosecond, so the sorted names are
+    :meth:`JobRegistry.list_jobs` order (oldest first, ties by job id).
+    ``submit`` writes the record, then the marker; a marker is deleted once
+    its job has started or proved not runnable, and by ``cancel``.
 ``leases/<job_id>.lease``
-    Exists while a worker owns the job.  Created with ``O_CREAT | O_EXCL``
-    (claiming is therefore atomic) and rewritten on every heartbeat with a
-    fresh timestamp; a lease whose heartbeat is older than
+    Exists while a worker owns the job, so the lease files are exactly the
+    running jobs (and the queued jobs a claimer died holding).  Published
+    complete with a hard link, which fails when the file exists (claiming
+    is therefore atomic), and rewritten on every heartbeat with a fresh
+    timestamp; a lease whose heartbeat is older than
     ``lease_ttl`` seconds marks a dead worker, and the takeover protocol
     (rename the stale lease away, then re-create fresh) guarantees exactly
     one of several contending workers reclaims the job.
@@ -27,6 +38,17 @@ for jobs withdrawn before a worker claimed them.  A job whose worker died
 stays ``running`` with an expiring lease; :meth:`JobRegistry.claim` hands it
 to the next worker, which re-runs it with ``resume=True`` -- bit-identical
 to an uninterrupted run by the pipeline/NSGA-II checkpoint guarantees.
+
+A claim takes, in order: the oldest indexed job it can lease; else a job
+whose lease expired; else, after one full scan of ``jobs/`` that re-creates
+the markers of queued records that have none (a crash between ``submit``'s
+two writes, or a root written before the index existed), the oldest of
+those.  Each registry object runs that scan at most once per ``lease_ttl``,
+so an idle worker's poll is two directory listings and a read of each live
+lease, however many records ``jobs/`` holds.  A marker is only a hint: the
+claimer re-reads the record under the lease, so a stale marker (its job
+started, finished, cancelled or unreadable) costs one record read and is
+then deleted.
 """
 
 from __future__ import annotations
@@ -180,10 +202,13 @@ class JobRegistry:
         self.lease_ttl = float(lease_ttl)
         self.shards = int(shards)
         self.jobs_dir = self.root / "jobs"
+        self.queue_dir = self.root / "queue"
         self.leases_dir = self.root / "leases"
         self.results_dir = self.root / "results"
-        for directory in (self.jobs_dir, self.leases_dir, self.results_dir):
+        for directory in (self.jobs_dir, self.queue_dir, self.leases_dir, self.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
+        self._scanned_at: Optional[float] = None
+        """``time.monotonic()`` of this object's last recovery scan."""
 
     # ------------------------------------------------------------------ #
     # Shared stores
@@ -219,7 +244,11 @@ class JobRegistry:
             raise ValueError(f"job id {job_id!r} already exists")
         record = JobRecord(job_id=job_id, spec=spec, state="queued", submitted_at=time.time())
         self._write_record(record)
+        self._marker_path(record).touch()
         return record
+
+    def _marker_path(self, record: JobRecord) -> Path:
+        return self.queue_dir / f"{max(record.submitted_at, 0.0):020.9f}-{record.job_id}"
 
     def get(self, job_id: str) -> JobRecord:
         """The job's record.
@@ -255,13 +284,15 @@ class JobRegistry:
         """All job records, oldest submission first, optionally filtered.
 
         Unreadable or corrupt records (bad JSON, non-UTF-8 bytes, missing
-        fields) are skipped, so one bad file cannot stop every ``claim``.
+        or mistyped fields) are skipped, so one bad file cannot stop the
+        recovery scan of ``claim``.
         """
         records = []
         for path in self.jobs_dir.glob("*.json"):
             try:
                 records.append(JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError):
+            # As in ``get``: ValueError covers undecodable bytes and bad JSON.
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
         records.sort(key=lambda record: (record.submitted_at, record.job_id))
         if state is not None:
@@ -284,6 +315,7 @@ class JobRegistry:
         record.state = "cancelled"
         record.finished_at = time.time()
         self.update(record)
+        self._marker_path(record).unlink(missing_ok=True)
         return True
 
     # ------------------------------------------------------------------ #
@@ -307,17 +339,24 @@ class JobRegistry:
         return (time.time() - float(info.get("heartbeat", 0.0))) > self.lease_ttl
 
     def _try_acquire_lease(self, job_id: str, worker_id: str) -> bool:
-        """Create the lease file atomically; False when someone holds it."""
+        """Publish the lease file atomically; False when someone holds it.
+
+        The lease is written to a private temp file and hard-linked into
+        place, so it never exists empty: a contender listing ``leases/``
+        cannot read a lease being created as an unreadable, hence expired,
+        one and take it over.
+        """
         path = self._lease_path(job_id)
-        payload = json.dumps({"worker": worker_id, "heartbeat": time.time()})
+        temporary = path.parent / f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        temporary.write_text(
+            json.dumps({"worker": worker_id, "heartbeat": time.time()}), encoding="utf-8"
+        )
         try:
-            descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(temporary, path)
         except FileExistsError:
             return False
-        try:
-            os.write(descriptor, payload.encode("utf-8"))
         finally:
-            os.close(descriptor)
+            temporary.unlink()
         return True
 
     def _try_takeover_lease(self, job_id: str, worker_id: str) -> bool:
@@ -362,42 +401,86 @@ class JobRegistry:
     def claim(self, worker_id: str) -> Optional[JobRecord]:
         """Claim the next runnable job for ``worker_id``, or ``None``.
 
-        Queued jobs are claimed oldest-first via exclusive lease creation;
-        when none are queued, ``running`` jobs whose lease has expired (dead
-        worker) are reclaimed via the takeover protocol.  The returned
-        record is already marked ``running`` with this worker and a fresh
-        heartbeat; ``attempts > 1`` tells the caller this is a resumption.
-        A job that stopped being runnable between listing and leasing
-        (cancelled, finished, or its record became unreadable) is released
-        and skipped.
+        Indexed (``queue/``) jobs are claimed oldest-first via exclusive
+        lease creation; when none can be leased, jobs whose lease has
+        expired (a dead worker, whether it died running the job or right
+        after leasing it) are reclaimed via the takeover protocol.  When
+        neither yields a job, queued records missing from the index are
+        re-indexed by one full scan of ``jobs/`` -- at most once per
+        ``lease_ttl`` per registry object -- and claimed in turn.  The
+        returned record is already marked ``running`` with this worker and
+        a fresh heartbeat; ``attempts > 1`` tells the caller this is a
+        resumption.  A job that is not runnable once leased (cancelled,
+        finished, its record missing or unreadable) is released, its marker
+        deleted, and skipped.
         """
-        for record in self.list_jobs(state="queued"):
-            if not self._try_acquire_lease(record.job_id, worker_id):
+        started = self._claim_indexed(worker_id)
+        if started is None:
+            started = self._take_over_expired(worker_id)
+        if started is None and self._reindex_queued():
+            started = self._claim_indexed(worker_id)
+        return started
+
+    def _claim_indexed(self, worker_id: str) -> Optional[JobRecord]:
+        for name in sorted(os.listdir(self.queue_dir)):
+            job_id = name.partition("-")[2]
+            if not self._try_acquire_lease(job_id, worker_id):
                 continue
-            started = self._start(record.job_id, worker_id)
+            started = self._start(job_id, worker_id)
             if started is not None:
                 return started
-        for record in self.list_jobs(state="running"):
-            if not self.lease_expired(record.job_id):
+            # Not runnable.  ``_start`` deleted a readable record's marker;
+            # this deletes one whose record is missing or unreadable.
+            (self.queue_dir / name).unlink(missing_ok=True)
+        return None
+
+    def _take_over_expired(self, worker_id: str) -> Optional[JobRecord]:
+        for name in sorted(os.listdir(self.leases_dir)):
+            if not name.endswith(".lease"):
+                continue  # a lease being published or renamed away
+            job_id = name[: -len(".lease")]
+            if not self.lease_expired(job_id):
                 continue
-            if not self._try_takeover_lease(record.job_id, worker_id):
+            if not self._try_takeover_lease(job_id, worker_id):
                 continue
-            started = self._start(record.job_id, worker_id)
+            started = self._start(job_id, worker_id)
             if started is not None:
                 return started
         return None
 
+    def _reindex_queued(self) -> bool:
+        """Recovery scan: give every queued record a marker; whether any
+        was missing.  Runs at most once per ``lease_ttl`` per object."""
+        now = time.monotonic()
+        if self._scanned_at is not None and now - self._scanned_at < self.lease_ttl:
+            return False
+        self._scanned_at = now
+        indexed = set(os.listdir(self.queue_dir))
+        missing = [
+            marker
+            for marker in map(self._marker_path, self.list_jobs(state="queued"))
+            if marker.name not in indexed
+        ]
+        for marker in missing:
+            marker.touch()
+        return bool(missing)
+
     def _start(self, job_id: str, worker_id: str) -> Optional[JobRecord]:
-        """Post-lease bookkeeping: re-read, verify runnable, mark running."""
+        """Post-lease bookkeeping: re-read, verify runnable, mark running.
+
+        Either way the job's marker has done its job and is deleted, also
+        when a takeover, not the marker, led here.
+        """
         try:
             record = self.get(job_id)
-        except RuntimeError:
-            # The record became unreadable after listing.
+        except (KeyError, ValueError, RuntimeError):
+            # Missing, unreadable, or a junk name in queue/ or leases/.
             self.release(job_id)
             return None
         if record.state not in ("queued", "running"):
-            # Cancelled (or already finished) between listing and leasing.
+            # Cancelled or finished: a stale marker, or a lease left behind.
             self.release(job_id)
+            self._marker_path(record).unlink(missing_ok=True)
             return None
         record.state = "running"
         record.worker = worker_id
@@ -405,6 +488,7 @@ class JobRegistry:
         record.attempts += 1
         record.error = None
         self.update(record)
+        self._marker_path(record).unlink(missing_ok=True)
         return record
 
     # ------------------------------------------------------------------ #

@@ -160,6 +160,11 @@ class Worker:
             self.registry.update(record)
             self.registry.release(record.job_id)
             return record
+        finally:
+            # The run id is the job id, so the session would keep every job's
+            # final state -- and through its ``on_generation`` closure, a
+            # reference cycle back to this worker.
+            self.session.runs.pop(record.job_id, None)
 
         digest = payload_digest(payload)
         self.registry.store_result(record.job_id, payload, digest)

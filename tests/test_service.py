@@ -8,7 +8,9 @@ Covers the three load-bearing guarantees of :mod:`repro.service`:
   warm-repeat hit rate;
 * the job registry's **lease protocol** hands each job to exactly one
   worker, and expired leases (dead workers) are reclaimed by exactly one
-  contender;
+  contender; claims walk the ``queue/`` index, parsing one record however
+  long the history, and a state machine checks the indexed registry under
+  crashes, cancels and lease expiry;
 * a **killed worker loses no work**: a job reclaimed after its worker died
   mid-stage or mid-generation resumes from the last checkpoint and
   finishes with a payload digest bit-identical to an uninterrupted run;
@@ -20,12 +22,22 @@ Run alone with ``pytest -m service``.
 
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing
+import os
+import shutil
+import tempfile
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.engine import EvalCache
 from repro.io import JsonDirectoryStore, ShardedJsonStore
@@ -34,6 +46,7 @@ from repro.registry import RegistryError
 from repro.service import (
     JOB_FLOWS,
     JobClient,
+    JobRecord,
     JobRegistry,
     JobSpec,
     Worker,
@@ -167,6 +180,24 @@ class TestCacheCorruptTelemetry:
 # --------------------------------------------------------------------- #
 # Registry: records, leases, claims
 # --------------------------------------------------------------------- #
+def _expire_lease(registry, job_id):
+    """Age a lease past its TTL by rewriting its heartbeat, without sleeping."""
+    path = registry.leases_dir / f"{job_id}.lease"
+    lease = json.loads(path.read_text(encoding="utf-8"))
+    lease["heartbeat"] -= 2 * registry.lease_ttl
+    path.write_text(json.dumps(lease), encoding="utf-8")
+
+
+def _queued_record(job_id, submitted_at=None):
+    """A queued record as ``submit`` writes it, to be published without a
+    marker: what a crash between ``submit``'s two writes leaves behind."""
+    return JobRecord(
+        job_id=job_id,
+        spec=JobSpec(flow="autoax"),
+        submitted_at=time.time() if submitted_at is None else submitted_at,
+    )
+
+
 class TestJobRegistry:
     def test_submit_get_list_cancel(self, tmp_path):
         registry = JobRegistry(tmp_path)
@@ -258,14 +289,15 @@ class TestJobRegistry:
         registry = JobRegistry(tmp_path)
         registry.submit(JobSpec(flow="autoax"), job_id="first")
         registry.submit(JobSpec(flow="autoax"), job_id="second")
-        list_jobs = registry.list_jobs
+        acquire = registry._try_acquire_lease
 
-        def list_then_corrupt(*args, **kwargs):
-            records = list_jobs(*args, **kwargs)
-            (registry.jobs_dir / "first.json").write_bytes(b"\xff\x00\x01")
-            return records
+        def corrupt_then_acquire(job_id, worker_id):
+            # The marker was listed while the record was still readable.
+            if job_id == "first":
+                (registry.jobs_dir / "first.json").write_bytes(b"\xff\x00\x01")
+            return acquire(job_id, worker_id)
 
-        monkeypatch.setattr(registry, "list_jobs", list_then_corrupt)
+        monkeypatch.setattr(registry, "_try_acquire_lease", corrupt_then_acquire)
         assert registry.claim("worker-a").job_id == "second"
         assert registry.lease_info("first") is None  # released, not leaked
 
@@ -275,6 +307,150 @@ class TestJobRegistry:
         registry.cancel("gone")
         assert registry.claim("worker-a") is None
         assert registry.lease_info("gone") is None  # no lease left behind
+
+    def test_queued_job_whose_claimer_died_holding_its_lease_is_reclaimed(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="stuck")
+        # The claimer died after leasing the job, before marking it running.
+        assert registry._try_acquire_lease("stuck", "dead-worker")
+        assert registry.claim("worker-b") is None  # its lease is still live
+        _expire_lease(registry, "stuck")
+        reclaimed = registry.claim("worker-b")
+        assert reclaimed.job_id == "stuck" and reclaimed.attempts == 1
+        assert registry.lease_info("stuck")["worker"] == "worker-b"
+        assert list(registry.queue_dir.iterdir()) == []  # the takeover took its marker
+
+    def test_lease_left_on_a_finished_job_is_cleaned_up(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="finished")
+        record = registry.claim("worker-a")
+        record.state = "done"
+        registry.update(record)  # ... and worker-a died before releasing
+        _expire_lease(registry, "finished")
+        assert registry.claim("worker-b") is None
+        assert list(registry.leases_dir.iterdir()) == []
+        assert registry.get("finished").attempts == 1
+
+
+class TestQueueIndex:
+    """``queue/`` markers: counted claim work, recovery, order, staleness."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Counts the records parsed (``JobRecord.from_dict`` calls)."""
+        counts = Counter()
+        from_dict = JobRecord.from_dict.__func__
+
+        def counted(cls, raw):
+            counts["records"] += 1
+            return from_dict(cls, raw)
+
+        monkeypatch.setattr(JobRecord, "from_dict", classmethod(counted))
+        return counts
+
+    @pytest.mark.parametrize("history", [0, 1000])
+    def test_claim_parses_one_record_whatever_the_history(self, tmp_path, parsed, history):
+        registry = JobRegistry(tmp_path)
+        spec = JobSpec(flow="autoax", tenant="history")
+        for index in range(history):
+            at = 1.0e9 + index
+            registry.update(
+                JobRecord(
+                    job_id=f"history-{index:05d}", spec=spec, state="done",
+                    submitted_at=at, finished_at=at + 1.0, attempts=1,
+                )
+            )
+        registry.submit(JobSpec(flow="autoax"), job_id="next")
+        parsed.clear()
+        assert registry.claim("worker-a").job_id == "next"
+        assert parsed["records"] == 1  # the claimed job's own record
+        # The registry's first idle claim runs the one full recovery scan;
+        # later idle claims list queue/ and leases/ and parse nothing.
+        assert registry.claim("worker-a") is None
+        assert parsed["records"] == 1 + history + 1
+        parsed.clear()
+        assert registry.claim("worker-a") is None
+        assert parsed["records"] == 0
+
+    @pytest.mark.parametrize(
+        "neighbour",
+        [
+            None,
+            b"\xff\x00\x01",
+            b'{"job_id": "broken", "spec": {"fl',
+            b'{"job_id": "broken"}',
+            b'{"job_id": "broken", "spec": null}',
+        ],
+        ids=["alone", "non-utf8", "torn-json", "no-spec", "null-spec"],
+    )
+    def test_recovery_scan_claims_a_queued_record_without_a_marker(self, tmp_path, neighbour):
+        registry = JobRegistry(tmp_path)
+        if neighbour is not None:  # a corrupt record the scan must skip
+            (registry.jobs_dir / "broken.json").write_bytes(neighbour)
+        registry.update(_queued_record("orphan"))
+        assert list(registry.queue_dir.iterdir()) == []
+        record = registry.claim("worker-a")
+        assert record.job_id == "orphan" and record.attempts == 1
+        assert list(registry.queue_dir.iterdir()) == []
+
+    def test_recovery_scan_runs_once_per_lease_ttl_per_registry(self, tmp_path):
+        registry = JobRegistry(tmp_path, lease_ttl=60.0)
+        assert registry.claim("worker-a") is None  # scanned: nothing queued
+        registry.update(_queued_record("late"))
+        assert registry.claim("worker-a") is None  # the next scan is due later
+        assert JobRegistry(tmp_path).claim("worker-b").job_id == "late"
+
+    @pytest.mark.parametrize("damage", ["missing", "unreadable"])
+    def test_marker_of_a_missing_or_unreadable_record_is_dropped(self, tmp_path, damage):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="broken")
+        registry.submit(JobSpec(flow="autoax"), job_id="fine")
+        record_path = registry.jobs_dir / "broken.json"
+        if damage == "missing":
+            record_path.unlink()
+        else:
+            record_path.write_bytes(b"\xff\x00\x01")
+        assert registry.claim("worker-a").job_id == "fine"
+        assert registry.lease_info("broken") is None  # released, not leaked
+        assert list(registry.queue_dir.iterdir()) == []  # both markers consumed
+        assert registry.claim("worker-a") is None
+
+    def test_a_file_in_queue_that_names_no_job_is_dropped(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        (registry.queue_dir / "junk").touch()
+        assert registry.claim("worker-a") is None
+        assert list(registry.queue_dir.iterdir()) == []
+        assert list(registry.leases_dir.iterdir()) == []
+
+    def test_cancel_removes_the_marker(self, tmp_path):
+        registry = JobRegistry(tmp_path)
+        registry.submit(JobSpec(flow="autoax"), job_id="kept")
+        registry.submit(JobSpec(flow="autoax"), job_id="gone")
+        assert len(list(registry.queue_dir.iterdir())) == 2
+        assert registry.cancel("gone")
+        (marker,) = registry.queue_dir.iterdir()
+        assert marker.name.endswith("-kept")
+
+    @staticmethod
+    def _claim_all(registry):
+        expected = [record.job_id for record in registry.list_jobs(state="queued")]
+        claimed = [registry.claim("worker-a").job_id for _ in expected]
+        assert registry.claim("worker-a") is None
+        return expected, claimed
+
+    def test_claims_come_out_in_list_jobs_order(self, tmp_path):
+        submitted = JobRegistry(tmp_path / "submitted")
+        for job_id in ("charlie", "alpha", "bravo"):
+            submitted.submit(JobSpec(flow="autoax"), job_id=job_id)
+        expected, claimed = self._claim_all(submitted)
+        assert claimed == expected == ["charlie", "alpha", "bravo"]
+
+        # Markers the recovery scan writes keep the order too, ties by job id.
+        recovered = JobRegistry(tmp_path / "recovered")
+        for job_id, at in (("tie-b", 5.0), ("newest", 7.5), ("tie-a", 5.0), ("oldest", 3.0)):
+            recovered.update(_queued_record(job_id, submitted_at=at))
+        expected, claimed = self._claim_all(recovered)
+        assert claimed == expected == ["oldest", "tie-a", "tie-b", "newest"]
 
 
 # --------------------------------------------------------------------- #
@@ -308,6 +484,21 @@ class TestClientAndWorker:
         assert payload["flow"] == "autoax"
         assert payload["scenarios"]["area"]["front"]
 
+    def test_worker_keeps_no_finished_run_and_frees_without_the_collector(self, tmp_path):
+        # A finished job's run state held the worker's ``on_generation``
+        # closure: worker -> session -> runs -> state -> closure -> worker.
+        JobClient(tmp_path).submit("autoax", TINY_AUTOAX)
+        worker = Worker(tmp_path, engine_mode="serial")
+        gc.disable()
+        try:
+            assert worker.run_once().state == "done"
+            assert worker.session.runs == {}
+            alive = weakref.ref(worker)
+            del worker
+            assert alive() is None  # freed by reference counting alone
+        finally:
+            gc.enable()
+
     def test_bare_string_parameters_fail_the_job_naming_the_value(self, tmp_path):
         client = JobClient(tmp_path)
         job_id = client.submit("autoax", dict(TINY_AUTOAX, parameters="area"))
@@ -319,14 +510,17 @@ class TestClientAndWorker:
         if "always-fails" not in JOB_FLOWS:
             @JOB_FLOWS.register("always-fails")
             def _always_fails(session, params, *, run_id, progress=None, on_generation=None):
+                session.runs[run_id] = None  # a run that finished before the raise
                 raise RuntimeError("intentional test failure")
 
         client = JobClient(tmp_path)
         job_id = client.submit("always-fails", {})
-        record = Worker(tmp_path, engine_mode="serial").run_once()
+        worker = Worker(tmp_path, engine_mode="serial")
+        record = worker.run_once()
         assert record.state == "failed"
         assert "intentional test failure" in record.error
         assert client.registry.lease_info(job_id) is None  # released, not leaked
+        assert worker.session.runs == {}
         with pytest.raises(RuntimeError, match="intentional"):
             client.result(job_id)
 
@@ -557,3 +751,272 @@ class TestMultiProcessStress:
         assert stats.misses == 0 and stats.corrupt == 0
         assert stats.hit_rate == 1.0
         assert len(store) == len(keys)
+
+
+def _drain_queue(root, worker_id, barrier, report) -> None:
+    """Process body: claim and finish jobs until ``claim`` returns ``None``,
+    then write the finished job ids to ``report``."""
+    registry = JobRegistry(root)
+    barrier.wait(timeout=60)
+    finished = []
+    while (record := registry.claim(worker_id)) is not None:
+        record.state = "done"
+        record.finished_at = time.time()
+        registry.update(record)
+        registry.release(record.job_id)
+        finished.append(record.job_id)
+    Path(report).write_text(json.dumps(finished), encoding="utf-8")
+
+
+class TestMultiProcessDrain:
+    def test_processes_draining_one_queue_start_every_job_once(self, tmp_path):
+        registry = JobRegistry(tmp_path / "root")
+        job_ids = [registry.submit(JobSpec(flow="autoax")).job_id for _ in range(12)]
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)
+        reports = [tmp_path / f"worker-{index}.json" for index in range(4)]
+        processes = [
+            context.Process(
+                target=_drain_queue,
+                args=(str(registry.root), f"worker-{index}", barrier, str(report)),
+            )
+            for index, report in enumerate(reports)
+        ]
+        for process in processes:
+            process.start()
+        try:
+            for process in processes:
+                process.join(timeout=120)
+            assert [process.exitcode for process in processes] == [0] * 4
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    process.kill()
+        finished = [job for report in reports for job in json.loads(report.read_text())]
+        assert sorted(finished) == sorted(job_ids)  # each job finished by one worker
+        records = [registry.get(job_id) for job_id in job_ids]
+        assert all(record.state == "done" and record.attempts == 1 for record in records)
+        assert list(registry.leases_dir.iterdir()) == []
+        assert list(registry.queue_dir.iterdir()) == []
+
+
+# --------------------------------------------------------------------- #
+# State machine of the indexed registry under crash faults
+# --------------------------------------------------------------------- #
+TERMINAL_STATES = ("done", "failed", "cancelled")
+
+
+class IndexedRegistryMachine(RuleBasedStateMachine):
+    """Submit, claim, finish, cancel, crash and expire against one root.
+
+    Each worker has its own :class:`JobRegistry` object, as a worker process
+    would.  The model holds what every record's state and attempt count
+    must be and which worker each lease file names.  Checked: a claim never
+    returns a job that was terminal when the claim began, nor one another
+    worker holds under an unexpired lease, and returns ``None`` only when no
+    indexed queued job is unleased and no live job's lease has expired;
+    draining -- expire dead workers' leases, then claim and finish until
+    ``claim`` returns ``None`` -- leaves every job terminal and ``leases/``
+    and ``queue/`` empty.  Expiry rewrites a lease's heartbeat into the
+    past, so nothing sleeps.
+    """
+
+    WORKERS = 3
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="registry-machine-"))
+        self.client = JobRegistry(self.root)
+        self.state = {}  # job id -> state its record must hold
+        self.attempts = Counter()  # job id -> claims that returned it
+        self.owner = {}  # job id -> worker named by its lease file
+        self.expired = set()  # jobs whose lease heartbeat is in the past
+        self.registries = {}  # worker -> its registry object
+        self.holding = {}  # live worker -> jobs it believes it runs
+        self.hires = 0
+        self.workers = [self._hire() for _ in range(self.WORKERS)]
+
+    def _hire(self) -> str:
+        worker = f"worker-{self.hires}"
+        self.hires += 1
+        self.registries[worker] = JobRegistry(self.root)
+        self.holding[worker] = set()
+        return worker
+
+    def _die(self, slot: int) -> None:
+        """The worker stops: no heartbeat, no release; a new one replaces it."""
+        del self.holding[self.workers[slot]]
+        self.workers[slot] = self._hire()
+
+    def _finish(self, worker: str, job: str, outcome: str, *, release: bool = True) -> None:
+        registry = self.registries[worker]
+        self.holding[worker].discard(job)
+        if self.owner.get(job) != worker:
+            # Taken over after its lease expired: the heartbeat says so.
+            with pytest.raises(RuntimeError, match="no longer held"):
+                registry.heartbeat(job, worker)
+            return
+        registry.heartbeat(job, worker)
+        self.expired.discard(job)
+        record = registry.get(job)
+        record.state = outcome
+        record.finished_at = time.time()
+        registry.update(record)
+        self.state[job] = outcome
+        if release:
+            registry.release(job)
+            del self.owner[job]
+
+    def _owned(self):
+        return sorted(
+            (worker, job)
+            for worker, jobs in self.holding.items()
+            for job in jobs
+            if self.owner.get(job) == worker
+        )
+
+    def _claimable(self) -> set:
+        indexed = {name.partition("-")[2] for name in os.listdir(self.client.queue_dir)}
+        return {
+            job
+            for job, state in self.state.items()
+            if (state == "queued" and job not in self.owner and job in indexed)
+            or (job in self.expired and state in ("queued", "running"))
+        }
+
+    # ------------------------------------------------------------------ #
+    @rule()
+    def submit(self):
+        job = f"job-{len(self.state):03d}"
+        self.client.submit(JobSpec(flow="autoax"), job_id=job)
+        self.state[job] = "queued"
+
+    @rule()
+    def submit_crashing_before_the_marker(self):
+        job = f"job-{len(self.state):03d}"
+        self.client.update(_queued_record(job))
+        self.state[job] = "queued"
+
+    @rule(slot=st.integers(0, WORKERS - 1))
+    def claim(self, slot):
+        worker = self.workers[slot]
+        terminal = {job for job, state in self.state.items() if state in TERMINAL_STATES}
+        claimable = self._claimable()
+        record = self.registries[worker].claim(worker)
+        for job in sorted(self.expired - self._lease_files().keys()):
+            # The takeover pass may only drop a lease left on a finished job.
+            assert self.state[job] in TERMINAL_STATES, f"{job}'s lease vanished"
+            del self.owner[job]
+            self.expired.discard(job)
+        if record is None:
+            assert not claimable, f"{worker} claimed nothing, but {claimable} were claimable"
+            return
+        job = record.job_id
+        assert job not in terminal, f"{worker} claimed {job}, terminal when the claim began"
+        assert self.owner.get(job) is None or job in self.expired, (
+            f"{worker} claimed {job}, held by {self.owner[job]} under an unexpired lease"
+        )
+        assert record.state == "running" and record.worker == worker
+        self.state[job] = "running"
+        self.attempts[job] += 1
+        self.owner[job] = worker
+        self.expired.discard(job)
+        self.holding[worker].add(job)
+
+    @precondition(lambda self: any(self.holding.values()))
+    @rule(data=st.data(), outcome=st.sampled_from(["done", "failed"]))
+    def finish(self, data, outcome):
+        worker = data.draw(st.sampled_from(sorted(w for w, jobs in self.holding.items() if jobs)))
+        job = data.draw(st.sampled_from(sorted(self.holding[worker])))
+        self._finish(worker, job, outcome)
+
+    @precondition(lambda self: self.state)
+    @rule(data=st.data())
+    def cancel(self, data):
+        job = data.draw(st.sampled_from(sorted(self.state)))
+        cancelled = self.client.cancel(job)
+        assert cancelled == (self.state[job] == "queued")
+        if cancelled:
+            self.state[job] = "cancelled"
+
+    @rule(slot=st.integers(0, WORKERS - 1))
+    def die_holding_leases(self, slot):
+        self._die(slot)
+
+    @precondition(lambda self: self._owned())
+    @rule(data=st.data())
+    def die_after_finishing_before_releasing(self, data):
+        worker, job = data.draw(st.sampled_from(self._owned()))
+        self._finish(worker, job, "done", release=False)
+        self._die(self.workers.index(worker))
+
+    @precondition(
+        lambda self: any(s == "queued" and j not in self.owner for j, s in self.state.items())
+    )
+    @rule(data=st.data())
+    def die_after_leasing_before_starting(self, data):
+        job = data.draw(
+            st.sampled_from(
+                sorted(j for j, s in self.state.items() if s == "queued" and j not in self.owner)
+            )
+        )
+        dead = f"worker-{self.hires}"
+        self.hires += 1
+        assert self.client._try_acquire_lease(job, dead)
+        self.owner[job] = dead
+
+    @precondition(lambda self: self.owner)
+    @rule(data=st.data())
+    def expire(self, data):
+        job = data.draw(st.sampled_from(sorted(self.owner)))
+        _expire_lease(self.client, job)
+        self.expired.add(job)
+
+    # ------------------------------------------------------------------ #
+    def _lease_files(self) -> dict:
+        leases = {}
+        for name in os.listdir(self.client.leases_dir):
+            assert name.endswith(".lease"), f"stray file {name} in leases/"
+            job = name[: -len(".lease")]
+            leases[job] = self.client.lease_info(job)["worker"]
+        return leases
+
+    @invariant()
+    def records_and_leases_match_the_model(self):
+        records = {record.job_id: record for record in self.client.list_jobs()}
+        assert {job: record.state for job, record in records.items()} == self.state
+        assert {job: record.attempts for job, record in records.items()} == {
+            job: self.attempts[job] for job in self.state
+        }
+        assert self._lease_files() == self.owner
+
+    def teardown(self):
+        try:
+            self._drain()
+        finally:
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    def _drain(self) -> None:
+        for worker, job in sorted((w, j) for w, jobs in self.holding.items() for j in jobs):
+            self._finish(worker, job, "done")
+        for job in sorted(self.owner):
+            _expire_lease(self.client, job)
+        drainer = JobRegistry(self.root)  # a restarted worker
+        for _ in range(len(self.state) + 1):
+            record = drainer.claim("drainer")
+            if record is None:
+                break
+            record.state = "done"
+            drainer.update(record)
+            drainer.release(record.job_id)
+        else:
+            raise AssertionError("claim kept returning jobs while draining")
+        assert all(record.state in TERMINAL_STATES for record in drainer.list_jobs())
+        assert os.listdir(drainer.leases_dir) == []
+        assert os.listdir(drainer.queue_dir) == []
+
+
+IndexedRegistryMachine.TestCase.settings = settings(
+    max_examples=500, stateful_step_count=25, deadline=None
+)
+TestIndexedRegistryMachine = IndexedRegistryMachine.TestCase

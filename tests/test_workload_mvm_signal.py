@@ -42,7 +42,6 @@ from repro.workloads import (
     WORKLOADS,
     BitSlicedMVMAccelerator,
     DctAccelerator,
-    FirAccelerator,
     MixedWidthFirAccelerator,
     VectorAccelerator,
     build_workload,
