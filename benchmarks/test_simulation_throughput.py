@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.circuits import (
     bits_to_words,
@@ -166,45 +165,3 @@ def test_simulation_throughput_across_backends(benchmark, monkeypatch):
         packed16 = by_width[16]["paths"]["packed"]
         assert packed16["kernel_speedup_vs_bool"] >= PACKED_KERNEL_SPEEDUP_FLOOR, by_width[16]
         assert packed16["e2e_speedup_vs_bool"] >= END_TO_END_SPEEDUP_FLOOR, by_width[16]
-
-
-def test_streaming_evaluation_memory_and_equivalence():
-    """Chunked Monte-Carlo evaluation bounds the bit-matrix footprint.
-
-    A 16-bit multiplier over 65536 patterns needs a ~patterns x nodes
-    boolean working set per simulation in one-shot mode; streaming in 4096
-    pattern blocks caps it at 1/16th while reproducing the one-shot MED /
-    WCE / error-rate exactly.
-    """
-    from repro.error import ErrorEvaluator
-    from repro.generators import perturb_netlist, truncated_multiplier
-
-    width = 8 if QUICK else 16
-    num_samples = 2048 if QUICK else 65536
-    chunk = 256 if QUICK else 4096
-    reference = array_multiplier(width)
-    circuits = [truncated_multiplier(width, width // 2), perturb_netlist(reference, seed=3)]
-
-    one_shot = ErrorEvaluator(reference, max_exhaustive_inputs=10, num_samples=num_samples)
-    streaming = ErrorEvaluator(
-        reference,
-        max_exhaustive_inputs=10,
-        num_samples=num_samples,
-        chunk_patterns=chunk,
-    )
-    start = time.perf_counter()
-    for circuit in circuits:
-        full = one_shot.evaluate(circuit).metrics
-        chunked = streaming.evaluate(circuit).metrics
-        for field in ("med", "mae", "wce", "wce_relative", "error_probability", "mse"):
-            assert getattr(chunked, field) == getattr(full, field), field
-        assert chunked.mre == pytest.approx(full.mre, rel=1e-12)
-    elapsed = time.perf_counter() - start
-
-    one_shot_bytes = num_samples * reference.num_nodes
-    streaming_bytes = chunk * reference.num_nodes
-    print(
-        f"\nstreaming evaluation ({width}-bit multiplier, {num_samples} patterns, "
-        f"chunk={chunk}): working set {one_shot_bytes / 1e6:.0f} MB -> "
-        f"{streaming_bytes / 1e6:.1f} MB, both passes in {elapsed * 1000:.0f} ms"
-    )

@@ -5,8 +5,8 @@ the circuit for an arbitrary number of input patterns.  This is the
 "behavioural model" counterpart of the C models that ship with EvoApproxLib
 in the original paper.
 
-Two bit-identical paths implement the pass, and one rule,
-:func:`use_packed_path`, picks between them by pattern count:
+Two bit-identical paths implement the pass, and this module alone picks
+between them, by pattern count (:func:`use_packed_path`):
 
 * below :data:`PACKED_MIN_PATTERNS` patterns, :func:`simulate_bits` -- one
   NumPy ``bool`` byte per pattern per net, and the reference oracle the
@@ -16,6 +16,12 @@ Two bit-identical paths implement the pass, and one rule,
   per ``uint64`` lane, run through the netlist's compiled op tape
   (:mod:`repro.circuits.compiled`).
 
+:func:`expand_operands` expands operand vectors into the input form their
+pattern count selects, and :func:`simulate_expanded` runs a netlist on that
+form; :func:`simulate_words` is the two composed.  Callers that simulate
+many circuits on one operand set (the error evaluator) expand once and
+reuse the result.
+
 The paths are *bit-identical by contract*: the differential suite
 (``pytest -m sim_backends``) asserts it, and downstream caches rely on it
 (no cache key names the path).
@@ -23,7 +29,7 @@ The paths are *bit-identical by contract*: the differential suite
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,12 +42,16 @@ from .netlist import Netlist
 #: smaller ones run :func:`simulate_bits`.
 PACKED_MIN_PATTERNS = 4096
 
+#: Exhaustive enumeration is refused beyond this many input bits (2^24
+#: patterns); wider circuits are simulated on a seeded sample instead.
+MAX_EXHAUSTIVE_INPUTS = 24
+
 
 def use_packed_path(patterns: int) -> bool:
     """Whether a simulation of ``patterns`` patterns takes the packed path.
 
-    The one place a simulation path is chosen: :func:`simulate_words` and
-    :class:`repro.error.ErrorEvaluator` both ask here.
+    The one place a simulation path is chosen; :func:`expand_operands`
+    asks here.
     """
     return patterns >= PACKED_MIN_PATTERNS
 
@@ -157,28 +167,69 @@ def expand_operand_bits(
     return input_bits
 
 
+class ExpandedOperands(NamedTuple):
+    """Operands in the input form of the path their pattern count selects."""
+
+    data: np.ndarray
+    """``(num_inputs, planes)`` ``uint64`` planes when :attr:`packed`, else
+    the ``(patterns, num_inputs)`` boolean matrix."""
+
+    patterns: int
+    packed: bool
+
+
+def expand_operands(
+    netlist: Netlist, operands: Mapping[str, Sequence[int]]
+) -> ExpandedOperands:
+    """Expand operand vectors into the input form their pattern count selects.
+
+    From :data:`PACKED_MIN_PATTERNS` patterns up that is packed planes for
+    :func:`~repro.circuits.bitplane.simulate_planes`, below it the boolean
+    matrix for :func:`simulate_bits`.  The result serves every netlist
+    whose input words are wired like ``netlist``'s.
+    """
+    input_bits = expand_operand_bits(netlist, operands)
+    patterns = input_bits.shape[0]
+    if use_packed_path(patterns):
+        return ExpandedOperands(pack_bits(input_bits.T), patterns, True)
+    return ExpandedOperands(input_bits, patterns, False)
+
+
+def simulate_expanded(netlist: Netlist, inputs: ExpandedOperands) -> np.ndarray:
+    """Output words of ``netlist`` on operands from :func:`expand_operands`."""
+    if inputs.packed:
+        output_bits = unpack_bits(simulate_planes(netlist, inputs.data), inputs.patterns).T
+    else:
+        output_bits = simulate_bits(netlist, inputs.data)
+    return bits_to_words(output_bits)
+
+
 def simulate_words(
     netlist: Netlist, operands: Mapping[str, Sequence[int]]
 ) -> np.ndarray:
     """Simulate the netlist on integer operand vectors.
 
     ``operands`` must provide a value array for every input word of the
-    netlist; all arrays must have the same length.  The pattern count picks
-    the simulation path (:func:`use_packed_path`); both are bit-identical,
-    so this only affects speed.
+    netlist; all arrays must have the same length.  This is
+    :func:`expand_operands` and :func:`simulate_expanded` composed: the
+    pattern count picks the simulation path (:func:`use_packed_path`);
+    both are bit-identical, so this only affects speed.
     """
-    input_bits = expand_operand_bits(netlist, operands)
-    patterns = input_bits.shape[0]
-    if use_packed_path(patterns):
-        output_planes = simulate_planes(netlist, pack_bits(input_bits.T))
-        output_bits = unpack_bits(output_planes, patterns).T
-    else:
-        output_bits = simulate_bits(netlist, input_bits)
-    return bits_to_words(output_bits)
+    return simulate_expanded(netlist, expand_operands(netlist, operands))
 
 
 def exhaustive_operands(netlist: Netlist) -> Mapping[str, np.ndarray]:
-    """All input-word combinations of the netlist, in row-major operand order."""
+    """All input-word combinations of the netlist, in row-major operand order.
+
+    Raises :class:`ValueError` beyond :data:`MAX_EXHAUSTIVE_INPUTS` input
+    bits, before allocating anything.
+    """
+    if netlist.num_inputs > MAX_EXHAUSTIVE_INPUTS:
+        raise ValueError(
+            f"exhaustive enumeration of {netlist.num_inputs} input bits is "
+            f"infeasible (at most {MAX_EXHAUSTIVE_INPUTS}); use sampled "
+            "simulation instead"
+        )
     names = list(netlist.input_words)
     widths = [len(netlist.input_words[name]) for name in names]
     grids = np.meshgrid(*[np.arange(1 << w, dtype=np.int64) for w in widths], indexing="ij")
@@ -188,16 +239,10 @@ def exhaustive_operands(netlist: Netlist) -> Mapping[str, np.ndarray]:
 def exhaustive_simulate(netlist: Netlist) -> np.ndarray:
     """Output word for every input combination.
 
-    The number of patterns is ``2 ** num_inputs``; callers are expected to use
-    this only for circuits with at most ~20 input bits (for wider circuits,
-    use sampled simulation, or stream fixed-size pattern blocks through an
-    :class:`~repro.error.metrics.ErrorAccumulator`).
+    The number of patterns is ``2 ** num_inputs``, refused beyond
+    :data:`MAX_EXHAUSTIVE_INPUTS` input bits (use sampled simulation for
+    wider circuits).
     """
-    if netlist.num_inputs > 24:
-        raise ValueError(
-            f"exhaustive simulation of {netlist.num_inputs} input bits is "
-            "infeasible; use sampled simulation instead"
-        )
     return simulate_words(netlist, exhaustive_operands(netlist))
 
 

@@ -158,10 +158,10 @@ class BatchEvaluator:
     error_evaluator:
         A pre-built :class:`~repro.error.ErrorEvaluator` instead of
         ``reference`` (it carries its own reference), for non-default
-        pattern budgets: ``max_exhaustive_inputs``, ``num_samples``,
-        ``seed``, ``chunk_patterns`` or a ``fidelity`` rung.  The
-        evaluator's method and pattern count are part of the ``err`` cache
-        context, so reduced rungs are namespaced away from exact results.
+        pattern budgets: ``max_exhaustive_inputs``, ``num_samples`` or
+        ``seed``.  All three, with the evaluator's method and pattern
+        count, are part of the ``err`` cache context, so sampled results
+        are namespaced away from exhaustive ones.
         One of the two must be given before calling :meth:`evaluate_errors`.
     asic_synthesizer / fpga_synthesizer:
         Cost-model substrates; built with defaults on first use when omitted.
@@ -224,12 +224,9 @@ class BatchEvaluator:
         # The simulation path is deliberately excluded: the paths are
         # bit-identical by contract (enforced by the differential suite), so
         # results cached on one path must be shared with the other.
-        # Streaming (chunk_patterns) is included when active because the
-        # accumulator's float metrics can differ from one-shot values in the
-        # last ulp; the default one-shot token is unchanged.
         if self._error_context is None:
             evaluator = self._require_error_evaluator()
-            parts = [
+            self._error_context = blake_token(
                 evaluator.reference.fingerprint(),
                 evaluator.method,
                 evaluator.num_patterns,
@@ -237,10 +234,7 @@ class BatchEvaluator:
                 evaluator.num_samples,
                 evaluator.seed,
                 evaluator.max_output,
-            ]
-            if evaluator.streaming:
-                parts.append(f"chunk={evaluator.chunk_patterns}")
-            self._error_context = blake_token(*parts)
+            )
         return self._error_context
 
     def _asic_ctx(self) -> str:

@@ -2,7 +2,6 @@
 
 from .metrics import (
     ERROR_METRICS,
-    ErrorAccumulator,
     ErrorMetrics,
     compute_error_metrics,
     mean_error_distance,
@@ -11,7 +10,6 @@ from .evaluation import ErrorEvaluator, ErrorReport, evaluate_error
 
 __all__ = [
     "ERROR_METRICS",
-    "ErrorAccumulator",
     "ErrorMetrics",
     "compute_error_metrics",
     "mean_error_distance",

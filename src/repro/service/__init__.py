@@ -43,7 +43,7 @@ second tenant's identical job rides the first tenant's warm cache.
 
 from .client import JobClient
 from .flows import JOB_FLOWS
-from .jobs import JOB_STATES, JobRecord, JobRegistry, JobSpec, payload_digest
+from .jobs import JOB_STATES, JobRecord, JobRegistry, JobSpec, LeaseLostError, payload_digest
 
 
 def __getattr__(name: str):
@@ -63,6 +63,7 @@ __all__ = [
     "JobRecord",
     "JobRegistry",
     "JobSpec",
+    "LeaseLostError",
     "Worker",
     "payload_digest",
 ]

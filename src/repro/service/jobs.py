@@ -69,12 +69,17 @@ __all__ = [
     "JobSpec",
     "JobRecord",
     "JobRegistry",
+    "LeaseLostError",
     "payload_digest",
 ]
 
 PathLike = Union[str, Path]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+
+class LeaseLostError(RuntimeError):
+    """A heartbeat found the job's lease released or held by another worker."""
 
 
 def payload_digest(payload: object) -> str:
@@ -380,10 +385,13 @@ class JobRegistry:
         return self._try_acquire_lease(job_id, worker_id)
 
     def heartbeat(self, job_id: str, worker_id: str) -> None:
-        """Refresh the lease timestamp; raises if the lease changed hands."""
+        """Refresh the lease timestamp.
+
+        Raises :class:`LeaseLostError` if the lease changed hands.
+        """
         info = self.lease_info(job_id)
         if info is None or info.get("worker") != worker_id:
-            raise RuntimeError(
+            raise LeaseLostError(
                 f"lease for job {job_id!r} is no longer held by {worker_id!r} "
                 f"(current: {info})"
             )

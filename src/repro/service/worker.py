@@ -14,9 +14,11 @@ Liveness is lease-based: the worker renews the job's lease on every stage
 event and every search generation.  A worker that dies simply stops
 heartbeating; it marks nothing, and after ``lease_ttl`` seconds any other
 worker's :meth:`~repro.service.jobs.JobRegistry.claim` takes the job over.
-Flow *errors* (exceptions) are different from worker *death*: they mark the
-job ``failed`` and release the lease, because re-running a deterministic
-flow that raised would raise again.
+A worker that stalled past its lease and finds the job taken over (its
+heartbeat raises :class:`~repro.service.jobs.LeaseLostError`) drops the
+job without writing to it.  Flow *errors* (other exceptions) are different
+from worker *death*: they mark the job ``failed`` and release the lease,
+because re-running a deterministic flow that raised would raise again.
 
 Run a worker process against a service root with::
 
@@ -32,7 +34,7 @@ import uuid
 from typing import Optional, Union
 
 from .flows import JOB_FLOWS
-from .jobs import JobRecord, JobRegistry, payload_digest
+from .jobs import JobRecord, JobRegistry, LeaseLostError, payload_digest
 
 __all__ = ["Worker", "main"]
 
@@ -80,7 +82,11 @@ class Worker:
 
     # ------------------------------------------------------------------ #
     def run_once(self) -> Optional[JobRecord]:
-        """Claim and fully execute one job; ``None`` when the queue is idle."""
+        """Claim and fully execute one job; ``None`` when the queue is idle.
+
+        A job taken over by another worker mid-run comes back as this
+        worker last saw it (``running``).
+        """
         record = self.registry.claim(self.worker_id)
         if record is None:
             return None
@@ -132,8 +138,10 @@ class Worker:
                 "total": event.total,
                 "status": event.status,
             }
-            self.registry.update(record)
+            # Heartbeat first: a worker whose lease was taken over must not
+            # write its stale record over the new owner's.
             self._heartbeat(record)
+            self.registry.update(record)
 
         def on_generation(stats: dict) -> None:
             self._heartbeat(record)
@@ -148,6 +156,10 @@ class Worker:
                 progress=on_progress,
                 on_generation=on_generation,
             )
+        except LeaseLostError:
+            # The lease expired and another worker took the job over: the
+            # record and the lease are the new owner's, so touch neither.
+            return record
         except Exception as exc:  # noqa: BLE001 - deterministic flow failure
             # A raising flow would raise again on retry; fail the job.  A
             # *dying* worker never reaches this branch -- its lease simply

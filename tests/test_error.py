@@ -9,7 +9,6 @@ from repro.circuits import Netlist, simulate_words
 from repro.circuits import simulate as simulate_module
 from repro.circuits.simulate import expand_operand_bits
 from repro.error import ErrorEvaluator, compute_error_metrics, evaluate_error, mean_error_distance
-from repro.error import evaluation as evaluation_module
 from repro.generators import (
     array_multiplier,
     ripple_carry_adder,
@@ -38,13 +37,47 @@ def test_known_error_values():
     assert metrics.mse == pytest.approx((4 + 16) / 4)
 
 
-def test_error_metric_input_validation():
-    with pytest.raises(ValueError):
-        compute_error_metrics(np.arange(3), np.arange(4), 10)
-    with pytest.raises(ValueError):
-        compute_error_metrics(np.array([]), np.array([]), 10)
-    with pytest.raises(ValueError):
-        compute_error_metrics(np.arange(3), np.arange(3), 0)
+@pytest.mark.parametrize(
+    "exact,approx,max_output,error",
+    [
+        (np.array([]), np.array([]), 10, ValueError),
+        (np.arange(3), np.arange(3), 0, ValueError),
+        (np.arange(3), np.arange(4), 10, ValueError),
+        # Same contract as words_to_bits: floats would truncate silently.
+        (np.array([3, 4]), np.array([3.0, 4.7]), 100, TypeError),
+    ],
+    ids=["empty", "max_output", "shape", "float_dtype"],
+)
+def test_error_metric_input_validation(exact, approx, max_output, error):
+    with pytest.raises(error):
+        compute_error_metrics(exact, approx, max_output)
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(min_value=1, max_value=120).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=0, max_value=2**20), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=0, max_value=2**20), min_size=n, max_size=n),
+        )
+    )
+)
+def test_error_metrics_match_their_definitions(vectors):
+    """Every metric is bit-identical to its textbook formula: integer sums
+    divided exactly for the count-based metrics, float64 means for the rest."""
+    exact = np.array(vectors[0], dtype=np.int64)
+    approx = np.array(vectors[1], dtype=np.int64)
+    max_output = 2**20
+    metrics = compute_error_metrics(exact, approx, max_output)
+    distance = [abs(a - e) for e, a in zip(vectors[0], vectors[1])]
+    assert metrics.mae == sum(distance) / len(distance)
+    assert metrics.med == metrics.mae / max_output
+    assert metrics.wce == float(max(distance))
+    assert metrics.wce_relative == metrics.wce / max_output
+    assert metrics.error_probability == sum(d > 0 for d in distance) / len(distance)
+    difference = np.abs(approx - exact).astype(np.float64)
+    assert metrics.mse == np.mean(difference**2)
+    assert metrics.mre == np.mean(difference / np.maximum(exact.astype(np.float64), 1.0))
 
 
 @settings(max_examples=50)
@@ -104,6 +137,36 @@ def test_interface_mismatch_rejected(multiplier4_evaluator):
         multiplier4_evaluator.evaluate(array_multiplier(8))
 
 
+def test_exhaustive_sweep_beyond_the_bound_is_refused(monkeypatch):
+    """A limit admitting 26 input bits (2^26 patterns) raises, naming the
+    width, before any operand is allocated."""
+    reference = ripple_carry_adder(13)
+    assert reference.num_inputs == 26
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("operands allocated for a refused sweep")
+
+    monkeypatch.setattr(simulate_module.np, "meshgrid", no_allocation)
+    with pytest.raises(ValueError, match="26 input bits"):
+        ErrorEvaluator(reference, max_exhaustive_inputs=26)
+
+
+@pytest.mark.parametrize("keyword", ["chunk_patterns", "fidelity"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda reference, **retired: ErrorEvaluator(reference, **retired),
+        lambda reference, **retired: evaluate_error(reference, reference, **retired),
+    ],
+    ids=["ErrorEvaluator", "evaluate_error"],
+)
+def test_retired_evaluation_keywords_are_rejected(build, keyword, multiplier4):
+    """Streamed evaluation and fidelity rungs are gone: passing either
+    keyword fails at the call instead of being silently accepted."""
+    with pytest.raises(TypeError, match=keyword):
+        build(multiplier4, **{keyword: 64})
+
+
 @pytest.mark.parametrize("packed_min_patterns", [1, 2**62], ids=["packed", "bool"])
 def test_operands_expanded_once_per_input_layout(multiplier4, monkeypatch, packed_min_patterns):
     """An evaluator expands its shared operands into each input-bit layout
@@ -117,10 +180,7 @@ def test_operands_expanded_once_per_input_layout(multiplier4, monkeypatch, packe
         expanded.append(netlist.name)
         return expand_operand_bits(netlist, operands)
 
-    # Both bindings: an evaluator that re-expanded through simulate_words
-    # would be counted too.
     monkeypatch.setattr(simulate_module, "expand_operand_bits", spy)
-    monkeypatch.setattr(evaluation_module, "expand_operand_bits", spy)
     evaluator = ErrorEvaluator(multiplier4)
     circuits = [truncated_multiplier(4, cut) for cut in (1, 2, 3)] + [multiplier4]
     assert all(c.input_words == multiplier4.input_words for c in circuits)

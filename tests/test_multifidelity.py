@@ -10,10 +10,11 @@ that ride along:
   (``predict_with_std`` on the GP, the random forest and
   ``ScaledRegressor``, ``estimate_batch_with_std`` on the estimators);
 * the **fidelity ladder** -- ``fidelity_inputs`` centre-cropping,
-  ``ErrorEvaluator``/``BatchEvaluator`` pattern-budget rungs, and the
-  cache-isolation guarantee that a low-fidelity screen can never be served
-  for an exact request (in either direction, including through the
-  service's shared cross-tenant store);
+  ``BatchEvaluator.evaluate_configurations`` pixel-budget rungs, and the
+  cache-isolation guarantee that a reduced screen can never be served for
+  an exact request (in either direction; for error reports, a sampled
+  screen against exhaustive evaluation, including through the service's
+  shared cross-tenant store);
 * **resumable successive halving** -- config validation, determinism,
   checkpoint/resume through the same store/run_id plumbing NSGA-II uses,
   and the registered ``"sh_ehvi"`` strategy end to end, including a
@@ -420,30 +421,34 @@ class TestFidelityInputs:
 
 
 class TestFidelityRungCacheIsolation:
-    """A 1k-pattern screen must never be served for an exhaustive request
-    (nor the other way round) -- the rung is part of the cache identity."""
+    """A reduced evaluation must never be served for an exact request (nor
+    the other way round): a sampled error report is keyed apart from an
+    exhaustive one, and an accelerator rung apart from the full input set."""
 
     @pytest.fixture(scope="class")
     def library(self):
         return build_multiplier_library(4, size=8, seed=9)
 
-    def test_error_evaluator_rung_semantics(self, library):
+    @staticmethod
+    def sampled(reference):
+        """A 100-pattern screen: the limit sits below the 8-bit width."""
+        return ErrorEvaluator(reference, max_exhaustive_inputs=7, num_samples=100)
+
+    def test_error_evaluator_sampling_semantics(self, library):
         reference = library.reference()  # 8 input bits: 256 exhaustive patterns
-        screen = ErrorEvaluator(reference, fidelity=100)
+        screen = self.sampled(reference)
         assert screen.method == "monte_carlo" and screen.num_patterns == 100
-        # A budget covering the full sweep *is* exact evaluation.
-        covered = ErrorEvaluator(reference, fidelity=1000)
+        # A limit at the width is exact evaluation, whatever the sample size.
+        covered = ErrorEvaluator(reference, max_exhaustive_inputs=8, num_samples=100)
         assert covered.method == "exhaustive" and covered.num_patterns == 256
         assert ErrorEvaluator(reference).method == "exhaustive"
-        with pytest.raises(ValueError, match="fidelity"):
-            ErrorEvaluator(reference, fidelity=0)
 
     def test_screen_and_exact_never_share_cache_entries(self, library):
         reference = library.reference()
         circuits = list(library.circuits[:4])
         cache = EvalCache()
         screen = BatchEvaluator(
-            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache, mode="serial"
+            error_evaluator=self.sampled(reference), cache=cache, mode="serial"
         )
         exact = BatchEvaluator(reference, cache=cache, mode="serial")
 
@@ -496,7 +501,7 @@ class TestFidelityRungCacheIsolation:
         # Tenant A runs a 100-pattern screen against the shared store.
         cache_a = EvalCache(store=store)
         BatchEvaluator(
-            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache_a, mode="serial"
+            error_evaluator=self.sampled(reference), cache=cache_a, mode="serial"
         ).evaluate_errors(circuits)
         # Tenant B's *exact* request through a fresh cache on the same store
         # must miss all the way to a recompute...
@@ -505,10 +510,10 @@ class TestFidelityRungCacheIsolation:
         exact_engine.evaluate_errors(circuits)
         stats = cache_b.stats()
         assert stats.hits == 0 and stats.misses == len(circuits)
-        # ... while a tenant C screen at A's rung is a pure disk hit.
+        # ... while a tenant C screen at A's budget is a pure disk hit.
         cache_c = EvalCache(store=store)
         BatchEvaluator(
-            error_evaluator=ErrorEvaluator(reference, fidelity=100), cache=cache_c, mode="serial"
+            error_evaluator=self.sampled(reference), cache=cache_c, mode="serial"
         ).evaluate_errors(circuits)
         stats = cache_c.stats()
         assert stats.misses == 0 and stats.hits == len(circuits)

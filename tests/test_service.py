@@ -13,7 +13,9 @@ Covers the three load-bearing guarantees of :mod:`repro.service`:
   crashes, cancels and lease expiry;
 * a **killed worker loses no work**: a job reclaimed after its worker died
   mid-stage or mid-generation resumes from the last checkpoint and
-  finishes with a payload digest bit-identical to an uninterrupted run;
+  finishes with a payload digest bit-identical to an uninterrupted run,
+  and a worker that stalled past its lease leaves the job to the worker
+  that took it over;
   fitted estimators ride the shared store too, so the resumed job and a
   second tenant's identical job restore them instead of fitting again.
 
@@ -604,6 +606,22 @@ class KilledMidGeneration(Worker):
                 raise KeyboardInterrupt("simulated worker death mid-generation")
 
 
+class StallsPastItsLease(Worker):
+    """Stalls through its first heartbeat: its lease expires meanwhile and
+    ``rival`` takes the job over before the heartbeat reaches the registry."""
+
+    def __init__(self, *args, rival: Worker, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rival = rival
+        self.taken_over = None
+
+    def _heartbeat(self, record):
+        if self.taken_over is None:
+            _expire_lease(self.registry, record.job_id)
+            self.taken_over = self.rival.registry.claim(self.rival.worker_id)
+        super()._heartbeat(record)
+
+
 def _run_reference(tmp_path, params) -> str:
     """Digest of the same job run uninterrupted in a pristine root."""
     registry = JobRegistry(tmp_path / "reference")
@@ -656,6 +674,32 @@ class TestCrashResume:
         # search stage itself resumes from its NSGA-II generation checkpoints.
         assert "collect-samples" in record.resumed_stages
         assert record.digest == reference_digest
+
+    def test_worker_that_lost_its_lease_leaves_the_job_to_the_new_owner(self, tmp_path):
+        reference_digest = _run_reference(tmp_path, TINY_AUTOAX)
+
+        registry = JobRegistry(tmp_path / "service")
+        JobClient(registry).submit("autoax", TINY_AUTOAX, job_id="contested")
+        rival = Worker(registry, worker_id="worker-b", engine_mode="serial")
+        stalled = StallsPastItsLease(
+            registry, worker_id="worker-a", engine_mode="serial", rival=rival
+        )
+        stalled.run_once()
+
+        # worker-a wrote nothing after losing the lease: the record and the
+        # lease are worker-b's, as its takeover left them.
+        claimed = stalled.taken_over
+        assert claimed is not None and claimed.job_id == "contested"
+        record = registry.get("contested")
+        assert record.state == "running"
+        assert record.worker == "worker-b"
+        assert record.attempts == 2
+        assert registry.lease_info("contested")["worker"] == "worker-b"
+
+        finished = rival._execute(claimed)
+        assert finished.state == "done"
+        assert finished.digest == reference_digest
+        assert registry.get("contested").state == "done"
 
     def test_resumed_job_and_second_tenant_restore_the_fits(self, tmp_path, monkeypatch):
         params = dict(TINY_AUTOAX, parameters=["area", "latency"])

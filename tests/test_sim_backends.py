@@ -20,9 +20,9 @@ contract several ways:
 * evaluators, the engine and both whole flows, each run once forced onto
   each path by patching ``PACKED_MIN_PATTERNS``;
 * the rule itself: which path each entry point (``simulate_words``, lookup
-  tables, the batch evaluator, streamed evaluator blocks) takes at the
-  threshold, that an evaluator's expanded operands follow a moved
-  threshold, and that the retired ``sim_backend`` keyword is rejected.
+  tables, the batch evaluator) takes at the threshold, that an evaluator
+  keeps the form its operands were expanded in, and that the retired
+  ``sim_backend`` keyword is rejected.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.circuits.gates import GATE_FUNCTIONS
 from repro.circuits.simulate import expand_operand_bits, node_values, use_packed_path
 from repro.engine import BatchEvaluator, EvalCache
 from repro.error import ErrorEvaluator, evaluate_error
-from repro.error import evaluation as evaluation_module
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 from repro.generators.perturbation import PerturbationConfig
 
@@ -113,7 +112,6 @@ def packed_calls(monkeypatch):
         return simulate_planes(netlist, planes)
 
     monkeypatch.setattr(simulate_module, "simulate_planes", spy)
-    monkeypatch.setattr(evaluation_module, "simulate_planes", spy)
     return calls
 
 
@@ -171,11 +169,12 @@ def test_component_lookup_tables_take_the_packed_path(multiplier4, multiplier8, 
     assert np.array_equal(small, (a * b).reshape(-1))
 
 
-def test_operand_memo_follows_a_patched_threshold(multiplier4, packed_calls, monkeypatch):
-    """An evaluator keeps its expanded operands only in the form its path
-    consumes, keyed by the path: moving the threshold under a live
-    evaluator expands them once more, as packed planes, with identical
-    results."""
+def test_operand_memo_keeps_the_form_it_was_expanded_in(multiplier4, packed_calls, monkeypatch):
+    """An evaluator's expanded operands record their path, and the memo is
+    keyed by input layout alone: moving the threshold under a live
+    evaluator neither re-expands its operands nor moves it off the bool
+    path, while an evaluator built after the move expands them once, as
+    packed planes, with identical results."""
     circuit = perturb_netlist(multiplier4, seed=11)
     evaluator = ErrorEvaluator(multiplier4)  # 256 patterns: the bool path
     on_bool = evaluator.evaluate(circuit)
@@ -187,33 +186,17 @@ def test_operand_memo_follows_a_patched_threshold(multiplier4, packed_calls, mon
         expanded.append(netlist.name)
         return expand_operand_bits(netlist, operands)
 
-    monkeypatch.setattr(evaluation_module, "expand_operand_bits", spy)
+    monkeypatch.setattr(simulate_module, "expand_operand_bits", spy)
     monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
     assert evaluator.evaluate(circuit) == on_bool
-    assert evaluator.evaluate(circuit) == on_bool
-    assert expanded == [circuit.name]
-    assert packed_calls == [(circuit.name, num_planes(256))] * 2
+    assert expanded == [] and packed_calls == []
 
-
-def test_streamed_blocks_pick_their_path_by_block_size(multiplier4, packed_calls, monkeypatch):
-    """A streaming evaluator applies the rule to each block it simulates.
-
-    With the threshold at 100, the 256 exhaustive patterns of a 4x4
-    multiplier stream as blocks of 100, 100 and 56: two packed, one bool.
-    Mixing the paths within one evaluation leaves the metrics unchanged.
-    """
-    circuit = perturb_netlist(multiplier4, seed=11)
-    one_shot = ErrorEvaluator(multiplier4).evaluate(circuit)
-    assert packed_calls == []
-
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
-    evaluator = ErrorEvaluator(multiplier4, chunk_patterns=100)
-    packed_calls.clear()
-    streamed = evaluator.evaluate(circuit)
-    assert packed_calls == [(circuit.name, num_planes(100))] * 2
-    for field in ("med", "mae", "wce", "wce_relative", "error_probability", "mse"):
-        assert getattr(streamed.metrics, field) == getattr(one_shot.metrics, field), field
-    assert streamed.metrics.mre == pytest.approx(one_shot.metrics.mre, rel=1e-12)
+    packed = ErrorEvaluator(multiplier4)
+    assert packed.evaluate(circuit) == on_bool
+    assert packed.evaluate(circuit) == on_bool
+    assert expanded == [multiplier4.name]
+    planes = num_planes(256)
+    assert packed_calls == [(multiplier4.name, planes)] + [(circuit.name, planes)] * 2
 
 
 @pytest.mark.parametrize(
@@ -442,22 +425,6 @@ def test_error_evaluator_monte_carlo_backends_bit_identical(on_each_path):
     assert reports["packed"] == reports["bool"]
 
 
-def test_streaming_evaluator_matches_one_shot(multiplier4):
-    circuit = perturb_netlist(multiplier4, seed=13)
-    one_shot = ErrorEvaluator(multiplier4).evaluate(circuit)
-    for chunk in (1, 37, 64, 100, 256, 10**6):
-        chunked = ErrorEvaluator(multiplier4, chunk_patterns=chunk).evaluate(circuit)
-        exact_fields = ("med", "mae", "wce", "wce_relative", "error_probability", "mse")
-        for field in exact_fields:
-            assert getattr(chunked.metrics, field) == getattr(one_shot.metrics, field), field
-        assert chunked.metrics.mre == pytest.approx(one_shot.metrics.mre, rel=1e-12)
-
-
-def test_streaming_evaluator_rejects_bad_chunk(multiplier4):
-    with pytest.raises(ValueError):
-        ErrorEvaluator(multiplier4, chunk_patterns=0)
-
-
 # --------------------------------------------------------------------- #
 # Engine integration: the path changes neither results nor cache keys
 # --------------------------------------------------------------------- #
@@ -484,48 +451,22 @@ def test_engine_results_and_cache_shared_across_backends(multiplier4, monkeypatc
     assert fresh.evaluate_errors(circuits) == bool_reports
 
 
-def test_process_pool_task_carries_streaming_and_fidelity(multiplier4):
+def test_process_pool_task_carries_the_pattern_budget(multiplier4):
     """Pool workers rebuild the error evaluator from its pickled constructor
-    arguments; its chunking and fidelity rung must survive the trip (a
-    dropped rung would evaluate all 256 patterns exhaustively instead of 200
-    sampled ones)."""
+    arguments; its sample count and seed must survive the trip (a dropped
+    budget would evaluate 8,192 patterns instead of 200, a dropped seed
+    another sample)."""
     circuits = [perturb_netlist(multiplier4, seed=s) for s in range(4)]
 
     def engine(mode):
-        evaluator = ErrorEvaluator(multiplier4, chunk_patterns=48, fidelity=200)
+        evaluator = ErrorEvaluator(multiplier4, max_exhaustive_inputs=0, num_samples=200, seed=7)
         return BatchEvaluator(error_evaluator=evaluator, mode=mode, max_workers=2)
 
     serial = engine("serial").evaluate_errors(circuits)
     assert {(r.method, r.num_patterns) for r in serial} == {("monte_carlo", 200)}
+    other_seed = ErrorEvaluator(multiplier4, max_exhaustive_inputs=0, num_samples=200, seed=8)
+    assert [other_seed.evaluate(c) for c in circuits] != serial
     assert engine("process").evaluate_errors(circuits) == serial
-
-
-def test_degenerate_chunk_shares_cache_with_one_shot(multiplier4):
-    """chunk_patterns >= num_patterns is one-shot: same results, same cache keys."""
-    circuit = perturb_netlist(multiplier4, seed=17)
-    cache = EvalCache()
-    one_shot = BatchEvaluator(multiplier4, cache=cache, mode="serial")
-    [report] = one_shot.evaluate_errors([circuit])
-
-    big_chunk = ErrorEvaluator(multiplier4, chunk_patterns=10**9)
-    assert not big_chunk.streaming
-    degenerate = BatchEvaluator(error_evaluator=big_chunk, cache=cache, mode="serial")
-    before = cache.stats()
-    [served] = degenerate.evaluate_errors([circuit])
-    after = cache.stats()
-    assert after.hits - before.hits == 1
-    assert after.misses == before.misses
-    assert served.metrics == report.metrics
-
-    # A genuinely streaming evaluator keys its own cache namespace.
-    streaming = ErrorEvaluator(multiplier4, chunk_patterns=64)
-    assert streaming.streaming
-    streaming_engine = BatchEvaluator(error_evaluator=streaming, cache=cache, mode="serial")
-    before = cache.stats()
-    [streamed] = streaming_engine.evaluate_errors([circuit])
-    after = cache.stats()
-    assert after.misses == before.misses + 1
-    assert streamed.metrics.med == report.metrics.med
 
 
 # --------------------------------------------------------------------- #
