@@ -11,9 +11,10 @@ cache and artifact store are the registry's **shared sharded stores**, so
   to an uninterrupted run.
 
 Liveness is lease-based: the worker renews the job's lease on every stage
-event and every search generation.  A worker that dies simply stops
-heartbeating; it marks nothing, and after ``lease_ttl`` seconds any other
-worker's :meth:`~repro.service.jobs.JobRegistry.claim` takes the job over.
+event, every search generation and before it stores the result.  A worker
+that dies simply stops heartbeating; it marks nothing, and after
+``lease_ttl`` seconds any other worker's
+:meth:`~repro.service.jobs.JobRegistry.claim` takes the job over.
 A worker that stalled past its lease and finds the job taken over (its
 heartbeat raises :class:`~repro.service.jobs.LeaseLostError`) drops the
 job without writing to it.  Flow *errors* (other exceptions) are different
@@ -156,6 +157,9 @@ class Worker:
                 progress=on_progress,
                 on_generation=on_generation,
             )
+            # The flow may have run past the lease since its last heartbeat:
+            # only the lease holder stores the result.
+            self._heartbeat(record)
         except LeaseLostError:
             # The lease expired and another worker took the job over: the
             # record and the lease are the new owner's, so touch neither.

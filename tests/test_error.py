@@ -43,10 +43,12 @@ def test_known_error_values():
         (np.array([]), np.array([]), 10, ValueError),
         (np.arange(3), np.arange(3), 0, ValueError),
         (np.arange(3), np.arange(4), 10, ValueError),
-        # Same contract as words_to_bits: floats would truncate silently.
+        # Same contract as words_to_bits: floats would truncate silently,
+        # in either argument.
+        (np.array([3.0, 4.7]), np.array([3, 4]), 100, TypeError),
         (np.array([3, 4]), np.array([3.0, 4.7]), 100, TypeError),
     ],
-    ids=["empty", "max_output", "shape", "float_dtype"],
+    ids=["empty", "max_output", "shape", "float_exact", "float_approx"],
 )
 def test_error_metric_input_validation(exact, approx, max_output, error):
     with pytest.raises(error):

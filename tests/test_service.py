@@ -607,19 +607,27 @@ class KilledMidGeneration(Worker):
 
 
 class StallsPastItsLease(Worker):
-    """Stalls through its first heartbeat: its lease expires meanwhile and
-    ``rival`` takes the job over before the heartbeat reaches the registry."""
+    """Stalls through one heartbeat: its lease expires meanwhile and
+    ``rival`` takes the job over before the heartbeat reaches the registry.
+    It stalls on its first heartbeat or, given ``after_stage``, on the first
+    one after the heartbeat that reported that stage completed -- for the
+    last stage, the heartbeat that guards the result."""
 
-    def __init__(self, *args, rival: Worker, **kwargs):
+    def __init__(self, *args, rival: Worker, after_stage=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.rival = rival
+        self.after_stage = after_stage
+        self.armed = after_stage is None
         self.taken_over = None
 
     def _heartbeat(self, record):
-        if self.taken_over is None:
+        if self.armed and self.taken_over is None:
             _expire_lease(self.registry, record.job_id)
             self.taken_over = self.rival.registry.claim(self.rival.worker_id)
         super()._heartbeat(record)
+        progress = record.progress or {}
+        if progress.get("stage") == self.after_stage and progress.get("status") == "completed":
+            self.armed = True
 
 
 def _run_reference(tmp_path, params) -> str:
@@ -675,19 +683,29 @@ class TestCrashResume:
         assert "collect-samples" in record.resumed_stages
         assert record.digest == reference_digest
 
-    def test_worker_that_lost_its_lease_leaves_the_job_to_the_new_owner(self, tmp_path):
+    @pytest.mark.parametrize(
+        "after_stage", [None, "random-baseline"], ids=["first_beat", "after_last_stage"]
+    )
+    def test_worker_that_lost_its_lease_leaves_the_job_to_the_new_owner(
+        self, tmp_path, after_stage
+    ):
         reference_digest = _run_reference(tmp_path, TINY_AUTOAX)
 
         registry = JobRegistry(tmp_path / "service")
         JobClient(registry).submit("autoax", TINY_AUTOAX, job_id="contested")
         rival = Worker(registry, worker_id="worker-b", engine_mode="serial")
         stalled = StallsPastItsLease(
-            registry, worker_id="worker-a", engine_mode="serial", rival=rival
+            registry,
+            worker_id="worker-a",
+            engine_mode="serial",
+            rival=rival,
+            after_stage=after_stage,
         )
         stalled.run_once()
 
         # worker-a wrote nothing after losing the lease: the record and the
-        # lease are worker-b's, as its takeover left them.
+        # lease are worker-b's, as its takeover left them, and no result is
+        # stored -- even when the lease is lost after the flow returned.
         claimed = stalled.taken_over
         assert claimed is not None and claimed.job_id == "contested"
         record = registry.get("contested")
@@ -695,6 +713,7 @@ class TestCrashResume:
         assert record.worker == "worker-b"
         assert record.attempts == 2
         assert registry.lease_info("contested")["worker"] == "worker-b"
+        assert registry.result("contested") is None
 
         finished = rival._execute(claimed)
         assert finished.state == "done"

@@ -173,8 +173,7 @@ def test_operand_memo_keeps_the_form_it_was_expanded_in(multiplier4, packed_call
     """An evaluator's expanded operands record their path, and the memo is
     keyed by input layout alone: moving the threshold under a live
     evaluator neither re-expands its operands nor moves it off the bool
-    path, while an evaluator built after the move expands them once, as
-    packed planes, with identical results."""
+    path."""
     circuit = perturb_netlist(multiplier4, seed=11)
     evaluator = ErrorEvaluator(multiplier4)  # 256 patterns: the bool path
     on_bool = evaluator.evaluate(circuit)
@@ -190,13 +189,6 @@ def test_operand_memo_keeps_the_form_it_was_expanded_in(multiplier4, packed_call
     monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
     assert evaluator.evaluate(circuit) == on_bool
     assert expanded == [] and packed_calls == []
-
-    packed = ErrorEvaluator(multiplier4)
-    assert packed.evaluate(circuit) == on_bool
-    assert packed.evaluate(circuit) == on_bool
-    assert expanded == [multiplier4.name]
-    planes = num_planes(256)
-    assert packed_calls == [(multiplier4.name, planes)] + [(circuit.name, planes)] * 2
 
 
 @pytest.mark.parametrize(
