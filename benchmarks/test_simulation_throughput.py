@@ -1,4 +1,4 @@
-"""Simulation throughput: the bool oracle vs the packed path.
+"""Simulation throughput: the bool oracle vs the op tape.
 
 The workload is the paper's Monte-Carlo error-evaluation inner loop: one
 vectorised simulation pass of an exact multiplier over a seeded operand
@@ -11,8 +11,10 @@ and path:
   the compiled-program cache warm across the loop.  That is
   ``simulate_bits`` on the shared bit matrix for ``"bool"``, and
   ``simulate_planes`` on the shared packed planes for ``"packed"``.
-* **end-to-end** -- ``simulate_words`` (word expansion + simulation +
-  word collapse) forced onto each path, nothing shared.
+* **end-to-end** -- word expansion + simulation + word collapse, nothing
+  shared: ``simulate_words`` for ``"packed"``, and for ``"bool"`` the
+  oracle composition ``bits_to_words(simulate_bits(netlist,
+  expand_operand_bits(netlist, operands)))``.
 
 Both paths must be bit-identical.  In full mode the 16-bit floors are
 enforced: packed >= 12x over bool in the kernel and >= 1.8x end to end.
@@ -41,7 +43,6 @@ from repro.circuits import (
     simulate_words,
     unpack_bits,
 )
-from repro.circuits import simulate as simulate_module
 from repro.circuits.simulate import expand_operand_bits
 from repro.generators import array_multiplier
 
@@ -54,9 +55,6 @@ WIDTHS = (8,) if QUICK else (8, 12, 16)
 #: (measured ~98x on an idle machine).
 PACKED_KERNEL_SPEEDUP_FLOOR = 12.0
 END_TO_END_SPEEDUP_FLOOR = 1.8
-
-#: ``PACKED_MIN_PATTERNS`` values that force ``simulate_words`` onto one path.
-FORCED_PATHS = {"bool": 2**62, "packed": 1}
 
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_simulation.json"
 #: BENCH files are tracked, so they are rewritten only on request
@@ -74,7 +72,11 @@ def _best_of(callable_, repeats=2):
     return best, result
 
 
-def test_simulation_throughput_across_backends(benchmark, monkeypatch):
+def _oracle_words(netlist, operands):
+    return bits_to_words(simulate_bits(netlist, expand_operand_bits(netlist, operands)))
+
+
+def test_simulation_throughput_across_backends(benchmark):
     rng = np.random.default_rng(97)
     rows = []
 
@@ -96,11 +98,8 @@ def test_simulation_throughput_across_backends(benchmark, monkeypatch):
             assert np.array_equal(unpack_bits(packed_planes, NUM_SAMPLES).T, bool_bits)
 
             e2e_s, e2e_words = {}, {}
-            for path, threshold in FORCED_PATHS.items():
-                monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
-                e2e_s[path], e2e_words[path] = _best_of(
-                    lambda: simulate_words(multiplier, operands)
-                )
+            for path, simulate in (("bool", _oracle_words), ("packed", simulate_words)):
+                e2e_s[path], e2e_words[path] = _best_of(lambda: simulate(multiplier, operands))
             assert np.array_equal(e2e_words["bool"], e2e_words["packed"])
             assert np.array_equal(bits_to_words(bool_bits), e2e_words["bool"])
 

@@ -87,23 +87,20 @@ shared across every stage of a flow -- and across flows, when runs share an
 
 Simulation paths
 ----------------
-Behavioural simulation has two bit-identical paths, and only
-:mod:`repro.circuits.simulate` picks between them, by pattern count
-(:func:`~repro.circuits.simulate.use_packed_path`): below
-``PACKED_MIN_PATTERNS`` (4,096) patterns,
-:func:`repro.circuits.simulate_bits`, the one-byte-per-pattern reference
-oracle; from there up, :func:`repro.circuits.simulate_planes`, which packs
-64 patterns into each ``uint64`` lane (:mod:`repro.circuits.bitplane`) and
-runs the netlist's levelized op tape (:mod:`repro.circuits.compiled`) --
-compiled once per structural fingerprint and executed by a cache-tiled
-native interpreter where a C compiler is available (NumPy fallback
-otherwise).  :func:`~repro.circuits.simulate.expand_operands` expands
-operands into the form of the chosen path and
-:func:`~repro.circuits.simulate.simulate_expanded` runs a netlist on it;
-``simulate_words`` and the error evaluator both go through that pair.  The
-paths are bit-identical by contract -- enforced by the differential suite
-(``pytest -m sim_backends``) -- so cached results never depend on which one
-ran.
+Every production simulation runs one path,
+:func:`repro.circuits.simulate_planes`: 64 patterns packed into each
+``uint64`` lane (:mod:`repro.circuits.bitplane`) through the netlist's
+levelized op tape (:mod:`repro.circuits.compiled`), compiled once per
+structural fingerprint and executed by a cache-tiled native interpreter
+where a C compiler is available (NumPy fallback otherwise).
+:func:`~repro.circuits.simulate.expand_operands` packs operand words
+straight into input planes and
+:func:`~repro.circuits.simulate.simulate_expanded` turns output planes
+straight back into words; ``simulate_words`` and the error evaluator both
+go through that pair.  :func:`repro.circuits.simulate_bits`, one byte per
+pattern, is the reference oracle, bit-identical by contract -- enforced by
+the differential suite (``pytest -m sim_backends``) -- so cached results
+never depend on how they were simulated.
 """
 
 from .api import (

@@ -1,13 +1,14 @@
-"""Packed bit-plane layout and the one packed simulation entry point.
+"""Packed bit-plane layout and the one simulation entry point.
 
 The oracle simulator (:func:`repro.circuits.simulate.simulate_bits`) spends
-one NumPy byte per pattern per net.  The packed path packs 64 patterns into
-each lane of a ``uint64`` *bit plane* per net -- the classic bit-parallel
-trick behind EvoApproxLib's C models -- so every gate evaluation processes
-64 patterns per machine word.  :func:`simulate_planes` runs the netlist's
-compiled op tape (:mod:`repro.circuits.compiled`) over such planes;
-:func:`repro.circuits.simulate.simulate_words` takes this path from
-:data:`~repro.circuits.simulate.PACKED_MIN_PATTERNS` patterns up.
+one NumPy byte per pattern per net.  Production simulation packs 64
+patterns into each lane of a ``uint64`` *bit plane* per net -- the classic
+bit-parallel trick behind EvoApproxLib's C models -- so every gate
+evaluation processes 64 patterns per machine word.  :func:`simulate_planes`
+runs the netlist's compiled op tape (:mod:`repro.circuits.compiled`) over
+such planes, for every pattern count;
+:func:`repro.circuits.simulate.expand_operands` packs operand words into
+them.
 
 Layout: a boolean vector of ``patterns`` values packs into
 ``num_planes(patterns)`` lanes; pattern ``p`` lives in lane ``p // 64``.
@@ -88,11 +89,12 @@ def simulate_planes(netlist: Netlist, input_planes: np.ndarray) -> np.ndarray:
     """Simulate on pre-packed input planes, returning packed output planes.
 
     ``input_planes`` is a ``(num_inputs, planes)`` ``uint64`` matrix (net
-    major, as produced by ``pack_bits(input_bits.T)``); the result is the
-    ``(num_outputs, planes)`` packed output.  This is the one packed
-    simulation entry point: the netlist's op tape, compiled once per
-    structural fingerprint, runs over the planes.  Callers that evaluate
-    many circuits on the same operand set (the error evaluator) pack once
-    and reuse the planes.
+    major, as produced by ``pack_bits(input_bits.T)`` or
+    :func:`~repro.circuits.simulate.expand_operands`); the result is the
+    ``(num_outputs, planes)`` packed output.  This is the one simulation
+    entry point: the netlist's op tape, compiled once per structural
+    fingerprint, runs over the planes.  Callers that evaluate many circuits
+    on the same operand set (the error evaluator) pack once and reuse the
+    planes.
     """
     return compile_netlist(netlist).run(input_planes)

@@ -34,22 +34,28 @@ executes over whole packed bit-plane matrices.  Compilation performs
   gate.  Operand gathers that form contiguous slot ranges degrade to
   zero-copy slices.
 
-Programs are cached per structural fingerprint (:data:`PROGRAM_CACHE_SIZE`
-entries, LRU) so repeated evaluations of the same circuit -- Monte-Carlo
-inner loops, streamed chunk evaluation, warm engine passes -- pay
-compilation exactly once per process.  A :class:`CompiledProgram` contains
-only plain integers and NumPy arrays, so it pickles cleanly across process
-pools; workers that receive only the netlist rebuild the program through
-the same per-process cache.
+The tape runs on the native executor (:mod:`repro.circuits._native`)
+where it could be built, and otherwise on the NumPy executor, which alone
+reads the :class:`OpGroup` list; :meth:`CompiledProgram.op_groups` builds
+it from the stored group bounds on the first NumPy run, so a native run
+never pays for it.
 
-:func:`repro.circuits.bitplane.simulate_planes` is the packed simulation
+Programs are cached per structural fingerprint (:data:`PROGRAM_CACHE_SIZE`
+entries, LRU) so repeated simulations of the same circuit -- Monte-Carlo
+inner loops, datapath passes, warm engine passes -- pay compilation
+exactly once per process.  A :class:`CompiledProgram` contains only plain
+integers and NumPy arrays (with or without its groups built), so it
+pickles cleanly across process pools; workers that receive only the
+netlist rebuild the program through the same per-process cache.
+
+:func:`repro.circuits.bitplane.simulate_planes` is the one simulation
 entry point that runs these programs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -174,11 +180,12 @@ class CompiledProgram:
 
     Slots ``0 .. num_inputs-1`` mirror the primary inputs,
     ``zero_slot``/``one_slot`` hold the preloaded constants, and every tape
-    group writes the contiguous slot range it owns.  ``out_index`` gathers
-    the output rows and ``out_invert`` marks outputs stored in inverted
-    polarity (fixed up by one vectorised XOR).  The program holds only
-    integers and NumPy arrays, so it pickles cleanly into process-pool
-    workers.
+    group (a ``group_bounds`` entry: opcode and the tape rows ``[start,
+    stop)`` it fuses) writes the contiguous slot range it owns.
+    ``out_index`` gathers the output rows and ``out_invert`` marks outputs
+    stored in inverted polarity (fixed up by one vectorised XOR).  The
+    program holds only integers and NumPy arrays, so it pickles cleanly
+    into process-pool workers.
     """
 
     fingerprint: str
@@ -187,7 +194,7 @@ class CompiledProgram:
     zero_slot: int
     one_slot: int
     tape: np.ndarray  # (num_ops, 4) int32 rows: opcode, a, b, dest
-    groups: List[OpGroup]
+    group_bounds: Tuple[Tuple[int, int, int], ...]  # (opcode, start, stop)
     out_index: np.ndarray
     out_invert: np.ndarray  # (num_outputs,) uint64 polarity masks (0 or ~0)
     num_outputs: int
@@ -195,6 +202,24 @@ class CompiledProgram:
     live_gates: int
     num_ops: int
     num_levels: int
+    _groups: Optional[List[OpGroup]] = field(default=None, repr=False, compare=False)
+
+    def op_groups(self) -> List[OpGroup]:
+        """The NumPy executor's fused steps, built on first use and kept."""
+        if self._groups is None:
+            first_op_slot = self.one_slot + 1
+            groups = []
+            for opcode, start, stop in self.group_bounds:
+                ab = np.concatenate((self.tape[start:stop, 1], self.tape[start:stop, 2]))
+                if np.array_equal(ab, np.arange(ab[0], ab[0] + ab.size)):
+                    ab_index, ab_slice = None, (int(ab[0]), int(ab[0]) + int(ab.size))
+                else:
+                    ab_index, ab_slice = ab.astype(np.intp), None
+                groups.append(
+                    OpGroup(opcode, first_op_slot + start, first_op_slot + stop, ab_index, ab_slice)
+                )
+            self._groups = groups
+        return self._groups
 
     def run(self, input_planes: np.ndarray) -> np.ndarray:
         """Execute the tape on ``(num_inputs, planes)`` packed input planes.
@@ -221,7 +246,7 @@ class CompiledProgram:
         values[: self.num_inputs] = input_planes
         values[self.zero_slot] = 0
         values[self.one_slot] = PLANE_ONES
-        for group in self.groups:
+        for group in self.op_groups():
             size = group.dest_stop - group.dest_start
             out = values[group.dest_start : group.dest_stop]
             if group.ab_slice is not None:
@@ -260,17 +285,6 @@ def _scratch_matrix(num_slots: int, planes: int) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------- #
-@dataclass
-class _Lowered:
-    """A surviving op before scheduling (destination slots provisional)."""
-
-    opcode: int
-    a: int  # provisional operand slots
-    b: int
-    dest: int
-    level: int
-
-
 def _effective_mask(gate_type: GateType, a_inv: bool, b_inv: bool) -> int:
     """Truth mask of ``gate_type`` with input polarities folded in."""
     mask = _TRUTH_MASKS[gate_type]
@@ -311,7 +325,11 @@ def _compile(netlist: Netlist) -> CompiledProgram:
     node_const: List[Optional[int]] = [None] * num_nodes
     slot_level = [0] * first_op_slot
 
-    lowered: List[_Lowered] = []
+    # Surviving ops before scheduling, op ``i`` provisionally writing slot
+    # ``first_op_slot + i``: opcode and provisional operand slots.
+    op_codes: List[int] = []
+    op_a: List[int] = []
+    op_b: List[int] = []
     const_slots = (zero_slot, one_slot)
 
     def operand(node: int) -> Tuple[int, bool, Optional[int]]:
@@ -351,14 +369,14 @@ def _compile(netlist: Netlist) -> CompiledProgram:
             variable = a_slot
         else:
             opcode, swap, out_inv = _MASK_TO_OP[mask]
-            dest = first_op_slot + len(lowered)
-            level = max(slot_level[a_slot], slot_level[b_slot]) + 1
+            slot_level.append(max(slot_level[a_slot], slot_level[b_slot]) + 1)
             if swap:
                 a_slot, b_slot = b_slot, a_slot
-            lowered.append(_Lowered(opcode, a_slot, b_slot, dest, level))
-            slot_level.append(level)
-            node_slot[node_id] = dest
+            node_slot[node_id] = first_op_slot + len(op_codes)
             node_inv[node_id] = out_inv
+            op_codes.append(opcode)
+            op_a.append(a_slot)
+            op_b.append(b_slot)
             continue
 
         if f0 == f1:  # degenerate: constant regardless of the variable
@@ -374,19 +392,20 @@ def _compile(netlist: Netlist) -> CompiledProgram:
     # schedule order so each group owns a contiguous destination range, and
     # ops only ever read slots committed by earlier groups, so the schedule
     # is a valid topological order.
+    num_ops = len(op_codes)
     dependents: Dict[int, List[int]] = {}
-    blockers = [0] * len(lowered)
-    for position, op in enumerate(lowered):
-        for slot in (op.a, op.b):
+    blockers = [0] * num_ops
+    for position in range(num_ops):
+        for slot in (op_a[position], op_b[position]):
             if slot >= first_op_slot:
                 producer = slot - first_op_slot
                 dependents.setdefault(producer, []).append(position)
                 blockers[position] += 1
 
     ready: Dict[int, List[int]] = {}  # opcode -> ready op positions
-    for position, op in enumerate(lowered):
+    for position in range(num_ops):
         if blockers[position] == 0:
-            ready.setdefault(op.opcode, []).append(position)
+            ready.setdefault(op_codes[position], []).append(position)
 
     schedule: List[int] = []
     group_bounds: List[Tuple[int, int, int]] = []  # (opcode, start, stop)
@@ -400,35 +419,18 @@ def _compile(netlist: Netlist) -> CompiledProgram:
             for dependent in dependents.get(position, ()):
                 blockers[dependent] -= 1
                 if blockers[dependent] == 0:
-                    ready.setdefault(lowered[dependent].opcode, []).append(dependent)
+                    ready.setdefault(op_codes[dependent], []).append(dependent)
 
-    ordered = [lowered[position] for position in schedule]
-    destinations = first_op_slot + np.arange(len(ordered), dtype=np.int64)
-    slot_remap = np.arange(first_op_slot + len(lowered), dtype=np.int64)
-    slot_remap[np.array([op.dest for op in ordered], dtype=np.int64)] = destinations
+    order = np.array(schedule, dtype=np.int64)
+    destinations = first_op_slot + np.arange(num_ops, dtype=np.int64)
+    slot_remap = np.arange(first_op_slot + num_ops, dtype=np.int64)
+    slot_remap[first_op_slot + order] = destinations
 
-    tape = np.empty((len(ordered), 4), dtype=np.int32)
-    tape[:, 0] = [op.opcode for op in ordered]
-    tape[:, 1] = slot_remap[np.array([op.a for op in ordered], dtype=np.int64)]
-    tape[:, 2] = slot_remap[np.array([op.b for op in ordered], dtype=np.int64)]
+    tape = np.empty((num_ops, 4), dtype=np.int32)
+    tape[:, 0] = np.array(op_codes, dtype=np.int64)[order]
+    tape[:, 1] = slot_remap[np.array(op_a, dtype=np.int64)[order]]
+    tape[:, 2] = slot_remap[np.array(op_b, dtype=np.int64)[order]]
     tape[:, 3] = destinations
-
-    groups: List[OpGroup] = []
-    for opcode, start, stop in group_bounds:
-        ab = np.concatenate((tape[start:stop, 1], tape[start:stop, 2])).astype(np.int64)
-        if np.array_equal(ab, np.arange(ab[0], ab[0] + ab.size, dtype=np.int64)):
-            ab_index, ab_slice = None, (int(ab[0]), int(ab[0]) + int(ab.size))
-        else:
-            ab_index, ab_slice = np.ascontiguousarray(ab, dtype=np.intp), None
-        groups.append(
-            OpGroup(
-                opcode=opcode,
-                dest_start=first_op_slot + start,
-                dest_stop=first_op_slot + stop,
-                ab_index=ab_index,
-                ab_slice=ab_slice,
-            )
-        )
 
     if netlist.output_bits:
         out_nodes = list(netlist.output_bits)
@@ -442,18 +444,18 @@ def _compile(netlist: Netlist) -> CompiledProgram:
     return CompiledProgram(
         fingerprint=netlist.fingerprint(),
         num_inputs=num_inputs,
-        num_slots=first_op_slot + len(lowered),
+        num_slots=first_op_slot + num_ops,
         zero_slot=zero_slot,
         one_slot=one_slot,
         tape=tape,
-        groups=groups,
+        group_bounds=tuple(group_bounds),
         out_index=np.ascontiguousarray(out_index, dtype=np.int64),
         out_invert=np.ascontiguousarray(out_invert, dtype=np.uint64),
         num_outputs=netlist.num_outputs,
         source_gates=netlist.num_gates,
         live_gates=live_gates,
-        num_ops=len(lowered),
-        num_levels=max((op.level for op in lowered), default=0),
+        num_ops=num_ops,
+        num_levels=max(slot_level),
     )
 
 

@@ -5,26 +5,21 @@ the circuit for an arbitrary number of input patterns.  This is the
 "behavioural model" counterpart of the C models that ship with EvoApproxLib
 in the original paper.
 
-Two bit-identical paths implement the pass, and this module alone picks
-between them, by pattern count (:func:`use_packed_path`):
+Every production simulation runs one path:
+:func:`~repro.circuits.bitplane.simulate_planes`, 64 patterns packed per
+``uint64`` lane, through the netlist's compiled op tape
+(:mod:`repro.circuits.compiled`).  :func:`expand_operands` packs operand
+words straight into input planes, one packed row per bit position, and
+:func:`simulate_expanded` runs a netlist on them and turns its output
+planes straight back into words; neither builds a ``(patterns, bits)``
+matrix.  :func:`simulate_words` is the two composed.  Callers that
+simulate many circuits on one operand set (the error evaluator) expand
+once and reuse the planes.
 
-* below :data:`PACKED_MIN_PATTERNS` patterns, :func:`simulate_bits` -- one
-  NumPy ``bool`` byte per pattern per net, and the reference oracle the
-  packed path is tested against;
-* from :data:`PACKED_MIN_PATTERNS` patterns up,
-  :func:`~repro.circuits.bitplane.simulate_planes` -- 64 patterns packed
-  per ``uint64`` lane, run through the netlist's compiled op tape
-  (:mod:`repro.circuits.compiled`).
-
-:func:`expand_operands` expands operand vectors into the input form their
-pattern count selects, and :func:`simulate_expanded` runs a netlist on that
-form; :func:`simulate_words` is the two composed.  Callers that simulate
-many circuits on one operand set (the error evaluator) expand once and
-reuse the result.
-
-The paths are *bit-identical by contract*: the differential suite
-(``pytest -m sim_backends``) asserts it, and downstream caches rely on it
-(no cache key names the path).
+:func:`simulate_bits` -- one NumPy ``bool`` byte per pattern per net, on
+the matrix :func:`expand_operand_bits` builds -- is the reference oracle
+the tape is tested against (``pytest -m sim_backends``), and
+:func:`node_values`, its gate loop, computes switching activity.
 """
 
 from __future__ import annotations
@@ -33,27 +28,21 @@ from typing import List, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitplane import pack_bits, simulate_planes, unpack_bits
+from .bitplane import num_planes, pack_bits, simulate_planes
 from .gates import evaluate_gate
 from .netlist import Netlist
-
-#: Simulations of at least this many patterns take the packed path, where
-#: compiling a cache-cold netlist pays for itself within one simulation;
-#: smaller ones run :func:`simulate_bits`.
-PACKED_MIN_PATTERNS = 4096
 
 #: Exhaustive enumeration is refused beyond this many input bits (2^24
 #: patterns); wider circuits are simulated on a seeded sample instead.
 MAX_EXHAUSTIVE_INPUTS = 24
 
-
-def use_packed_path(patterns: int) -> bool:
-    """Whether a simulation of ``patterns`` patterns takes the packed path.
-
-    The one place a simulation path is chosen; :func:`expand_operands`
-    asks here.
-    """
-    return patterns >= PACKED_MIN_PATTERNS
+#: (mask, shift) of the three swaps that transpose the 8x8 bit matrix held
+#: in a little-endian ``uint64`` (byte ``r`` is row ``r``, bit ``c`` of it
+#: column ``c``).
+_TRANSPOSE8 = tuple(
+    (np.uint64(mask), np.uint64(shift))
+    for mask, shift in ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0xF0F0F0F0, 28))
+)
 
 
 def node_values(netlist: Netlist, input_bits: np.ndarray) -> List[np.ndarray]:
@@ -93,8 +82,8 @@ def simulate_bits(netlist: Netlist, input_bits: np.ndarray) -> np.ndarray:
     return outputs
 
 
-def words_to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Expand unsigned integers into a (n, width) boolean matrix, LSB first.
+def _word_octets(values: np.ndarray, width: int) -> np.ndarray:
+    """Unsigned ``width``-bit words as ``(n, 8)`` little-endian bytes.
 
     Operands must have an integer (or boolean) dtype: floating-point values
     used to slip through and truncate silently, so they are rejected, as are
@@ -111,8 +100,17 @@ def words_to_bits(values: np.ndarray, width: int) -> np.ndarray:
         )
     if values.size and (int(values.min()) < 0 or int(values.max()) >= (1 << width)):
         raise ValueError(f"operand values out of range for a {width}-bit unsigned word")
+    return np.ascontiguousarray(values, dtype="<u8").reshape(-1, 1).view(np.uint8)
+
+
+def words_to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Expand unsigned integers into a (n, width) boolean matrix, LSB first.
+
+    Float operands raise :class:`TypeError`, values outside the unsigned
+    ``width``-bit range :class:`ValueError`.
+    """
     # A word's little-endian bytes, unpacked LSB first, are its bits.
-    octets = np.ascontiguousarray(values, dtype="<i8").reshape(-1, 1).view(np.uint8)
+    octets = _word_octets(values, width)
     return np.unpackbits(octets, axis=1, count=width, bitorder="little").view(bool)
 
 
@@ -136,17 +134,8 @@ def bits_to_words(bits: np.ndarray) -> np.ndarray:
     return words if width == 64 else words.astype(np.int64)
 
 
-def expand_operand_bits(
-    netlist: Netlist, operands: Mapping[str, Sequence[int]]
-) -> np.ndarray:
-    """Expand word-level operand vectors into the netlist's input-bit matrix.
-
-    Returns the (patterns, num_inputs) boolean matrix both simulation
-    paths start from, with each word's bits scattered to its primary-input
-    node ids.  This is the single implementation of the word-to-bit layout;
-    the error evaluator's operand memo and the benchmarks reuse it so they
-    measure exactly what production simulates.
-    """
+def _pattern_count(netlist: Netlist, operands: Mapping[str, Sequence[int]]) -> int:
+    """Common length of ``operands``, which must name every input word and no other."""
     missing = set(netlist.input_words) - set(operands)
     if missing:
         raise ValueError(f"missing operand values for input words: {sorted(missing)}")
@@ -159,49 +148,95 @@ def expand_operand_bits(
     lengths = {len(np.asarray(operands[name])) for name in netlist.input_words}
     if len(lengths) != 1:
         raise ValueError("all operand arrays must have the same length")
-    patterns = lengths.pop()
+    return lengths.pop()
 
-    input_bits = np.zeros((patterns, netlist.num_inputs), dtype=bool)
+
+def expand_operand_bits(
+    netlist: Netlist, operands: Mapping[str, Sequence[int]]
+) -> np.ndarray:
+    """Expand word-level operand vectors into the netlist's input-bit matrix.
+
+    Returns the (patterns, num_inputs) boolean matrix :func:`simulate_bits`
+    takes, with each word's bits scattered to its primary-input node ids:
+    the oracle's input, and the operand sample of switching activity.
+    """
+    input_bits = np.zeros((_pattern_count(netlist, operands), netlist.num_inputs), dtype=bool)
     for name, bit_ids in netlist.input_words.items():
         input_bits[:, list(bit_ids)] = words_to_bits(np.asarray(operands[name]), len(bit_ids))
     return input_bits
 
 
 class ExpandedOperands(NamedTuple):
-    """Operands in the input form of the path their pattern count selects."""
+    """Operands packed into a netlist's input planes."""
 
-    data: np.ndarray
-    """``(num_inputs, planes)`` ``uint64`` planes when :attr:`packed`, else
-    the ``(patterns, num_inputs)`` boolean matrix."""
+    planes: np.ndarray
+    """``(num_inputs, num_planes(patterns))`` ``uint64`` input planes."""
 
     patterns: int
-    packed: bool
 
 
 def expand_operands(
     netlist: Netlist, operands: Mapping[str, Sequence[int]]
 ) -> ExpandedOperands:
-    """Expand operand vectors into the input form their pattern count selects.
+    """Pack operand vectors straight into the netlist's input planes.
 
-    From :data:`PACKED_MIN_PATTERNS` patterns up that is packed planes for
-    :func:`~repro.circuits.bitplane.simulate_planes`, below it the boolean
-    matrix for :func:`simulate_bits`.  The result serves every netlist
-    whose input words are wired like ``netlist``'s.
+    Bit ``k`` of every word, ``(v >> k) & 1`` read from the byte that holds
+    it, is packed by :func:`~repro.circuits.bitplane.pack_bits` into the
+    planes of that bit's primary input.  Operands are checked as
+    :func:`expand_operand_bits` checks them.  The result serves every
+    netlist whose input words are wired like ``netlist``'s.
     """
-    input_bits = expand_operand_bits(netlist, operands)
-    patterns = input_bits.shape[0]
-    if use_packed_path(patterns):
-        return ExpandedOperands(pack_bits(input_bits.T), patterns, True)
-    return ExpandedOperands(input_bits, patterns, False)
+    patterns = _pattern_count(netlist, operands)
+    planes = np.zeros((netlist.num_inputs, num_planes(patterns)), dtype=np.uint64)
+    for name, bit_ids in netlist.input_words.items():
+        bits = np.arange(min(len(bit_ids), 64))  # wider bits stay 0
+        octets = _word_octets(operands[name], len(bit_ids))[:, : -(-bits.size // 8)]
+        rows = np.ascontiguousarray(octets.T)[bits >> 3]
+        rows >>= (bits & 7).astype(np.uint8)[:, None]
+        rows &= 1
+        planes[list(bit_ids[:64])] = pack_bits(rows.view(bool))
+    return ExpandedOperands(planes, patterns)
+
+
+def _planes_to_words(planes: np.ndarray, patterns: int) -> np.ndarray:
+    """Output words of ``(bits, planes)`` packed output planes, LSB first.
+
+    Each byte of a plane row holds one output bit of 8 patterns; eight
+    rows' bytes gathered into one ``uint64`` and transposed as an 8x8 bit
+    matrix give one output byte of each of those patterns.  Dtypes are
+    those of :func:`bits_to_words`.
+    """
+    width, lanes = planes.shape
+    groups = -(-width // 8)
+    rows = np.zeros((groups, 8, lanes * 8), dtype=np.uint8)
+    rows.reshape(groups * 8, lanes * 8)[:width] = planes.view(np.uint8)
+    # Copies run along the long pattern axis: one per bit, one per byte.
+    blocks = np.empty((groups, lanes * 8, 8), dtype=np.uint8)
+    for bit in range(8):
+        blocks[:, :, bit] = rows[:, bit]
+    blocks = blocks.view("<u8")
+    swap = np.empty_like(blocks)
+    for mask, shift in _TRANSPOSE8:
+        np.right_shift(blocks, shift, out=swap)
+        swap ^= blocks
+        swap &= mask
+        blocks ^= swap
+        swap <<= shift
+        blocks ^= swap
+    words = np.zeros((patterns, max(1, -(-groups // 8))), dtype="<u8" if width >= 64 else "<i8")
+    word_bytes = words.view(np.uint8)
+    out_bytes = blocks.view(np.uint8).reshape(groups, lanes * 64)
+    for group in range(groups):
+        word_bytes[:, group] = out_bytes[group, :patterns]
+    if width <= 64:
+        return words[:, 0].astype(np.uint64 if width == 64 else np.int64, copy=False)
+    chunks = words.astype(object)
+    return sum(chunks[:, index] << (64 * index) for index in range(chunks.shape[1]))
 
 
 def simulate_expanded(netlist: Netlist, inputs: ExpandedOperands) -> np.ndarray:
     """Output words of ``netlist`` on operands from :func:`expand_operands`."""
-    if inputs.packed:
-        output_bits = unpack_bits(simulate_planes(netlist, inputs.data), inputs.patterns).T
-    else:
-        output_bits = simulate_bits(netlist, inputs.data)
-    return bits_to_words(output_bits)
+    return _planes_to_words(simulate_planes(netlist, inputs.planes), inputs.patterns)
 
 
 def simulate_words(
@@ -211,9 +246,7 @@ def simulate_words(
 
     ``operands`` must provide a value array for every input word of the
     netlist; all arrays must have the same length.  This is
-    :func:`expand_operands` and :func:`simulate_expanded` composed: the
-    pattern count picks the simulation path (:func:`use_packed_path`);
-    both are bit-identical, so this only affects speed.
+    :func:`expand_operands` and :func:`simulate_expanded` composed.
     """
     return simulate_expanded(netlist, expand_operands(netlist, operands))
 

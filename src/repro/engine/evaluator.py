@@ -221,9 +221,9 @@ class BatchEvaluator:
         return self.error_evaluator
 
     def _error_ctx(self) -> str:
-        # The simulation path is deliberately excluded: the paths are
-        # bit-identical by contract (enforced by the differential suite), so
-        # results cached on one path must be shared with the other.
+        # No simulation detail is part of the context: the op tape and the
+        # bool oracle are bit-identical by contract (enforced by the
+        # differential suite), whichever executor runs the tape.
         if self._error_context is None:
             evaluator = self._require_error_evaluator()
             self._error_context = blake_token(

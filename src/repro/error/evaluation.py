@@ -8,11 +8,11 @@ enumeration is infeasible.
 
 :meth:`ErrorEvaluator.evaluate` is the one way an error report is computed
 (the batch engine, its pool workers and every direct caller use it).  An
-evaluator simulates every circuit on one shared operand set, so it expands
-those operands into each input-bit layout it meets once, through
-:func:`repro.circuits.simulate.expand_operands` (which also picks the
-simulation path), and keeps the result.  The reference shares that memo
-with the circuits evaluated after it.
+evaluator simulates every circuit on one shared operand set, so it packs
+those operands into the input planes of each input-bit layout it meets
+once, through :func:`repro.circuits.simulate.expand_operands`, and keeps
+the planes.  The reference shares that memo with the circuits evaluated
+after it.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ class ErrorEvaluator:
     def _outputs(self, circuit: Netlist) -> np.ndarray:
         """Output words of ``circuit`` on the shared operands.
 
-        The operands are expanded once per input-bit layout, in the form of
-        the path their pattern count selects.
+        The operands are packed into input planes once per input-bit layout.
         """
         layout = tuple(sorted((name, tuple(bits)) for name, bits in circuit.input_words.items()))
         inputs = self._layout_inputs.get(layout)

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.asic import AsicSynthesizer
+from repro.circuits import CompiledProgram, bits_to_words, simulate_bits
+from repro.circuits import simulate as simulate_module
+from repro.circuits.simulate import expand_operand_bits
 from repro.error import ErrorEvaluator
+from repro.error import evaluation as evaluation_module
 from repro.fpga import FpgaSynthesizer
 from repro.generators import (
     array_multiplier,
@@ -19,6 +23,39 @@ from repro.generators import (
     build_multiplier_library,
     ripple_carry_adder,
 )
+
+
+def _oracle_words(netlist, operands):
+    return bits_to_words(simulate_bits(netlist, expand_operand_bits(netlist, operands)))
+
+
+def _tape_forbidden(program, input_planes):
+    raise AssertionError("the op tape ran while simulation was routed through the oracle")
+
+
+def _route_through_oracle(patch) -> None:
+    # Where production binds its simulation entry points: ``simulate_words``
+    # (``Netlist.evaluate_words``, ``exhaustive_simulate``, component
+    # lookup tables) and the error evaluator's expand/simulate pair.
+    patch.setattr(simulate_module, "simulate_words", _oracle_words)
+    patch.setattr(evaluation_module, "expand_operands", lambda netlist, operands: operands)
+    patch.setattr(evaluation_module, "simulate_expanded", _oracle_words)
+    patch.setattr(CompiledProgram, "run", _tape_forbidden)
+
+
+@pytest.fixture(scope="session")
+def oracle_words():
+    """``words(netlist, operands)`` on the reference oracle: the ``bool``
+    input matrix, ``simulate_bits`` and ``bits_to_words``."""
+    return _oracle_words
+
+
+@pytest.fixture(scope="session")
+def oracle_route():
+    """``route(patch)`` sends every production simulation through the
+    ``oracle_words`` composition on the ``MonkeyPatch`` ``patch``; a
+    simulation that still reaches the op tape fails the test."""
+    return _route_through_oracle
 
 
 @pytest.fixture(scope="session")

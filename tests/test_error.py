@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.circuits import Netlist, simulate_words
 from repro.circuits import simulate as simulate_module
-from repro.circuits.simulate import expand_operand_bits
+from repro.circuits.simulate import expand_operands
 from repro.error import ErrorEvaluator, compute_error_metrics, evaluate_error, mean_error_distance
+from repro.error import evaluation as evaluation_module
 from repro.generators import (
     array_multiplier,
     ripple_carry_adder,
@@ -169,20 +170,18 @@ def test_retired_evaluation_keywords_are_rejected(build, keyword, multiplier4):
         build(multiplier4, **{keyword: 64})
 
 
-@pytest.mark.parametrize("packed_min_patterns", [1, 2**62], ids=["packed", "bool"])
-def test_operands_expanded_once_per_input_layout(multiplier4, monkeypatch, packed_min_patterns):
-    """An evaluator expands its shared operands into each input-bit layout
-    once, on either simulation path: the reference and every circuit wired
-    like it reuse that expansion, and a circuit wired differently gets its
-    own, correct one."""
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", packed_min_patterns)
+def test_operands_expanded_once_per_input_layout(multiplier4, monkeypatch):
+    """An evaluator packs its shared operands into the input planes of each
+    input-bit layout once: the reference and every circuit wired like it
+    reuse those planes, and a circuit wired differently gets its own,
+    correct ones."""
     expanded = []
 
     def spy(netlist, operands):
         expanded.append(netlist.name)
-        return expand_operand_bits(netlist, operands)
+        return expand_operands(netlist, operands)
 
-    monkeypatch.setattr(simulate_module, "expand_operand_bits", spy)
+    monkeypatch.setattr(evaluation_module, "expand_operands", spy)
     evaluator = ErrorEvaluator(multiplier4)
     circuits = [truncated_multiplier(4, cut) for cut in (1, 2, 3)] + [multiplier4]
     assert all(c.input_words == multiplier4.input_words for c in circuits)

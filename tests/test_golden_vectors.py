@@ -4,14 +4,15 @@
 outputs (as blake2b digests plus spot values) of one exact and one perturbed
 8-bit adder and multiplier.  Simulation or generator refactors that silently
 change simulation semantics -- or the seeded perturbation operator -- fail
-here even if both simulation paths still agree with each other.  The packed
-path is pinned with each of its executors: the native tape interpreter and
-the NumPy fallback.
+here even if the op tape and the ``bool`` oracle still agree with each
+other.  Each fixture runs on the tape with each of its executors (the
+native tape interpreter and the NumPy fallback) and with every simulation
+routed through the oracle.
 
 To regenerate after an *intentional* semantic change, recompute each entry
-with ``digest_of(exhaustive_simulate(circuit))`` on the bool path (patch
-``repro.circuits.simulate.PACKED_MIN_PATTERNS`` above the pattern count)
-using the builders in :data:`GOLDEN_CIRCUITS` below.
+with ``digest_of(exhaustive_simulate(circuit))`` on the oracle (the
+``oracle_route`` fixture of ``tests/conftest.py``) using the builders in
+:data:`GOLDEN_CIRCUITS` below.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 
 from repro.circuits import compiled as compiled_module
 from repro.circuits import exhaustive_simulate
-from repro.circuits import simulate as simulate_module
 from repro.error import compute_error_metrics
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 
@@ -50,17 +50,20 @@ def fixture_data():
         return json.load(handle)["circuits"]
 
 
-#: ``PACKED_MIN_PATTERNS`` values that force every simulation onto one path.
-FORCED_PATHS = {"bool": 2**62, "packed": 1, "packed_numpy": 1}
+#: The tape on each executor, and every simulation routed through the oracle.
+PATHS = ("oracle", "tape", "tape_numpy")
 
 
-@pytest.mark.parametrize("path", sorted(FORCED_PATHS))
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("key", sorted(GOLDEN_CIRCUITS))
-def test_exhaustive_outputs_match_frozen_fixture(key, path, fixture_data, monkeypatch):
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS[path])
-    if path == "packed_numpy":
-        # The packed path's NumPy executor, which runs wherever the native
-        # tape interpreter cannot be built (or ``REPRO_NO_NATIVE=1``).
+def test_exhaustive_outputs_match_frozen_fixture(
+    key, path, fixture_data, monkeypatch, oracle_route
+):
+    if path == "oracle":
+        oracle_route(monkeypatch)
+    if path == "tape_numpy":
+        # The tape's NumPy executor, which runs wherever the native tape
+        # interpreter cannot be built (or ``REPRO_NO_NATIVE=1``).
         monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
     expected = fixture_data[key]
     circuit = GOLDEN_CIRCUITS[key]()

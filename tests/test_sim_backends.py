@@ -1,11 +1,10 @@
-"""Differential tests of the two simulation paths (``-m sim_backends``).
+"""Differential tests of the op tape against the ``bool`` oracle (``-m sim_backends``).
 
-Below :data:`repro.circuits.simulate.PACKED_MIN_PATTERNS` patterns
-simulation runs :func:`~repro.circuits.simulate_bits`, the ``bool``
-oracle; from there up it runs :func:`~repro.circuits.simulate_planes`, the
-netlist's compiled op tape over packed bit planes.  The two must be
-*bit-identical* on every netlist and every pattern count -- caches and flows
-rely on it (no engine cache key names the path).  This suite checks the
+Every production simulation runs :func:`~repro.circuits.simulate_planes`,
+the netlist's compiled op tape over packed bit planes;
+:func:`~repro.circuits.simulate_bits` is the ``bool`` oracle it is tested
+against.  The two must be *bit-identical* on every netlist and every
+pattern count -- caches and flows rely on it.  This suite checks the
 contract several ways:
 
 * every gate type in every operand polarity through the compiler's truth
@@ -13,26 +12,30 @@ contract several ways:
 * a seeded differential sweep over hundreds of randomly perturbed netlists
   and pattern counts (including non-multiples of 64 and floating
   ``gate.a/b == -1`` operands);
-* hypothesis-driven random netlist/pattern generation on top;
+* hypothesis-driven random netlist/pattern generation on top, and on the
+  word conversion: ``simulate_words`` against the oracle in value and
+  dtype, for output words up to 66 bits and 64-bit operands;
 * degenerate-netlist edge cases (wire-only, constant-only, repeated output
-  bits, width-1 words) that both paths -- and both executors of the packed
-  path (native and NumPy fallback) -- must agree on;
-* evaluators, the engine and both whole flows, each run once forced onto
-  each path by patching ``PACKED_MIN_PATTERNS``;
-* the rule itself: which path each entry point (``simulate_words``, lookup
-  tables, the batch evaluator) takes at the threshold, that an evaluator
-  keeps the form its operands were expanded in, and that the retired
-  ``sim_backend`` keyword is rejected.
+  bits, width-1 words) that both executors of the tape (native and NumPy
+  fallback) must agree on, and the NumPy executor's lazily built op groups;
+* evaluators, the engine and both whole flows, each run on the tape and
+  then with every production simulation routed through the oracle
+  (the ``oracle_route`` fixture);
+* which entry point production reaches: error evaluation, lookup tables
+  and wide components run the tape and never the oracle, an evaluator
+  keeps the planes it packed, and the retired ``sim_backend`` keyword is
+  rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExplorationSession
@@ -41,12 +44,10 @@ from repro.circuits import (
     Gate,
     GateType,
     Netlist,
-    bits_to_words,
     compile_netlist,
     exhaustive_operands,
     num_planes,
     pack_bits,
-    random_operands,
     simulate_bits,
     simulate_planes,
     simulate_words,
@@ -54,17 +55,17 @@ from repro.circuits import (
 )
 from repro.circuits import compiled as compiled_module
 from repro.circuits import simulate as simulate_module
+from repro.circuits._native import native_available
 from repro.circuits.gates import GATE_FUNCTIONS
-from repro.circuits.simulate import expand_operand_bits, node_values, use_packed_path
+from repro.circuits.simulate import expand_operand_bits, expand_operands, node_values
 from repro.engine import BatchEvaluator, EvalCache
 from repro.error import ErrorEvaluator, evaluate_error
+from repro.error import evaluation as evaluation_module
 from repro.generators import array_multiplier, perturb_netlist, ripple_carry_adder
 from repro.generators.perturbation import PerturbationConfig
+from repro.workloads import ApproxComponent
 
 pytestmark = pytest.mark.sim_backends
-
-#: ``PACKED_MIN_PATTERNS`` values that force every simulation onto one path.
-FORCED_PATHS = {"packed": 1, "bool": 2**62}
 
 
 def random_input_bits(netlist: Netlist, patterns: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,106 +90,104 @@ def assert_backends_agree(netlist: Netlist, input_bits: np.ndarray) -> None:
 
 
 @pytest.fixture
-def on_each_path(monkeypatch):
-    """Call ``run()`` forced onto each path; returns ``{path: result}``."""
+def on_each_path(monkeypatch, oracle_route):
+    """Call ``run()`` on the tape, then with every production simulation
+    routed through the oracle; returns ``{"tape": ..., "oracle": ...}``."""
 
     def run_each(run):
-        results = {}
-        for path, threshold in FORCED_PATHS.items():
-            monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
-            results[path] = run()
+        results = {"tape": run()}
+        with monkeypatch.context() as patch:
+            oracle_route(patch)
+            results["oracle"] = run()
         return results
 
     return run_each
 
 
 @pytest.fixture
-def packed_calls(monkeypatch):
-    """Spy on the packed entry point; returns ``(netlist name, planes)`` per call."""
+def planes_calls(monkeypatch):
+    """Spy on the tape's entry point; returns ``(netlist name, planes)`` per call."""
     calls = []
 
     def spy(netlist, planes):
-        calls.append((netlist.name, planes.shape[1]))
+        calls.append((netlist.name, planes))
         return simulate_planes(netlist, planes)
 
     monkeypatch.setattr(simulate_module, "simulate_planes", spy)
     return calls
 
 
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count calls of the ``bool`` oracle through the module production imports from."""
+    calls = []
+
+    def spy(netlist, input_bits):
+        calls.append(netlist.name)
+        return simulate_bits(netlist, input_bits)
+
+    monkeypatch.setattr(simulate_module, "simulate_bits", spy)
+    return calls
+
+
 # --------------------------------------------------------------------- #
-# Path selection
+# Which entry point production reaches
 # --------------------------------------------------------------------- #
-def test_use_packed_path_rule(monkeypatch):
-    """Packed from ``PACKED_MIN_PATTERNS`` patterns up, bool below; the
-    constant is read at call time, so patching it moves the boundary."""
-    threshold = simulate_module.PACKED_MIN_PATTERNS
-    assert threshold == 4096
-    counts = (0, 1, threshold - 1, threshold, 2**20)
-    assert [use_packed_path(p) for p in counts] == [False, False, False, True, True]
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
-    assert [use_packed_path(p) for p in (1, 99, 100, threshold - 1)] == [
-        False, False, True, True
+def test_component_simulations_run_the_tape(multiplier8, planes_calls, oracle_calls):
+    """A lookup-table build and a wide ``compute`` each make one
+    ``simulate_planes`` call and no ``simulate_bits`` call."""
+    table_component = ApproxComponent("mul8", "multiplier", multiplier8, fpga=None, error=None)
+    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    products = table_component.compute(a.reshape(-1), b.reshape(-1))
+    assert np.array_equal(products, (a * b).reshape(-1))
+    assert [(name, p.shape[1]) for name, p in planes_calls] == [
+        (multiplier8.name, num_planes(1 << 16))
     ]
 
+    planes_calls.clear()
+    adder = ripple_carry_adder(16)
+    wide_component = ApproxComponent("add16", "adder", adder, fpga=None, error=None)
+    sums = wide_component.compute(np.array([1, 40000, 65535]), np.array([2, 30000, 65535]))
+    assert sums.tolist() == [3, 70000, 131070]
+    assert [(name, p.shape[1]) for name, p in planes_calls] == [(adder.name, 1)]
+    assert oracle_calls == []
 
-def test_packed_path_from_packed_min_patterns(multiplier4, packed_calls, monkeypatch):
-    """``simulate_words`` and the batch evaluator take the packed path at
-    ``PACKED_MIN_PATTERNS`` patterns and the bool path one pattern below.
 
-    Both read the threshold at call time, which the forced-path tests below
-    rely on: checked at its real value and at a patched one.
-    """
+def test_error_evaluation_runs_the_tape(multiplier4, planes_calls, oracle_calls):
+    """``ErrorEvaluator.evaluate``, directly and through the engine, makes
+    one ``simulate_planes`` call per circuit and no ``simulate_bits`` call,
+    exhaustively and on a Monte-Carlo sample of any size."""
     circuit = perturb_netlist(multiplier4, seed=11)
-    rng = np.random.default_rng(5)
-    for threshold in (simulate_module.PACKED_MIN_PATTERNS, 100):
-        monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", threshold)
-        for patterns in (threshold - 1, threshold):
-            expected = [circuit.name] if patterns >= threshold else []
-            evaluator = ErrorEvaluator(multiplier4, max_exhaustive_inputs=0, num_samples=patterns)
-            engine = BatchEvaluator(error_evaluator=evaluator, mode="serial")
-            packed_calls.clear()
-            engine.evaluate_errors([circuit])
-            assert [name for name, _ in packed_calls] == expected, (threshold, patterns)
-            packed_calls.clear()
-            simulate_words(circuit, random_operands(circuit, patterns, rng))
-            assert [name for name, _ in packed_calls] == expected, (threshold, patterns)
+    for evaluator, patterns in (
+        (ErrorEvaluator(multiplier4), 256),
+        (ErrorEvaluator(multiplier4, max_exhaustive_inputs=0, num_samples=100), 100),
+    ):
+        planes_calls.clear()
+        evaluator.evaluate(circuit)
+        BatchEvaluator(error_evaluator=evaluator, mode="serial").evaluate_errors([circuit])
+        assert [(name, p.shape[1]) for name, p in planes_calls] == [
+            (circuit.name, num_planes(patterns))
+        ] * 2
+    assert oracle_calls == []
 
 
-def test_component_lookup_tables_take_the_packed_path(multiplier4, multiplier8, packed_calls):
-    """At the real threshold, ``Netlist.exhaustive_outputs`` runs an 8x8
-    multiplier's 65,536 patterns packed and a 4x4's 256 patterns on bool."""
-    table = multiplier8.exhaustive_outputs()
-    assert packed_calls == [(multiplier8.name, num_planes(1 << 16))]
-    a, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
-    assert np.array_equal(table, (a * b).reshape(-1))
-
-    packed_calls.clear()
-    small = multiplier4.exhaustive_outputs()
-    assert packed_calls == []
-    a, b = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
-    assert np.array_equal(small, (a * b).reshape(-1))
-
-
-def test_operand_memo_keeps_the_form_it_was_expanded_in(multiplier4, packed_calls, monkeypatch):
-    """An evaluator's expanded operands record their path, and the memo is
-    keyed by input layout alone: moving the threshold under a live
-    evaluator neither re-expands its operands nor moves it off the bool
-    path."""
+def test_operand_memo_keeps_its_planes(multiplier4, planes_calls, monkeypatch):
+    """An evaluator packs its operands once per input layout: the reference
+    and every evaluation after it run the tape on the very same planes."""
     circuit = perturb_netlist(multiplier4, seed=11)
-    evaluator = ErrorEvaluator(multiplier4)  # 256 patterns: the bool path
-    on_bool = evaluator.evaluate(circuit)
-    assert packed_calls == []
-
+    evaluator = ErrorEvaluator(multiplier4)
     expanded = []
 
     def spy(netlist, operands):
         expanded.append(netlist.name)
-        return expand_operand_bits(netlist, operands)
+        return expand_operands(netlist, operands)
 
-    monkeypatch.setattr(simulate_module, "expand_operand_bits", spy)
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", 100)
-    assert evaluator.evaluate(circuit) == on_bool
-    assert expanded == [] and packed_calls == []
+    monkeypatch.setattr(evaluation_module, "expand_operands", spy)
+    first = evaluator.evaluate(circuit)
+    assert evaluator.evaluate(circuit) == first
+    assert expanded == []
+    assert [name for name, _ in planes_calls] == [multiplier4.name] + [circuit.name] * 2
+    assert all(planes is planes_calls[0][1] for _, planes in planes_calls)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +205,118 @@ def test_sim_backend_keyword_is_rejected(build, multiplier4):
     the call instead of being silently accepted."""
     with pytest.raises(TypeError, match="sim_backend"):
         build(multiplier4)
+
+
+# --------------------------------------------------------------------- #
+# Words straight to planes and back
+# --------------------------------------------------------------------- #
+def random_wide_netlist(widths, out_width: int, num_gates: int, seed: int) -> Netlist:
+    """Random gates over input words of ``widths`` bits, ``out_width``
+    output bits drawn from every node (repeats and floating operands too)."""
+    rng = np.random.default_rng(seed)
+    num_inputs = sum(widths)
+    gates = [
+        Gate(
+            GateType(int(rng.integers(len(GateType)))),
+            int(rng.integers(-1, num_inputs + position)),
+            int(rng.integers(-1, num_inputs + position)),
+        )
+        for position in range(num_gates)
+    ]
+    bounds = np.cumsum((0,) + tuple(widths))
+    return Netlist(
+        name=f"wide_{seed}",
+        kind="test",
+        input_words={
+            name: tuple(range(start, stop))
+            for name, start, stop in zip("ab", bounds[:-1].tolist(), bounds[1:].tolist())
+        },
+        output_bits=tuple(rng.integers(0, num_inputs + num_gates, size=out_width).tolist()),
+        gates=gates,
+    )
+
+
+def random_words(netlist: Netlist, patterns: int, rng: np.random.Generator):
+    return {
+        name: rng.integers(0, 1 << len(bits), size=patterns, dtype=np.uint64, endpoint=False)
+        if len(bits) == 64
+        else rng.integers(0, 1 << len(bits), size=patterns)
+        for name, bits in netlist.input_words.items()
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    patterns=st.sampled_from([0, 1, 63, 64, 65, 4097]) | st.integers(0, 300),
+    out_width=st.sampled_from([1, 17, 63, 64, 66]) | st.integers(0, 70),
+    widths=st.sampled_from([(1, 1), (3, 5), (8, 8), (16, 16), (64, 2)]),
+    num_gates=st.integers(0, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(patterns=0, out_width=66, widths=(8, 8), num_gates=20, seed=1)
+@example(patterns=1, out_width=64, widths=(64, 2), num_gates=10, seed=2)
+@example(patterns=63, out_width=63, widths=(16, 16), num_gates=30, seed=3)
+@example(patterns=64, out_width=17, widths=(8, 8), num_gates=40, seed=4)
+@example(patterns=65, out_width=1, widths=(3, 5), num_gates=5, seed=5)
+@example(patterns=100, out_width=0, widths=(1, 1), num_gates=3, seed=7)
+@example(patterns=4097, out_width=66, widths=(64, 2), num_gates=40, seed=6)
+def test_simulate_words_matches_the_oracle(
+    patterns, out_width, widths, num_gates, seed, oracle_words
+):
+    netlist = random_wide_netlist(widths, out_width, num_gates, seed)
+    operands = random_words(netlist, patterns, np.random.default_rng(seed))
+    words = simulate_words(netlist, operands)
+    expected = oracle_words(netlist, operands)
+    assert words.dtype == expected.dtype
+    assert words.shape == (patterns,)
+    assert words.tolist() == expected.tolist()
+
+
+def test_64_bit_words_at_and_above_2_63(oracle_words):
+    """64-bit operand words from 2^63 up pass through whole, and a 65th
+    output bit turns the words into Python ints."""
+    netlist = Netlist(
+        name="wide_wires",
+        kind="test",
+        input_words={"a": tuple(range(64))},
+        output_bits=tuple(range(64)) + (64,),
+        gates=[Gate(GateType.AND, 63, 62)],
+    )
+    values = np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1], dtype=np.uint64)
+    words = simulate_words(netlist, {"a": values})
+    expected = [int(v) | ((int(v) >> 63) & (int(v) >> 62) & 1) << 64 for v in values]
+    assert words.dtype == object
+    assert words.tolist() == expected
+    assert words.tolist() == oracle_words(netlist, {"a": values}).tolist()
+
+    wires = Netlist("wires64", "test", {"a": tuple(range(64))}, tuple(range(64)), [])
+    passed = simulate_words(wires, {"a": values})
+    assert passed.dtype == np.uint64
+    assert np.array_equal(passed, values)
+
+
+@pytest.mark.parametrize(
+    "operands",
+    [
+        {"a": np.array([1.5, 2.0]), "b": np.array([1, 2])},
+        {"a": np.array([1, 2], dtype=object), "b": np.array([1, 2])},
+        {"a": [256, 1], "b": [1, 2]},
+        {"a": [1, 2], "b": [-1, 2]},
+        {"a": np.array([2**63], dtype=np.uint64), "b": [1]},
+        {"a": [1, 2]},
+        {"a": [1, 2], "b": [3, 4], "carry": [0, 1]},
+        {"a": [1, 2], "b": [1]},
+    ],
+    ids=["float", "object", "too_wide", "negative", "uint64_overflow", "missing", "unknown",
+         "unequal_lengths"],
+)
+def test_invalid_operands_raise_like_expand_operand_bits(adder8, operands):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        expand_operand_bits(adder8, operands)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        simulate_words(adder8, operands)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        expand_operands(adder8, operands)
 
 
 # --------------------------------------------------------------------- #
@@ -386,23 +497,21 @@ def test_simulate_planes_shape_validation(multiplier4):
 # --------------------------------------------------------------------- #
 # Word-level and evaluator-level equivalence
 # --------------------------------------------------------------------- #
-def test_simulate_words_backends_agree(multiplier4, rng, on_each_path):
+def test_simulate_words_backends_agree(multiplier4, rng, on_each_path, oracle_words):
     operands = {
         "a": rng.integers(0, 16, size=321),
         "b": rng.integers(0, 16, size=321),
     }
-    reference = bits_to_words(
-        simulate_bits(multiplier4, expand_operand_bits(multiplier4, operands))
-    )
-    results = on_each_path(lambda: simulate_words(multiplier4, operands))
-    assert np.array_equal(results["packed"], reference)
-    assert np.array_equal(results["bool"], reference)
+    reference = oracle_words(multiplier4, operands)
+    results = on_each_path(lambda: multiplier4.evaluate_words(operands))
+    assert np.array_equal(results["tape"], reference)
+    assert np.array_equal(results["oracle"], reference)
 
 
 def test_error_evaluator_backends_bit_identical(multiplier4, on_each_path):
     circuit = perturb_netlist(multiplier4, seed=11)
     reports = on_each_path(lambda: ErrorEvaluator(multiplier4).evaluate(circuit))
-    assert reports["packed"] == reports["bool"]
+    assert reports["tape"] == reports["oracle"]
 
 
 def test_error_evaluator_monte_carlo_backends_bit_identical(on_each_path):
@@ -413,34 +522,34 @@ def test_error_evaluator_monte_carlo_backends_bit_identical(on_each_path):
             reference, max_exhaustive_inputs=10, num_samples=2048
         ).evaluate(circuit)
     )
-    assert reports["bool"].method == "monte_carlo"
-    assert reports["packed"] == reports["bool"]
+    assert reports["oracle"].method == "monte_carlo"
+    assert reports["tape"] == reports["oracle"]
 
 
 # --------------------------------------------------------------------- #
-# Engine integration: the path changes neither results nor cache keys
+# Engine integration: the oracle and the tape share results and cache keys
 # --------------------------------------------------------------------- #
-def test_engine_results_and_cache_shared_across_backends(multiplier4, monkeypatch):
+def test_engine_results_and_cache_shared_across_backends(multiplier4, monkeypatch, oracle_route):
     circuits = [perturb_netlist(multiplier4, seed=s) for s in range(6)]
     cache = EvalCache()
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS["bool"])
-    bool_reports = BatchEvaluator(multiplier4, cache=cache, mode="serial").evaluate_errors(
-        circuits
-    )
+    with monkeypatch.context() as patch:
+        oracle_route(patch)
+        oracle_reports = BatchEvaluator(multiplier4, cache=cache, mode="serial").evaluate_errors(
+            circuits
+        )
 
-    monkeypatch.setattr(simulate_module, "PACKED_MIN_PATTERNS", FORCED_PATHS["packed"])
     before = cache.stats()
     served = BatchEvaluator(multiplier4, cache=cache, mode="serial").evaluate_errors(circuits)
     after = cache.stats()
-    # Identical cache keys: the packed-path engine is served entirely from
-    # the bool-path engine's entries without re-simulating anything.
+    # Identical cache keys: the tape engine is served entirely from the
+    # oracle engine's entries without re-simulating anything.
     assert after.hits - before.hits == len(circuits)
     assert after.misses == before.misses
-    assert served == bool_reports
+    assert served == oracle_reports
 
-    # And an uncached packed-path engine recomputes the exact same reports.
+    # And an uncached engine recomputes the exact same reports on the tape.
     fresh = BatchEvaluator(multiplier4, cache=EvalCache(), mode="serial")
-    assert fresh.evaluate_errors(circuits) == bool_reports
+    assert fresh.evaluate_errors(circuits) == oracle_reports
 
 
 def test_process_pool_task_carries_the_pattern_budget(multiplier4):
@@ -538,7 +647,7 @@ class TestDegenerateNetlists:
         assert list(operands) == ["a"]
         assert np.array_equal(operands["a"], np.arange(8))
         expected = [bin(value).count("1") % 2 for value in range(8)]
-        for words in on_each_path(lambda: simulate_words(netlist, operands)).values():
+        for words in on_each_path(lambda: netlist.evaluate_words(operands)).values():
             assert words.tolist() == expected
 
 
@@ -623,6 +732,40 @@ class TestCompiledProgram:
         assert np.array_equal(run_packed(restored.run, bits), simulate_bits(multiplier4, bits))
         assert restored.fingerprint == program.fingerprint
 
+    def test_native_run_builds_no_op_groups(self, multiplier4, rng, monkeypatch):
+        """Only the NumPy executor reads the op groups, so a native run never
+        builds them."""
+        if not native_available():
+            pytest.skip("the native tape executor is unavailable")
+
+        def no_groups(program):
+            raise AssertionError("a native run built the op groups")
+
+        monkeypatch.setattr(compiled_module.CompiledProgram, "op_groups", no_groups)
+        program = compile_netlist(perturb_netlist(multiplier4, seed=4), use_cache=False)
+        bits = random_input_bits(multiplier4, 197, rng)
+        assert np.array_equal(
+            run_packed(program.run, bits), simulate_bits(perturb_netlist(multiplier4, seed=4), bits)
+        )
+        assert program._groups is None
+
+    @pytest.mark.parametrize("pickled", ["before_groups", "after_groups"])
+    def test_numpy_executor_runs_programs_pickled_around_their_groups(
+        self, pickled, multiplier4, rng, monkeypatch
+    ):
+        """The NumPy executor builds the groups on its first run; a program
+        pickled before that, or after, runs and matches the oracle."""
+        monkeypatch.setattr(compiled_module, "run_tape_native", lambda *args: False)
+        netlist = perturb_netlist(multiplier4, seed=2)
+        program = compile_netlist(netlist, use_cache=False)
+        bits = random_input_bits(netlist, 197, rng)
+        if pickled == "after_groups":
+            assert np.array_equal(run_packed(program.run, bits), simulate_bits(netlist, bits))
+        restored = pickle.loads(pickle.dumps(program))
+        assert (restored._groups is None) == (pickled == "before_groups")
+        assert np.array_equal(run_packed(restored.run, bits), simulate_bits(netlist, bits))
+        assert restored._groups is not None
+
     def test_numpy_fallback_matches_native(self, multiplier4, rng, monkeypatch):
         """The pure-NumPy executor is pinned against the bool oracle even
         when the native tape interpreter is available and in use."""
@@ -640,8 +783,8 @@ class TestCompiledProgram:
 # Whole flows do not depend on the simulation path
 # --------------------------------------------------------------------- #
 class TestWholeFlowBackendEquivalence:
-    """Seeded session runs of both flows are bit-identical when every
-    simulation is forced onto the packed path and onto the bool path."""
+    """Seeded session runs of both flows are bit-identical on the tape and
+    with every simulation routed through the oracle."""
 
     def test_approxfpgas_bit_identical_across_backends(
         self, small_multiplier_library, on_each_path
@@ -662,7 +805,7 @@ class TestWholeFlowBackendEquivalence:
 
         def run():
             # Serial, so every simulation runs in this process, on the
-            # forced path.
+            # path under test.
             session = ExplorationSession(seed=config.seed, engine_mode="serial")
             payload = result_to_dict(session.run_approxfpgas(small_multiplier_library, config))
             # Drop the wall-clock fields; everything else must match.
@@ -673,7 +816,7 @@ class TestWholeFlowBackendEquivalence:
             return json.dumps(payload, sort_keys=True)
 
         dumps = on_each_path(run)
-        assert dumps["packed"] == dumps["bool"]
+        assert dumps["tape"] == dumps["oracle"]
 
     def test_autoax_bit_identical_across_backends(self, on_each_path):
         from repro.autoax import AutoAxConfig
@@ -719,4 +862,4 @@ class TestWholeFlowBackendEquivalence:
             )
 
         signatures = on_each_path(run)
-        assert signatures["packed"] == signatures["bool"]
+        assert signatures["tape"] == signatures["oracle"]
