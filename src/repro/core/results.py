@@ -42,6 +42,10 @@ class ModelEvaluation:
     pearson: float
     r2: float
     train_time_s: float
+    """Host time of the fit plus the validation predict, as measured by the
+    run that computed the engine's ``zoo`` entry.  A study served from the
+    cache reports that stored time, so its ``model_time_s`` (Fig. 3) equals
+    the cold study's."""
 
 
 @dataclass

@@ -10,7 +10,6 @@ from the last completed stage with bit-identical results.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,9 +30,8 @@ from ..error import ERROR_METRICS
 from ..features import feature_matrix
 from ..fpga import FpgaSynthesizer, estimate_synthesis_time
 from ..generators import CircuitLibrary
-from ..ml import build_model, pearson_correlation, r2_score
+from ..ml import build_model
 from .exploration import ExplorationCost
-from .fidelity import fidelity
 from ..search import ParetoArchive
 from .pareto import pareto_coverage, pareto_front_indices, pareto_union, successive_pareto_fronts
 from .results import ApproxFpgasResult, CircuitRecord, ModelEvaluation, ParameterOutcome
@@ -188,9 +186,13 @@ class FitAndSelectStage(Stage):
     """Stages 4-6: train/validate the model zoo, estimate the whole library
     with the top-k models and take the union of their pseudo-Pareto fronts.
 
-    The fitted models never cross the stage boundary -- the payload carries
-    only their validation scores, library-wide estimates and the selected
-    candidate names, all JSON-serialisable.
+    Each (FPGA parameter, model) pair is one ``zoo`` engine result
+    (:meth:`repro.engine.BatchEvaluator.evaluate_models`): its validation
+    scores, its measured fit time and its estimate of every library
+    circuit.  The stage fits nothing itself, so a study repeated over the
+    same library, split and model set is served from the engine cache.
+    The payload carries only the scores, the top model's estimates and
+    the selected candidate names, all JSON-serialisable.
     """
 
     name = "fit-and-select"
@@ -213,9 +215,12 @@ class FitAndSelectStage(Stage):
         X_train = np.vstack([records[name].features for name in training_names])
         X_val = np.vstack([records[name].features for name in validation_names])
 
+        models = [
+            build_model(model_id, state.feature_names, random_state=config.seed)
+            for model_id in config.model_ids
+        ]
         evaluations: List[dict] = []
-        model_time_s = 0.0
-        fitted_models: Dict[Tuple[str, str], object] = {}
+        library_estimates: Dict[Tuple[str, str], List[float]] = {}
         for parameter in config.fpga_parameters:
             y_train = np.array(
                 [records[name].fpga.parameter(parameter) for name in training_names]
@@ -223,24 +228,14 @@ class FitAndSelectStage(Stage):
             y_val = np.array(
                 [records[name].fpga.parameter(parameter) for name in validation_names]
             )
-            for model_id in config.model_ids:
-                model = build_model(model_id, state.feature_names, random_state=config.seed)
-                start = time.perf_counter()
-                model.fit(X_train, y_train)
-                estimates = model.predict(X_val)
-                elapsed = time.perf_counter() - start
-                model_time_s += elapsed
-                evaluations.append(
-                    {
-                        "model_id": model_id,
-                        "parameter": parameter,
-                        "fidelity": float(fidelity(y_val, estimates)),
-                        "pearson": float(pearson_correlation(y_val, estimates)),
-                        "r2": float(r2_score(y_val, estimates)),
-                        "train_time_s": float(elapsed),
-                    }
-                )
-                fitted_models[(parameter, model_id)] = model
+            entries = state.engine.evaluate_models(
+                models, X_train, y_train, X_val, y_val, state.features
+            )
+            for model_id, entry in zip(config.model_ids, entries):
+                scores = dict(entry)  # fidelity, pearson, r2, train_time_s
+                library_estimates[(parameter, model_id)] = scores.pop("estimates")
+                evaluations.append({"model_id": model_id, "parameter": parameter, **scores})
+        model_time_s = sum(evaluation["train_time_s"] for evaluation in evaluations)
 
         # --- Stage 5-6: estimate all circuits, build pseudo-Pareto fronts #
         errors = np.array([state.error_value(name) for name in names])
@@ -259,8 +254,7 @@ class FitAndSelectStage(Stage):
 
             fronts_per_model: List[List[int]] = []
             for model_id in top_models:
-                model = fitted_models[(parameter, model_id)]
-                model_estimates = model.predict(state.features)
+                model_estimates = library_estimates[(parameter, model_id)]
                 points = np.column_stack([errors, model_estimates])
                 fronts = successive_pareto_fronts(points, config.num_pseudo_fronts)
                 fronts_per_model.extend(fronts)

@@ -3,8 +3,9 @@
 :class:`BatchEvaluator` is the single entry point through which the
 methodology, the exploration accounting and the AutoAx search evaluate
 circuits (error metrics, ASIC and FPGA reports) and accelerator
-configurations, and through which AutoAx fits its estimators.  Every
-domain runs through one loop,
+configurations, through which AutoAx fits its estimators and through
+which the methodology scores its Table I models.  Every domain (``err``,
+``asic``, ``fpga``, ``axq``, ``fit`` and ``zoo``) runs through one loop,
 :meth:`BatchEvaluator._evaluate`, which combines four mechanisms:
 
 * **Caching** -- every result is stored in an :class:`~repro.engine.cache.EvalCache`
@@ -16,9 +17,9 @@ domain runs through one loop,
   and fanned back out to every requesting index.
 * **Batching** -- the misses of a call share one state: the
   :class:`~repro.error.ErrorEvaluator` (operands expanded once per input
-  layout, reference outputs simulated once), a synthesizer, or an
-  accelerator's prepared inputs, which are prepared only when a batch has
-  misses.
+  layout, reference outputs simulated once), a synthesizer, a model zoo's
+  training, validation and library rows, or an accelerator's prepared
+  inputs, which are prepared only when a batch has misses.
 * **Fan-out** -- large miss sets can be dispatched to a
   :class:`~concurrent.futures.ProcessPoolExecutor`; one pool worker serves
   every domain, and results are reassembled in input order, so serial and
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -40,7 +41,8 @@ from ..circuits import Netlist
 from ..error import ErrorEvaluator, ErrorReport
 from ..error.metrics import ErrorMetrics
 from ..fpga import FpgaReport, FpgaSynthesizer
-from ..ml.base import Regressor, check_X_y
+from ..ml.base import Regressor, check_array, check_X_y
+from ..ml.metrics import pearson_correlation, r2_score
 from .cache import EvalCache
 from .keys import accelerator_context, blake_token, cache_key, configuration_token, model_token
 
@@ -62,7 +64,10 @@ PARALLEL_THRESHOLD = 32
 # --------------------------------------------------------------------- #
 # Report <-> JSON-able payload conversion.  The cache stores payloads so a
 # disk backend can serialise them; the stage pipelines (repro.api)
-# checkpoint their artifacts with the same encoding.
+# checkpoint their artifacts with the same encoding.  ASIC and FPGA
+# reports are frozen dataclasses of scalars, so their ``__dict__`` is their
+# field dict in field order: what ``dataclasses.asdict`` returns, without
+# its deep copy of every value.
 # --------------------------------------------------------------------- #
 def error_report_to_payload(report: ErrorReport) -> dict:
     return {
@@ -83,7 +88,7 @@ def error_report_from_payload(payload: dict, circuit_name: str) -> ErrorReport:
 
 
 def asic_report_to_payload(report: AsicReport) -> dict:
-    return asdict(report)
+    return dict(vars(report))
 
 
 def asic_report_from_payload(payload: dict, circuit_name: str) -> AsicReport:
@@ -93,7 +98,7 @@ def asic_report_from_payload(payload: dict, circuit_name: str) -> AsicReport:
 
 
 def fpga_report_to_payload(report: FpgaReport) -> dict:
-    return asdict(report)
+    return dict(vars(report))
 
 
 def fpga_report_from_payload(payload: dict, circuit_name: str) -> FpgaReport:
@@ -112,7 +117,7 @@ def _error_payload(evaluator: ErrorEvaluator, circuit: Netlist) -> dict:
 
 def _synthesis_payload(synthesizer, circuit: Netlist) -> dict:
     # ASIC and FPGA reports both encode as their dataclass fields.
-    return asdict(synthesizer.synthesize(circuit))
+    return dict(vars(synthesizer.synthesize(circuit)))
 
 
 def _configuration_payload(state, configuration) -> dict:
@@ -124,6 +129,24 @@ def _configuration_payload(state, configuration) -> dict:
 def _fit_payload(model: Regressor, data) -> dict:
     # A clone, so the caller's model stays unfitted.
     return model.clone().fit(*data).to_payload()
+
+
+def _zoo_payload(data, model: Regressor) -> dict:
+    # Imported here: repro.core imports this module through its stages.
+    from ..core.fidelity import fidelity
+
+    X_train, y_train, X_val, y_val, X_library = data
+    fitted = model.clone()
+    start = time.perf_counter()
+    estimates = fitted.fit(X_train, y_train).predict(X_val)
+    train_time_s = time.perf_counter() - start
+    return {
+        "fidelity": float(fidelity(y_val, estimates)),
+        "pearson": float(pearson_correlation(y_val, estimates)),
+        "r2": float(r2_score(y_val, estimates)),
+        "train_time_s": float(train_time_s),
+        "estimates": fitted.predict(X_library).tolist(),
+    }
 
 
 _WORKER_STATE: Dict[str, object] = {}
@@ -462,6 +485,27 @@ class BatchEvaluator:
         key = cache_key("fit", context, blake_token(X, y))
         [payload] = self._evaluate([(X, y)], [key], context, lambda: model, _fit_payload)
         return model.restored(payload)
+
+    def evaluate_models(
+        self, models: Sequence[Regressor], X_train, y_train, X_val, y_val, X_library
+    ) -> List[dict]:
+        """One ``zoo`` entry per model: its validation scores and library estimates.
+
+        A miss fits a clone of the model on ``(X_train, y_train)`` and
+        predicts ``X_val``, timing both as ``train_time_s``; it scores those
+        predictions against ``y_val`` (``fidelity``, ``pearson``, ``r2``)
+        and predicts every row of ``X_library`` (``estimates``).  Entries
+        are keyed by :func:`~repro.engine.keys.model_token` and one digest
+        of the five arrays, so a repeated study fits nothing.  A hit serves
+        the ``train_time_s`` of the run that computed it; no key includes
+        timings.
+        """
+        X_train, y_train = check_X_y(X_train, y_train)
+        X_val, y_val = check_X_y(X_val, y_val)
+        data = (X_train, y_train, X_val, y_val, check_array(X_library))
+        subject = blake_token(*data)
+        keys = [cache_key("zoo", model_token(model), subject) for model in models]
+        return self._evaluate(models, keys, subject, lambda: data, _zoo_payload)
 
     def stats(self):
         """Shortcut to the underlying cache statistics."""

@@ -3,13 +3,15 @@
 Every cached value is addressed by ``"<domain>:<context>:<subject>"``:
 
 * the *domain* names what was computed (``err``, ``asic``, ``fpga``,
-  ``axq`` for exact accelerator evaluations and ``fit`` for fitted
-  surrogate models),
+  ``axq`` for exact accelerator evaluations, ``fit`` for fitted
+  surrogate models and ``zoo`` for a Table I model's validation scores
+  and library estimates),
 * the *context* is a digest of everything the computation depends on besides
   the subject itself (the golden reference, sampling seeds, synthesizer
   settings, image sets, a model's class and hyperparameters, ...),
 * the *subject* identifies what was evaluated (a netlist fingerprint, an
-  accelerator configuration or a digest of a model's training data).
+  accelerator configuration or a digest of a model's training data and,
+  for ``zoo``, its validation and library rows).
 
 Keeping the context explicit makes the cache safe to share across whole
 flows and across processes: two evaluations collide only when they would
@@ -19,6 +21,7 @@ genuinely produce the same bits.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,11 +59,11 @@ def cache_key(domain: str, context: str, subject: str) -> str:
 def model_token(model) -> str:
     """Digest of a regressor's class and hyperparameters, its seed included.
 
-    The cache context of ``fit`` entries: a fit is a pure function of this
-    and its training data.  Duck-typed over ``get_params()`` (see
-    :meth:`repro.ml.Regressor.get_params`); nested models, such as the
-    regressor a :class:`repro.ml.ScaledRegressor` wraps, contribute their
-    own token.
+    The cache context of ``fit`` and ``zoo`` entries: a fit is a pure
+    function of this and its training data.  Duck-typed over
+    ``get_params()`` (see :meth:`repro.ml.Regressor.get_params`); nested
+    models, such as the regressor a :class:`repro.ml.ScaledRegressor`
+    wraps, contribute their own token.
     """
     parts = [type(model).__module__, type(model).__qualname__]
     for name, value in sorted(model.get_params().items()):
@@ -88,6 +91,12 @@ def accelerator_token(accelerator) -> str:
     :mod:`repro.autoax.search` and the engine's batched configuration
     evaluation so their ``axq`` cache keys can never drift apart.
 
+    The components' FPGA reports (``component.fpga``, less the circuit
+    name) are mixed in: an ``axq`` result holds the configuration's
+    hardware cost, which is composed from them, so the same netlists
+    synthesised for another device must not share entries.  Component
+    sets without reports keep the fingerprint-only token.
+
     When the accelerator exposes a ``workload_token`` (every
     :class:`repro.workloads.ApproxAccelerator` does), it is mixed in: two
     workloads built from the *same* component libraries compute different
@@ -99,6 +108,16 @@ def accelerator_token(accelerator) -> str:
         [component.netlist.fingerprint() for component in accelerator.multipliers],
         [component.netlist.fingerprint() for component in accelerator.adders],
     ]
+    components = (*accelerator.multipliers, *accelerator.adders)
+    reports = [getattr(component, "fpga", None) for component in components]
+    if reports and all(report is not None for report in reports):
+        # The reports' numbers packed as float64s, which digests ~5x faster
+        # than their ``repr``.
+        values = [
+            value for report in reports
+            for name, value in vars(report).items() if name != "circuit_name"
+        ]
+        parts.append(struct.pack(f"<{len(values)}d", *values))
     workload = getattr(accelerator, "workload_token", None)
     if workload is not None:
         parts.append(workload() if callable(workload) else workload)

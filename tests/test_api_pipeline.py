@@ -3,6 +3,7 @@ and the search-strategy calling convention."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import re
@@ -23,8 +24,8 @@ from repro.api import (
 )
 from repro.autoax import SEARCH_STRATEGIES
 from repro.core import ApproxFpgasConfig
-from repro.io import JsonDirectoryStore, result_to_dict
-from repro.ml import ModelZooError, build_model
+from repro.io import JsonDirectoryStore, ShardedJsonStore, result_to_dict
+from repro.ml import ModelZooError, Regressor, build_model
 
 # --------------------------------------------------------------------- #
 # Registry semantics
@@ -306,6 +307,65 @@ def api_config():
 
 class _InterruptAfter(Exception):
     pass
+
+
+def _count_model_calls(monkeypatch) -> dict:
+    """Count every ``Regressor.fit`` and ``Regressor.predict`` call (no model overrides them)."""
+    calls = {"fit": 0, "predict": 0}
+    for method in calls:
+        original = getattr(Regressor, method)
+
+        def counted(self, *args, _method=method, _original=original, **kwargs):
+            calls[_method] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Regressor, method, counted)
+    return calls
+
+
+def _model_results(result):
+    """What the fit-and-select stage decides, timings included."""
+    return (
+        [dataclasses.asdict(evaluation) for evaluation in result.model_evaluations],
+        {name: dataclasses.asdict(outcome) for name, outcome in result.parameter_outcomes.items()},
+        {name: dict(record.estimated) for name, record in result.records.items()},
+        result.exploration_cost.model_time_s,
+    )
+
+
+class TestApproxFpgasZooCache:
+    """A repeated study reads every (FPGA parameter, model) evaluation from
+    the engine's ``zoo`` entries: it fits and predicts nothing and returns
+    the first study's model results, its measured fit times included."""
+
+    def test_second_study_in_a_session_fits_nothing(
+        self, monkeypatch, small_multiplier_library, api_config
+    ):
+        calls = _count_model_calls(monkeypatch)
+        session = ExplorationSession(seed=11, engine_mode="serial")
+        first = session.run_approxfpgas(small_multiplier_library, api_config)
+        assert calls["fit"] > 0 and calls["predict"] > 0
+        calls.update(fit=0, predict=0)
+        second = session.run_approxfpgas(small_multiplier_library, api_config)
+        assert calls == {"fit": 0, "predict": 0}
+        assert _model_results(second) == _model_results(first)
+
+    def test_fresh_session_on_the_workspace_fits_nothing(
+        self, monkeypatch, tmp_path, small_multiplier_library, api_config
+    ):
+        calls = _count_model_calls(monkeypatch)
+        workspace = tmp_path / "ws"
+        first = ExplorationSession(seed=11, workspace=workspace).run_approxfpgas(
+            small_multiplier_library, api_config
+        )
+        calls.update(fit=0, predict=0)
+        # resume=False: the engine answers, not the stage checkpoints.
+        session = ExplorationSession(seed=11, workspace=workspace)
+        assert isinstance(session.cache.store, ShardedJsonStore)
+        second = session.run_approxfpgas(small_multiplier_library, api_config, resume=False)
+        assert calls == {"fit": 0, "predict": 0}
+        assert session.stats().misses == 0 and session.stats().disk_hits > 0
+        assert _model_results(second) == _model_results(first)
 
 
 class TestApproxFpgasResume:

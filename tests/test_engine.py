@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.asic import AsicSynthesizer
 from repro.circuits import Gate, GateType
-from repro.engine import BatchEvaluator, EvalCache
+from repro.engine import (
+    BatchEvaluator,
+    EvalCache,
+    asic_report_to_payload,
+    fpga_report_to_payload,
+)
 from repro.error import ErrorEvaluator
 from repro.fpga import FpgaSynthesizer
 from repro.generators import array_multiplier, ripple_carry_adder
@@ -220,6 +228,24 @@ class TestBatchEvaluator:
         assert [r.metrics for r in first] == [r.metrics for r in second]
         assert warm.stats().misses == 0
         assert warm.stats().disk_hits > 0
+
+    def test_report_payloads_are_the_dataclass_fields(self, multiplier4):
+        class Log(dict):
+            def put(self, key, value):
+                self[key] = value
+
+        engine = BatchEvaluator(cache=EvalCache(store=Log()), mode="serial")
+        [asic] = engine.evaluate_asic([multiplier4])
+        [fpga] = engine.evaluate_fpga([multiplier4])
+        stored = {key.split(":", 1)[0]: payload for key, payload in engine.cache.store.items()}
+        for domain, report, encode in (
+            ("asic", asic, asic_report_to_payload),
+            ("fpga", fpga, fpga_report_to_payload),
+        ):
+            expected = dataclasses.asdict(report)
+            for payload in (encode(report), stored[domain]):
+                assert payload == expected
+                assert json.dumps(payload) == json.dumps(expected)
 
     def test_requires_reference_for_errors(self, multiplier4):
         engine = BatchEvaluator()
