@@ -12,11 +12,11 @@ The package is organised as the paper's system diagram (Fig. 2):
 * :mod:`repro.engine` -- the parallel cached evaluation engine (see below),
 * :mod:`repro.search` -- the shared Pareto archive, the generic
   resumable NSGA-II population search, and
-  :mod:`repro.search.multifidelity`: EHVI acquisition over predictive
-  uncertainty plus a resumable successive-halving loop over an explicit
-  fidelity ladder (registered as ``SEARCH_STRATEGIES["sh_ehvi"]``; engine
-  cache keys are namespaced per fidelity rung, so cheap screens never
-  alias exhaustive results),
+  :mod:`repro.search.multifidelity`: exact two-objective EHVI acquisition
+  over predictive uncertainty plus a resumable successive-halving loop over
+  an explicit fidelity ladder (registered as
+  ``SEARCH_STRATEGIES["sh_ehvi"]``; engine cache keys are namespaced per
+  fidelity rung, so cheap screens never alias exhaustive results),
 * :mod:`repro.workloads` -- pluggable accelerator workloads (the
   ``WORKLOADS`` registry, the ``ApproxAccelerator`` protocol, quality
   metrics and seeded input sets),

@@ -14,7 +14,7 @@ This package is the entry point of every flow:
   substrates, accelerator workloads and searches plug in without editing
   flow internals;
 * the multi-fidelity search primitives
-  (:func:`expected_hypervolume_improvement`,
+  (:func:`expected_hypervolume_improvement`, exact for two objectives,
   :func:`run_successive_halving`, :class:`SuccessiveHalvingConfig`,
   :func:`default_fidelity_ladder`) for building custom
   screen-cheap/promote-survivors searches outside the built-in

@@ -261,11 +261,6 @@ def _estimated_evaluator(ctx: SearchContext):
     return evaluate
 
 
-def _spread_limited(archive: ParetoArchive, limit: int) -> None:
-    """Bound an archive to ``limit`` members spread along the cost axis."""
-    archive.truncate_spread(limit, objective=0)
-
-
 @SEARCH_STRATEGIES.register("hill_climb")
 def hill_climb_pareto(
     ctx: SearchContext, *, archive_limit: int = 64
@@ -300,7 +295,7 @@ def hill_climb_pareto(
         archive.insert(None, child.objectives(parameter), item=child)
         if len(archive) > archive_limit:
             # Keep a spread subset along the cost axis.
-            _spread_limited(archive, archive_limit)
+            archive.truncate_spread(archive_limit)
     return archive.items()
 
 
@@ -325,7 +320,7 @@ def random_archive(
         entry = evaluate(ctx.accelerator.random_configuration(rng))
         archive.insert(None, entry.objectives(parameter), item=entry)
     if len(archive) > archive_limit:
-        _spread_limited(archive, archive_limit)
+        archive.truncate_spread(archive_limit)
     return archive.items()
 
 
@@ -446,7 +441,6 @@ def successive_halving_ehvi(
     acquisition_pool: Optional[int] = None,
     eta: float = 2.0,
     min_survivors: int = 4,
-    mc_samples: int = 128,
     telemetry: Optional[dict] = None,
 ) -> List[EvaluatedConfiguration]:
     """EHVI-screened successive halving over an explicit fidelity ladder.
@@ -457,10 +451,11 @@ def successive_halving_ehvi(
 
     1. **screens** an ``acquisition_pool`` of random configurations with the
        estimators' predictive uncertainty (``estimate_batch_with_std``) and
-       greedily picks an ``initial_cohort`` by expected hypervolume
-       improvement (each pick's predicted mean joins the selection front
-       before the next pick -- the standard believer-style batch rule, fully
-       deterministic);
+       greedily picks an ``initial_cohort`` by the exact two-objective
+       expected hypervolume improvement over (cost, 1 - quality)
+       (:func:`repro.search.expected_hypervolume_improvement`; each pick's
+       predicted mean joins the selection front before the next pick -- the
+       standard believer-style batch rule, fully deterministic);
     2. **runs successive halving** over the fidelity ladder: the cohort is
        exactly evaluated through ``ctx.evaluate`` at the cheapest rung (a
        total-pixel budget applied by centre-cropping the inputs, see
@@ -520,8 +515,7 @@ def successive_halving_ehvi(
     while remaining and len(selected) < cohort_size:
         front = np.asarray(believer_front, dtype=np.float64).reshape(-1, 2)
         scores = expected_hypervolume_improvement(
-            front, reference, means[remaining], stds[remaining],
-            num_samples=mc_samples, seed=seed,
+            front, reference, means[remaining], stds[remaining]
         )
         best = int(np.argmax(scores))  # ties break to the lowest pool index
         index = remaining.pop(best)
@@ -567,7 +561,6 @@ def successive_halving_ehvi(
         eta,
         min_survivors,
         archive_limit,
-        mc_samples,
         seed,
         ctx._study,
     )

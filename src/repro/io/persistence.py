@@ -31,7 +31,7 @@ class ShardedJsonStore:
 
     This is the shared on-disk backend of the whole system: the
     :class:`repro.engine.EvalCache` disk layer, pipeline checkpoints,
-    :meth:`repro.search.ParetoArchive.save` payloads and the
+    search checkpoints (:func:`repro.search.run_nsga2`) and the
     :mod:`repro.service` job artifacts all ride on it.  Each entry is one
     small JSON file named after a hash of its key, so arbitrary keys (cache
     keys embed colons and hex fingerprints) map to safe file names.  The

@@ -3,13 +3,13 @@
 The package holds the problem-agnostic half of the repo's searches:
 
 * :class:`ParetoArchive` -- the shared incremental non-dominated archive
-  (crowding distance, 2-D hypervolume, JSON checkpointing) used by every
+  (crowding distance, 2-D hypervolume, JSON payloads) used by every
   strategy in :data:`repro.autoax.SEARCH_STRATEGIES` and by the
   methodology's front bookkeeping (:mod:`repro.core.stages`);
 * :func:`run_nsga2` -- a generic, resumable NSGA-II loop over tuple genomes
   with generation-batched evaluation;
-* :mod:`repro.search.multifidelity` -- expected-hypervolume-improvement
-  acquisition (exact in 2-D, Monte-Carlo beyond) and a resumable
+* :mod:`repro.search.multifidelity` -- the exact two-objective
+  expected-hypervolume-improvement acquisition and a resumable
   successive-halving runner over explicit fidelity ladders.
 
 The AutoAx configuration-space strategies themselves (including the
@@ -22,10 +22,7 @@ from .multifidelity import (
     SuccessiveHalvingConfig,
     SuccessiveHalvingResult,
     default_fidelity_ladder,
-    ehvi_2d,
     expected_hypervolume_improvement,
-    hypervolume,
-    monte_carlo_ehvi,
     run_successive_halving,
 )
 from .nsga2 import (
@@ -49,9 +46,6 @@ __all__ = [
     "SuccessiveHalvingConfig",
     "SuccessiveHalvingResult",
     "default_fidelity_ladder",
-    "ehvi_2d",
     "expected_hypervolume_improvement",
-    "hypervolume",
-    "monte_carlo_ehvi",
     "run_successive_halving",
 ]

@@ -15,9 +15,9 @@ bound its size, and report quality indicators of the surviving front.
 * **crowding distance** and the **2-D hypervolume indicator** for
   diversity-aware truncation and strategy comparison;
 * **JSON checkpointing** -- ``to_payload``/``from_payload`` round-trip the
-  archive through plain JSON, and ``save``/``load`` persist it in any
-  ``get``/``put`` store (in practice :class:`repro.io.JsonDirectoryStore`),
-  which is what makes the NSGA-II strategy resumable.
+  archive through plain JSON; :func:`repro.search.run_nsga2` stores that
+  payload in its checkpoints, which is what makes the NSGA-II strategy
+  resumable.
 
 Entries iterate in insertion order (dominated entries drop out, survivors
 keep their relative order), which keeps seeded archive-driven searches
@@ -132,12 +132,6 @@ class ParetoArchive:
         self._entries = survivors
         return True
 
-    def extend(
-        self, candidates: Sequence[Tuple[Optional[str], Sequence[float], object]]
-    ) -> int:
-        """Insert ``(key, objectives, item)`` triples; returns survivor count."""
-        return sum(1 for key, objectives, item in candidates if self.insert(key, objectives, item))
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -162,11 +156,6 @@ class ParetoArchive:
         if not self._entries:
             return np.empty((0, self.num_objectives or 0), dtype=np.float64)
         return np.array([entry.objectives for entry in self._entries], dtype=np.float64)
-
-    def dominates(self, objectives: Sequence[float]) -> bool:
-        """Whether any archived entry dominates the given objective vector."""
-        values = tuple(float(value) for value in objectives)
-        return any(_weakly_dominates(entry.objectives, values) for entry in self._entries)
 
     # ------------------------------------------------------------------ #
     # Indicators and truncation
@@ -212,19 +201,20 @@ class ParetoArchive:
         keep = sorted(order[:limit])
         self._entries = [self._entries[i] for i in keep]
 
-    def truncate_spread(self, limit: int, objective: int = 0) -> None:
-        """Keep ``limit`` entries spread along one objective axis.
+    def truncate_spread(self, limit: int) -> None:
+        """Keep ``limit`` entries spread along the first objective axis.
 
         This reproduces the legacy strategies' pruning exactly: entries are
-        (stably) sorted by the chosen objective and an evenly spaced subset
-        is kept **in that sorted order** -- archive order changes, which the
-        seeded legacy trajectories rely on.
+        (stably) sorted by the first objective (the cost, in every strategy
+        that prunes this way) and an evenly spaced subset is kept **in that
+        sorted order** -- archive order changes, which the seeded legacy
+        trajectories rely on.
         """
         if limit < 1:
             raise ValueError("limit must be at least 1")
         if len(self._entries) <= limit:
             return
-        self._entries.sort(key=lambda entry: entry.objectives[objective])
+        self._entries.sort(key=lambda entry: entry.objectives[0])
         indices = np.linspace(0, len(self._entries) - 1, limit).round().astype(int)
         self._entries = [self._entries[i] for i in dict.fromkeys(int(i) for i in indices)]
 
@@ -261,18 +251,6 @@ class ParetoArchive:
                 )
             )
         return archive
-
-    def save(self, store, key: str) -> None:
-        """Persist the archive under ``key`` in a ``get``/``put`` store."""
-        store.put(key, self.to_payload())
-
-    @classmethod
-    def load(cls, store, key: str) -> Optional["ParetoArchive"]:
-        """Load an archive previously saved under ``key`` (``None`` if absent)."""
-        payload = store.get(key)
-        if payload is None:
-            return None
-        return cls.from_payload(payload)
 
 
 # --------------------------------------------------------------------- #

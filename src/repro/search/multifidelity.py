@@ -6,13 +6,11 @@ strategy in :mod:`repro.autoax.search`:
 
 * **Expected hypervolume improvement (EHVI)** -- the acquisition function
   that turns a model's ``predict_with_std`` output into "how much would
-  this candidate grow the Pareto front?".  The two-objective case uses the
-  exact closed form (a strip decomposition of the front's staircase, each
-  strip's expectation factorising over the two independent Gaussians); for
-  more objectives :func:`monte_carlo_ehvi` estimates the same quantity with
-  seeded Gaussian samples against an exact n-dimensional
-  :func:`hypervolume`.  :func:`expected_hypervolume_improvement` dispatches
-  between the two.
+  this candidate grow the Pareto front?".  Every search here has two
+  objectives, so :func:`expected_hypervolume_improvement` is the exact
+  two-objective closed form (a strip decomposition of the front's
+  staircase, each strip's expectation factorising over the two independent
+  Gaussians) and rejects input with any other number of objectives.
 
 * **Resumable successive halving** -- :func:`run_successive_halving` runs a
   candidate cohort up a fidelity ladder (cheap screens first, survivors
@@ -42,10 +40,7 @@ __all__ = [
     "SuccessiveHalvingConfig",
     "SuccessiveHalvingResult",
     "default_fidelity_ladder",
-    "ehvi_2d",
     "expected_hypervolume_improvement",
-    "hypervolume",
-    "monte_carlo_ehvi",
     "run_successive_halving",
 ]
 
@@ -82,9 +77,7 @@ def _staircase(front: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """
     from ..core.pareto import pareto_front_indices
 
-    front = np.asarray(front, dtype=np.float64).reshape(-1, 2)
-    if front.shape[0]:
-        front = front[(front[:, 0] < reference[0]) & (front[:, 1] < reference[1])]
+    front = front[(front[:, 0] < reference[0]) & (front[:, 1] < reference[1])]
     if front.shape[0]:
         front = front[pareto_front_indices(front)]
         front = front[np.lexsort((front[:, 1], front[:, 0]))]
@@ -95,7 +88,7 @@ def _staircase(front: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return front
 
 
-def ehvi_2d(
+def expected_hypervolume_improvement(
     front: np.ndarray,
     reference: Sequence[float],
     means: np.ndarray,
@@ -103,10 +96,11 @@ def ehvi_2d(
 ) -> np.ndarray:
     """Exact two-objective EHVI of independent Gaussian candidates.
 
-    ``front`` is the current non-dominated set (any 2-D point array, may be
-    empty), ``reference`` the hypervolume reference point, ``means`` /
-    ``stds`` the per-candidate predictive moments, shape ``(k, 2)``.
-    Returns the ``(k,)`` vector of expected improvements.
+    ``front`` is the current non-dominated set (an ``(n, 2)`` point array,
+    may be empty), ``reference`` the hypervolume reference point, ``means``
+    / ``stds`` the per-candidate predictive moments, shape ``(k, 2)``.
+    Returns the ``(k,)`` vector of expected improvements.  Input that does
+    not have exactly two objectives raises :class:`ValueError`.
 
     Derivation: with the front's staircase cut into vertical strips
     ``[a_i, u_i) x [y_2, b_i)`` (sentinels ``a_0 = -inf``, ``u_n = r_1``,
@@ -115,11 +109,19 @@ def ehvi_2d(
     depend on different independent coordinates, so the expectation is the
     product of two Gaussian partial moments (:func:`_psi`) per strip.
     """
-    reference = np.asarray(reference, dtype=np.float64).reshape(2)
-    means = np.asarray(means, dtype=np.float64).reshape(-1, 2)
-    stds = np.maximum(np.asarray(stds, dtype=np.float64).reshape(-1, 2), _STD_FLOOR)
+    reference = np.asarray(reference, dtype=np.float64)
+    front, means, stds = (np.asarray(v, dtype=np.float64) for v in (front, means, stds))
+    if reference.shape != (2,) or any(
+        array.ndim != 2 or array.shape[1] != 2 for array in (front, means, stds)
+    ):
+        raise ValueError(
+            "EHVI needs exactly two objectives: got reference "
+            f"{reference.shape}, front {front.shape}, means {means.shape}, "
+            f"stds {stds.shape}; expected (2,) and (n, 2)"
+        )
     if means.shape != stds.shape:
         raise ValueError("means and stds must have matching (k, 2) shapes")
+    stds = np.maximum(stds, _STD_FLOOR)
 
     stairs = _staircase(front, reference)
     a = np.concatenate([[-np.inf], stairs[:, 0]])  # strip lower x edges
@@ -142,101 +144,6 @@ def ehvi_2d(
     widths = below_a + _psi(u_row, u_row, mu1, s1) - _psi(a_row, u_row, mu1, s1)
     heights = _psi(b_row, b_row, mu2, s2)
     return np.maximum((widths * heights).sum(axis=1), 0.0)
-
-
-def hypervolume(points: np.ndarray, reference: Sequence[float]) -> float:
-    """Dominated hypervolume of a front in any dimension (all minimised).
-
-    Points with any objective at or beyond the reference contribute
-    nothing (their dominated box inside the reference region is empty), so
-    the result is never negative.  Two objectives delegate to the
-    staircase sweep of :func:`repro.core.pareto.hypervolume_2d`; higher
-    dimensions recurse by slicing along the last objective.
-    """
-    reference = np.asarray(reference, dtype=np.float64).ravel()
-    points = np.asarray(points, dtype=np.float64).reshape(-1, reference.shape[0])
-    points = points[np.all(points <= reference, axis=1)]
-    if points.shape[0] == 0:
-        return 0.0
-    if reference.shape[0] == 1:
-        return float(reference[0] - points.min())
-    if reference.shape[0] == 2:
-        from ..core.pareto import hypervolume_2d
-
-        return hypervolume_2d(points, reference)
-    order = np.argsort(points[:, -1], kind="stable")
-    points = points[order]
-    edges = np.append(points[:, -1], reference[-1])
-    volume = 0.0
-    for i in range(points.shape[0]):
-        depth = edges[i + 1] - edges[i]
-        if depth <= 0.0:
-            continue
-        volume += depth * hypervolume(points[: i + 1, :-1], reference[:-1])
-    return float(volume)
-
-
-def monte_carlo_ehvi(
-    front: np.ndarray,
-    reference: Sequence[float],
-    means: np.ndarray,
-    stds: np.ndarray,
-    num_samples: int = 128,
-    seed: int = 0,
-) -> np.ndarray:
-    """Sampled EHVI for any number of objectives (the >2-objective fallback).
-
-    Draws ``num_samples`` seeded Gaussian realisations per candidate and
-    averages the exact hypervolume improvement of each draw over the
-    current ``front``.  Deterministic given ``seed``; agreement with
-    :func:`ehvi_2d` on two objectives is pinned by
-    ``tests/test_multifidelity.py``.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
-    reference = np.asarray(reference, dtype=np.float64).ravel()
-    means = np.asarray(means, dtype=np.float64).reshape(-1, reference.shape[0])
-    stds = np.maximum(
-        np.asarray(stds, dtype=np.float64).reshape(-1, reference.shape[0]), _STD_FLOOR
-    )
-    front = np.asarray(front, dtype=np.float64).reshape(-1, reference.shape[0])
-    base = hypervolume(front, reference)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((num_samples, means.shape[0], reference.shape[0]))
-    scores = np.zeros(means.shape[0], dtype=np.float64)
-    for index in range(means.shape[0]):
-        samples = means[index] + stds[index] * draws[:, index, :]
-        improvement = 0.0
-        for sample in samples:
-            improvement += hypervolume(np.vstack([front, sample[None, :]]), reference) - base
-        scores[index] = max(improvement / num_samples, 0.0)
-    return scores
-
-
-def expected_hypervolume_improvement(
-    front: np.ndarray,
-    reference: Sequence[float],
-    means: np.ndarray,
-    stds: np.ndarray,
-    *,
-    num_samples: int = 128,
-    seed: int = 0,
-    method: str = "auto",
-) -> np.ndarray:
-    """EHVI of Gaussian candidates over a front: exact in 2-D, sampled beyond.
-
-    ``method`` is ``"auto"`` (exact closed form for two objectives,
-    Monte-Carlo otherwise), ``"exact"`` (two objectives only) or
-    ``"monte_carlo"`` (any arity; used by the agreement tests).
-    """
-    reference = np.asarray(reference, dtype=np.float64).ravel()
-    if method not in ("auto", "exact", "monte_carlo"):
-        raise ValueError(f"unknown EHVI method {method!r}")
-    if method == "exact" or (method == "auto" and reference.shape[0] == 2):
-        if reference.shape[0] != 2:
-            raise ValueError("the exact EHVI closed form needs exactly two objectives")
-        return ehvi_2d(front, reference, means, stds)
-    return monte_carlo_ehvi(front, reference, means, stds, num_samples=num_samples, seed=seed)
 
 
 # --------------------------------------------------------------------- #
@@ -328,7 +235,6 @@ def run_successive_halving(
     store=None,
     run_id: str = "sh",
     token: str = "",
-    resume: bool = True,
     on_rung: Optional[Callable[[dict], None]] = None,
 ) -> SuccessiveHalvingResult:
     """Run (or resume) successive halving over a fidelity ladder.
@@ -363,7 +269,7 @@ def run_successive_halving(
     expected_manifest = {"token": token, "config": repr(config)}
     checkpoint = None
     if store is not None:
-        if resume and store.get(_sh_manifest_key(run_id)) == expected_manifest:
+        if store.get(_sh_manifest_key(run_id)) == expected_manifest:
             checkpoint = store.get(_sh_checkpoint_key(run_id))
         store.put(_sh_manifest_key(run_id), expected_manifest)
 

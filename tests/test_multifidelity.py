@@ -4,9 +4,9 @@ Covers the three layers of the ``"sh_ehvi"`` strategy plus the bugfixes
 that ride along:
 
 * the **EHVI acquisition** -- the exact 2-objective closed form against
-  hand-derived deterministic limits, its seeded Monte-Carlo fallback (the
-  two must agree on two objectives), the n-dimensional hypervolume it
-  scores against, and the uncertainty plumbing feeding it
+  hand-derived deterministic limits and a grid-integrated oracle, its
+  rejection of input without two objectives, ``hypervolume_2d`` against
+  an exact union-of-boxes area, and the uncertainty plumbing feeding it
   (``predict_with_std`` on the GP, the random forest and
   ``ScaledRegressor``, ``estimate_batch_with_std`` on the estimators);
 * the **fidelity ladder** -- ``fidelity_inputs`` centre-cropping,
@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache, accelerator_context
@@ -45,10 +46,7 @@ from repro.search import (
     ParetoArchive,
     SuccessiveHalvingConfig,
     default_fidelity_ladder,
-    ehvi_2d,
     expected_hypervolume_improvement,
-    hypervolume,
-    monte_carlo_ehvi,
     run_successive_halving,
 )
 from repro.workloads import MIN_FIDELITY_SIDE, fidelity_inputs
@@ -70,21 +68,25 @@ class TestEhvi2d:
         # improvement indicator; these three values are hand-derived.
         means = np.array([[3.0, 3.0], [1.0, 3.0], [1.0, 1.0]])
         stds = np.full_like(means, TINY_STD)
-        values = ehvi_2d(self.FRONT, self.REFERENCE, means, stds)
+        values = expected_hypervolume_improvement(self.FRONT, self.REFERENCE, means, stds)
         np.testing.assert_allclose(values, [0.0, 1.0, 5.0], atol=1e-6)
 
     def test_empty_front_factorises_into_partial_moments(self):
         # No front: EHVI = E[(r1 - Y1)+] * E[(r2 - Y2)+], which in the
         # deterministic limit is the candidate's own box.
-        values = ehvi_2d(
+        values = expected_hypervolume_improvement(
             np.empty((0, 2)), self.REFERENCE, [[1.0, 3.0]], [[TINY_STD, TINY_STD]]
         )
         np.testing.assert_allclose(values, [3.0], atol=1e-6)
 
     def test_dominated_candidate_with_uncertainty_scores_positive(self):
         dominated = np.array([[3.0, 3.0]])
-        tight = ehvi_2d(self.FRONT, self.REFERENCE, dominated, [[0.01, 0.01]])
-        loose = ehvi_2d(self.FRONT, self.REFERENCE, dominated, [[1.0, 1.0]])
+        tight = expected_hypervolume_improvement(
+            self.FRONT, self.REFERENCE, dominated, [[0.01, 0.01]]
+        )
+        loose = expected_hypervolume_improvement(
+            self.FRONT, self.REFERENCE, dominated, [[1.0, 1.0]]
+        )
         assert tight[0] < 1e-6
         assert loose[0] > 0.01  # uncertainty keeps exploration alive
 
@@ -93,8 +95,8 @@ class TestEhvi2d:
         stds = np.full_like(means, 0.3)
         with_junk = np.vstack([self.FRONT, [[9.0, 0.5], [0.5, 9.0], [11.0, 11.0]]])
         np.testing.assert_allclose(
-            ehvi_2d(with_junk, self.REFERENCE, means, stds),
-            ehvi_2d(self.FRONT, self.REFERENCE, means, stds),
+            expected_hypervolume_improvement(with_junk, self.REFERENCE, means, stds),
+            expected_hypervolume_improvement(self.FRONT, self.REFERENCE, means, stds),
         )
 
     def test_duplicate_front_points_do_not_change_the_result(self):
@@ -102,8 +104,10 @@ class TestEhvi2d:
         means = np.array([[1.5, 1.5]])
         stds = np.array([[0.5, 0.5]])
         np.testing.assert_allclose(
-            ehvi_2d(np.repeat(front, 3, axis=0), self.REFERENCE, means, stds),
-            ehvi_2d(front, self.REFERENCE, means, stds),
+            expected_hypervolume_improvement(
+                np.repeat(front, 3, axis=0), self.REFERENCE, means, stds
+            ),
+            expected_hypervolume_improvement(front, self.REFERENCE, means, stds),
         )
 
     def test_values_are_finite_and_non_negative(self):
@@ -111,115 +115,102 @@ class TestEhvi2d:
         front = rng.uniform(0.0, 4.0, size=(12, 2))
         means = rng.uniform(-1.0, 5.0, size=(30, 2))
         stds = rng.uniform(0.0, 2.0, size=(30, 2))  # exact zeros get floored
-        values = ehvi_2d(front, self.REFERENCE, means, stds)
+        values = expected_hypervolume_improvement(front, self.REFERENCE, means, stds)
         assert values.shape == (30,)
         assert np.all(np.isfinite(values))
         assert np.all(values >= 0.0)
 
     def test_mismatched_mean_std_shapes_raise(self):
         with pytest.raises(ValueError, match="matching"):
-            ehvi_2d(self.FRONT, self.REFERENCE, [[1.0, 1.0]], [[0.1, 0.1], [0.1, 0.1]])
-
-
-class TestMonteCarloEhvi:
-    def test_agrees_with_exact_closed_form_in_2d(self):
-        rng = np.random.default_rng(11)
-        for case in range(3):
-            front = rng.uniform(0.0, 3.0, size=(5 + case * 3, 2))
-            reference = np.array([4.0, 4.0])
-            means = rng.uniform(0.5, 4.5, size=(6, 2))
-            stds = rng.uniform(0.05, 0.8, size=(6, 2))
-            exact = ehvi_2d(front, reference, means, stds)
-            sampled = monte_carlo_ehvi(
-                front, reference, means, stds, num_samples=4000, seed=3
+            expected_hypervolume_improvement(
+                self.FRONT, self.REFERENCE, [[1.0, 1.0]], [[0.1, 0.1], [0.1, 0.1]]
             )
-            # MC error is absolute (tiny EHVIs have huge *relative* noise).
-            np.testing.assert_allclose(sampled, exact, atol=0.08 * (1.0 + exact.max()))
 
-    def test_seeded_and_reproducible(self):
-        front = np.array([[1.0, 2.0], [2.0, 1.0]])
-        args = (front, (3.0, 3.0), [[1.5, 1.5]], [[0.4, 0.4]])
-        first = monte_carlo_ehvi(*args, num_samples=64, seed=5)
-        again = monte_carlo_ehvi(*args, num_samples=64, seed=5)
-        other = monte_carlo_ehvi(*args, num_samples=64, seed=6)
-        np.testing.assert_array_equal(first, again)
-        assert not np.array_equal(first, other)
-
-    def test_invalid_sample_count_raises(self):
-        with pytest.raises(ValueError, match="num_samples"):
-            monte_carlo_ehvi(np.empty((0, 2)), (1.0, 1.0), [[0.0, 0.0]], [[1.0, 1.0]], num_samples=0)
-
-
-class TestEhviDispatch:
-    def test_auto_uses_exact_closed_form_for_two_objectives(self):
-        front = np.array([[1.0, 2.0], [2.0, 1.0]])
-        means, stds = np.array([[1.2, 1.2]]), np.array([[0.3, 0.3]])
-        np.testing.assert_array_equal(
-            expected_hypervolume_improvement(front, (3.0, 3.0), means, stds),
-            ehvi_2d(front, (3.0, 3.0), means, stds),
-        )
-
-    def test_auto_falls_back_to_monte_carlo_beyond_two_objectives(self):
-        front = np.array([[1.0, 1.0, 1.0]])
-        reference = (2.0, 2.0, 2.0)
-        means = np.array([[0.5, 0.5, 0.5], [1.9, 1.9, 1.9]])
-        stds = np.full_like(means, 0.05)
-        values = expected_hypervolume_improvement(
-            front, reference, means, stds, num_samples=256, seed=2
-        )
-        np.testing.assert_array_equal(
-            values,
-            monte_carlo_ehvi(front, reference, means, stds, num_samples=256, seed=2),
-        )
-        assert values[0] > values[1]  # clear improver beats the dominated one
-
-    def test_exact_method_rejects_three_objectives(self):
+    @pytest.mark.parametrize(
+        "front, reference, means, stds",
+        [
+            # (2, 3) moments were once reshaped into three 2-D candidates.
+            (np.empty((0, 2)), (2.0, 2.0), np.ones((2, 3)), np.ones((2, 3))),
+            (np.empty((0, 3)), (1.0, 1.0, 1.0), [[0.0] * 3], [[1.0] * 3]),
+            (np.empty((0, 2)), (1.0, 1.0, 1.0), [[0.0, 0.0]], [[1.0, 1.0]]),
+            (np.empty((0, 3)), (1.0, 1.0), [[0.0, 0.0]], [[1.0, 1.0]]),
+            (np.empty((0, 2)), (1.0, 1.0), [[0.0, 0.0]], [[1.0] * 3]),
+        ],
+        ids=["means-3", "all-3", "reference-3", "front-3", "stds-3"],
+    )
+    def test_rejects_input_without_two_objectives(self, front, reference, means, stds):
         with pytest.raises(ValueError, match="two objectives"):
-            expected_hypervolume_improvement(
-                np.empty((0, 3)), (1.0, 1.0, 1.0), [[0.0] * 3], [[1.0] * 3], method="exact"
-            )
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="method"):
-            expected_hypervolume_improvement(
-                np.empty((0, 2)), (1.0, 1.0), [[0.0, 0.0]], [[1.0, 1.0]], method="bogus"
-            )
+            expected_hypervolume_improvement(front, reference, means, stds)
 
 
 # --------------------------------------------------------------------- #
-# n-D hypervolume + the 2-D clamp regression
+# Independent oracles + the 2-D clamp regression
 # --------------------------------------------------------------------- #
-class TestHypervolume:
-    def test_matches_2d_staircase_on_random_fronts(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            points = rng.uniform(0.0, 2.0, size=(rng.integers(1, 12), 2))
-            reference = (2.5, 2.5)
-            assert hypervolume(points, reference) == pytest.approx(
-                hypervolume_2d(points, reference)
-            )
+def _grid_ehvi(front, reference, means, stds, cells=400):
+    """EHVI by midpoint integration of P(Y <= z) over the non-dominated box.
 
-    def test_hand_derived_3d_values(self):
-        assert hypervolume([[0.0, 0.0, 0.0]], (1.0, 1.0, 1.0)) == pytest.approx(1.0)
-        # Boxes of volume 4 and 2 overlapping in a 1x1x1 corner.
-        assert hypervolume(
-            [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], (2.0, 2.0, 2.0)
-        ) == pytest.approx(4.0 + 2.0 - 1.0)
-
-    def test_single_objective_is_a_segment(self):
-        assert hypervolume([[3.0], [1.0]], (4.0,)) == pytest.approx(3.0)
-
-    def test_out_of_reference_points_contribute_nothing(self):
-        inside = [[0.5, 0.5, 0.5]]
-        junk = [[5.0, 0.1, 0.1], [0.1, 5.0, 0.1], [0.1, 0.1, 5.0]]
-        reference = (1.0, 1.0, 1.0)
-        assert hypervolume(np.vstack([inside, junk]), reference) == pytest.approx(
-            hypervolume(inside, reference)
+    E[HVI] = integral over z <= reference of P(Y1 <= z1) P(Y2 <= z2)
+    1[no front point weakly dominates z] dz.  The front's coordinates are
+    cell edges, so the indicator is exact on every cell and only the
+    smooth Gaussian factors carry discretisation error.
+    """
+    lower = (means - 8.0 * stds).min(axis=0)
+    edges = [
+        np.union1d(
+            np.linspace(lower[k], reference[k], cells + 1),
+            front[(front[:, k] > lower[k]) & (front[:, k] < reference[k]), k],
         )
-        assert hypervolume(junk, reference) == 0.0
+        for k in range(2)
+    ]
+    x, y = ((e[1:] + e[:-1]) / 2 for e in edges)
+    free = np.ones((x.size, y.size), dtype=bool)
+    for point in front:
+        free &= ~((point[0] <= x)[:, None] & (point[1] <= y)[None, :])
+    width = np.diff(edges[0]) * norm.cdf(x[None, :], means[:, :1], stds[:, :1])
+    height = np.diff(edges[1]) * norm.cdf(y[None, :], means[:, 1:], stds[:, 1:])
+    return np.einsum("ki,ij,kj->k", width, free, height)
 
-    def test_empty_front_is_zero(self):
-        assert hypervolume(np.empty((0, 3)), (1.0, 1.0, 1.0)) == 0.0
+
+def _union_area(points, reference):
+    """Area of the union of the boxes [p, reference], by coordinate compression."""
+    inside = points[np.all(points <= reference, axis=1)]
+    xs = np.unique(np.append(inside[:, 0], reference[0]))
+    ys = np.unique(np.append(inside[:, 1], reference[1]))
+    area = 0.0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        for y0, y1 in zip(ys[:-1], ys[1:]):
+            if np.any((inside[:, 0] <= x0) & (inside[:, 1] <= y0)):
+                area += (x1 - x0) * (y1 - y0)
+    return area
+
+
+class TestIndependentOracles:
+    """The closed forms against oracles that share no code with them."""
+
+    def test_ehvi_matches_grid_integration(self):
+        rng = np.random.default_rng(11)
+        reference = np.array([4.0, 4.0])
+        for size in (0, 2, 4, 6):
+            front = rng.uniform(1.0, 3.5, size=(size, 2))
+            if size == 6:  # beyond the reference: must change nothing
+                front = np.vstack([front, [[4.5, 0.5], [0.5, 4.5]]])
+            means = rng.uniform(0.5, 3.0, size=(6, 2))
+            stds = rng.uniform(0.1, 0.8, size=(6, 2))
+            exact = expected_hypervolume_improvement(front, reference, means, stds)
+            # Improvements well above the tolerance, so a wrong form fails.
+            assert np.median(exact) > 0.5
+            np.testing.assert_allclose(
+                exact, _grid_ehvi(front, reference, means, stds), rtol=0.0, atol=1e-3
+            )
+
+    def test_hypervolume_2d_matches_union_of_boxes(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            points = rng.uniform(-1.0, 3.0, size=(rng.integers(1, 12), 2))
+            reference = rng.uniform(0.0, 2.5, size=2)
+            assert hypervolume_2d(points, reference) == pytest.approx(
+                _union_area(points, reference), abs=1e-12
+            )
 
 
 class TestHypervolume2dNeverNegative:

@@ -248,17 +248,16 @@ class TestCheckpointing:
         assert restored.num_objectives == archive.num_objectives
         assert restored.dedupe_keys == archive.dedupe_keys
 
-    def test_save_load_through_json_directory_store(self, tmp_path):
+    def test_payload_roundtrip_through_json_directory_store(self, tmp_path):
         from repro.io.persistence import JsonDirectoryStore
 
         store = JsonDirectoryStore(tmp_path / "archives")
         archive = ParetoArchive()
         archive.insert("a", (1.0, 2.0), item=[1, 2, 3])
         archive.insert("b", (2.0, 1.0), item={"genome": [0, 1]})
-        archive.save(store, "search:test:archive")
-        restored = ParetoArchive.load(store, "search:test:archive")
+        store.put("search:test:archive", archive.to_payload())
+        restored = ParetoArchive.from_payload(store.get("search:test:archive"))
         assert restored.entries() == archive.entries()
-        assert ParetoArchive.load(store, "search:missing") is None
 
     def test_hypervolume_matches_core_helper(self):
         from repro.core.pareto import hypervolume_2d
