@@ -129,7 +129,7 @@ class TestEhvi2d:
     @pytest.mark.parametrize(
         "front, reference, means, stds",
         [
-            # (2, 3) moments were once reshaped into three 2-D candidates.
+            # (2, 3) moments must not be read as three 2-D candidates.
             (np.empty((0, 2)), (2.0, 2.0), np.ones((2, 3)), np.ones((2, 3))),
             (np.empty((0, 3)), (1.0, 1.0, 1.0), [[0.0] * 3], [[1.0] * 3]),
             (np.empty((0, 2)), (1.0, 1.0, 1.0), [[0.0, 0.0]], [[1.0, 1.0]]),
