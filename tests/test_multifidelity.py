@@ -71,6 +71,43 @@ class TestEhvi2d:
         values = expected_hypervolume_improvement(self.FRONT, self.REFERENCE, means, stds)
         np.testing.assert_allclose(values, [0.0, 1.0, 5.0], atol=1e-6)
 
+    def test_deterministic_limit_matches_hypervolume_2d_difference(self):
+        # At vanishing std the improvement is HV(front + y) - HV(front),
+        # which hypervolume_2d computes by its own sweep.
+        rng = np.random.default_rng(5)
+        reference = np.array([4.0, 4.0])
+        for size in (1, 3, 8):
+            front = rng.uniform(0.5, 4.5, size=(size, 2))
+            means = rng.uniform(0.0, 5.0, size=(10, 2))
+            values = expected_hypervolume_improvement(
+                front, reference, means, np.full_like(means, TINY_STD)
+            )
+            before = hypervolume_2d(front, reference)
+            expected = [hypervolume_2d(np.vstack([front, y]), reference) - before for y in means]
+            assert max(expected) > 0.1
+            np.testing.assert_allclose(values, expected, atol=1e-6)
+
+    def test_candidates_are_scored_independently(self):
+        # A batch scores each row on its own: splitting or permuting the
+        # candidates changes nothing but the order of the scores.
+        rng = np.random.default_rng(13)
+        front = rng.uniform(0.5, 3.5, size=(6, 2))
+        means = rng.uniform(0.0, 4.0, size=(8, 2))
+        stds = rng.uniform(0.05, 1.0, size=(8, 2))
+        batch = expected_hypervolume_improvement(front, self.REFERENCE, means, stds)
+        rows = [
+            expected_hypervolume_improvement(front, self.REFERENCE, m[None], s[None])[0]
+            for m, s in zip(means, stds)
+        ]
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+        order = rng.permutation(8)
+        np.testing.assert_allclose(
+            expected_hypervolume_improvement(front, self.REFERENCE, means[order], stds[order]),
+            batch[order],
+            rtol=1e-12,
+            atol=0.0,
+        )
+
     def test_empty_front_factorises_into_partial_moments(self):
         # No front: EHVI = E[(r1 - Y1)+] * E[(r2 - Y2)+], which in the
         # deterministic limit is the candidate's own box.
@@ -211,6 +248,18 @@ class TestIndependentOracles:
             assert hypervolume_2d(points, reference) == pytest.approx(
                 _union_area(points, reference), abs=1e-12
             )
+
+
+class TestHypervolume2dInput:
+    """``hypervolume_2d`` is the program's only hypervolume."""
+
+    def test_empty_front_is_zero(self):
+        assert hypervolume_2d(np.empty((0, 2)), (1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("objectives", [1, 3])
+    def test_rejects_other_objective_counts(self, objectives):
+        with pytest.raises(ValueError, match="two objectives"):
+            hypervolume_2d(np.zeros((2, objectives)), (1.0,) * objectives)
 
 
 class TestHypervolume2dNeverNegative:

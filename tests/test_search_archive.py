@@ -258,6 +258,7 @@ class TestCheckpointing:
         store.put("search:test:archive", archive.to_payload())
         restored = ParetoArchive.from_payload(store.get("search:test:archive"))
         assert restored.entries() == archive.entries()
+        assert store.get("search:missing") is None  # nothing to restore from
 
     def test_hypervolume_matches_core_helper(self):
         from repro.core.pareto import hypervolume_2d
