@@ -10,8 +10,9 @@ The service argument in numbers, recorded to ``BENCH_service.json``:
   This is the paper's amortisation argument -- estimate once, reuse
   everywhere -- lifted from one flow run to a multi-tenant service.
 * **Crash-resume identity** -- a worker killed mid-job loses no work: the
-  reclaimed job resumes from its checkpoints and its payload digest equals
-  an uninterrupted run's, bit for bit.
+  reclaimed job runs again from the shared cache, its payload digest equals
+  an uninterrupted run's, bit for bit, and the two workers' cache misses
+  add up to the uninterrupted run's.
 * **Warm job throughput** -- jobs/second through one worker when the cache
   is fully warm (the queue-overhead regime).
 
@@ -147,8 +148,9 @@ def test_killed_then_resumed_job_reproduces_the_digest(tmp_path):
 
     registry = JobRegistry(tmp_path / "service", lease_ttl=0.05)
     JobClient(registry).submit("autoax", JOB_PARAMS, job_id="victim")
+    killer = _DiesAfterFirstStage(registry, engine_mode="serial")
     try:
-        _DiesAfterFirstStage(registry, engine_mode="serial").run_once()
+        killer.run_once()
         raise AssertionError("the killer worker should have died")
     except KeyboardInterrupt:
         pass
@@ -160,8 +162,8 @@ def test_killed_then_resumed_job_reproduces_the_digest(tmp_path):
 
     print(
         f"crash-resume: attempt {resumed.attempts}, "
-        f"restored {resumed.resumed_stages}, digest match "
-        f"{resumed.digest == reference.digest}"
+        f"{resumed.cache['misses']} misses after {killer.session.stats().misses}, "
+        f"digest match {resumed.digest == reference.digest}"
     )
     _record_section(
         "crash_resume",
@@ -170,12 +172,14 @@ def test_killed_then_resumed_job_reproduces_the_digest(tmp_path):
             "resumed_digest": resumed.digest,
             "digest_match": resumed.digest == reference.digest,
             "attempts": resumed.attempts,
-            "resumed_stages": resumed.resumed_stages,
+            "resumed_misses": resumed.cache["misses"],
         },
     )
     assert resumed.attempts == 2
-    assert "collect-samples" in resumed.resumed_stages
     assert resumed.digest == reference.digest, "resumed job diverged from the reference run"
+    assert (
+        killer.session.stats().misses + resumed.cache["misses"] == reference.cache["misses"]
+    ), "the resumed job recomputed work the dead worker had stored"
 
 
 # --------------------------------------------------------------------- #

@@ -12,9 +12,9 @@ content digests).
 
 The same root also demonstrates fault tolerance: job state lives in
 atomic JSON records, workers own jobs through heartbeated lease files,
-and a job whose worker dies is reclaimed and resumed from its last
-checkpoint (see ``pytest -m service`` and
-``benchmarks/test_service_throughput.py``).
+and a job whose worker dies is reclaimed and run again from the shared
+cache, recomputing nothing the dead worker had stored (see
+``pytest -m service`` and ``benchmarks/test_service_throughput.py``).
 
 Run with:  python examples/autoax_service_jobs.py
 

@@ -5,9 +5,10 @@ The script builds a library of 8x8 approximate multipliers and drives the
 full ML-driven exploration flow (synthesize a subset, train the Table I
 models, build pseudo-Pareto fronts, re-synthesize the candidates) through an
 :class:`repro.api.ExplorationSession` -- the public stage-pipeline API that
-owns the shared evaluation cache, reports per-stage progress and, when a
-``workspace`` directory is passed, checkpoints every stage so an interrupted
-run resumes where it left off.
+owns the shared evaluation cache and reports per-stage progress.  With a
+``workspace`` directory the cache lives on disk, so running the script
+again -- after it finished or after it was interrupted -- is served from
+it and recomputes only what it had not stored.
 
 Run with:  python examples/quickstart.py
 """
@@ -34,8 +35,8 @@ def main() -> None:
     )
 
     # One session owns the evaluation cache, the synthesizers and the RNG
-    # seeding; pass workspace="runs/quickstart" to checkpoint every stage
-    # and make the run resumable.
+    # seeding; pass workspace="runs/quickstart" to keep the cache on disk,
+    # so a rerun recomputes only what an earlier run had not stored.
     session = ExplorationSession(seed=config.seed)
 
     print("Running the ApproxFPGAs flow (staged pipeline) ...")

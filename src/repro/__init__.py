@@ -11,9 +11,9 @@ The package is organised as the paper's system diagram (Fig. 2):
 * :mod:`repro.core` -- fidelity, Pareto machinery and the staged ApproxFPGAs flow,
 * :mod:`repro.engine` -- the parallel cached evaluation engine (see below),
 * :mod:`repro.search` -- the shared Pareto archive, the generic
-  resumable NSGA-II population search, and
+  NSGA-II population search, and
   :mod:`repro.search.multifidelity`: exact two-objective EHVI acquisition
-  over predictive uncertainty plus a resumable successive-halving loop over
+  over predictive uncertainty plus a successive-halving loop over
   an explicit fidelity ladder (registered as
   ``SEARCH_STRATEGIES["sh_ehvi"]``; engine cache keys are namespaced per
   fidelity rung, so cheap screens never alias exhaustive results),
@@ -28,20 +28,20 @@ The package is organised as the paper's system diagram (Fig. 2):
   ``python -m repro.service.worker``) where every worker shares one
   sharded content-addressed cache (:class:`repro.io.ShardedJsonStore`),
   jobs are claimed through heartbeated lease files, and a job reclaimed
-  from a dead worker resumes from its pipeline/NSGA-II checkpoints
-  bit-identically.
+  from a dead worker runs again from that cache, recomputing only what the
+  dead worker had not stored, to a bit-identical payload.
 
 Public API
 ----------
 The flows are driven through :mod:`repro.api`:
 
 * :class:`repro.api.ExplorationSession` owns the evaluation cache and
-  engines, the synthesis substrates, RNG seeding and an artifact store
-  shared across ApproxFPGAs and AutoAx runs.  ``session.run_approxfpgas``
-  and ``session.run_autoax`` execute the flows as named stage pipelines
-  with per-stage timing and progress callbacks; with a ``workspace``
-  directory attached, every completed stage is checkpointed and an
-  interrupted run resumes from the last completed stage.
+  engines, the synthesis substrates and RNG seeding shared across
+  ApproxFPGAs and AutoAx runs.  ``session.run_approxfpgas`` and
+  ``session.run_autoax`` execute the flows as named stage pipelines with
+  per-stage timing and progress callbacks; with a ``workspace`` directory
+  attached, the cache persists on disk and is all a session persists, so
+  a rerun of a finished or interrupted run recomputes only what it lacks.
 * :class:`repro.api.Pipeline` / :class:`repro.api.Stage` are the underlying
   staged-flow machinery (stage decompositions live in
   :mod:`repro.core.stages` and :mod:`repro.autoax.stages`).

@@ -3,11 +3,11 @@
 This package is the entry point of every flow:
 
 * :class:`ExplorationSession` -- a facade owning the evaluation cache,
-  engines, synthesizers, RNG seeding and the artifact store shared across
-  ApproxFPGAs and AutoAx runs;
+  engines, synthesizers and RNG seeding shared across ApproxFPGAs and
+  AutoAx runs; with a workspace, the cache persists on disk, so a rerun
+  (an interrupted one included) is served from it;
 * :class:`Pipeline` / :class:`Stage` -- the staged-flow machinery with
-  per-stage timing, progress callbacks and checkpoint/resume via
-  :class:`repro.io.JsonDirectoryStore`;
+  per-stage timing and progress callbacks;
 * the plugin registries (:data:`MODELS`, :data:`ERROR_METRICS`,
   :data:`SYNTHESIZERS`, :data:`WORKLOADS`, :data:`QUALITY_METRICS`,
   :data:`SEARCH_STRATEGIES`) through which new models, metrics,
@@ -22,7 +22,6 @@ This package is the entry point of every flow:
 """
 
 from .pipeline import (
-    FunctionStage,
     Pipeline,
     PipelineError,
     PipelineRun,
@@ -51,7 +50,6 @@ from .session import ExplorationSession
 
 __all__ = [
     "ExplorationSession",
-    "FunctionStage",
     "Pipeline",
     "PipelineError",
     "PipelineRun",

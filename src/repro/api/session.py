@@ -9,16 +9,19 @@ re-created inside each flow:
 * the synthesis substrates, resolved once from the
   :data:`~repro.api.registries.SYNTHESIZERS` registry;
 * deterministic RNG seeding (the session seed becomes the default seed of
-  every configuration built by the session);
-* an artifact store for stage checkpoints, so interrupted runs resume from
-  the last completed stage (see :mod:`repro.api.pipeline`).
+  every configuration built by the session).
+
+With a workspace, the cache persists under ``<workspace>/cache``, and that
+cache is all a session persists: a later session on the workspace serves
+every evaluation, synthesis and fit a finished or interrupted run stored,
+so a rerun recomputes only what is missing.
 
 Typical use::
 
     from repro.api import ExplorationSession
 
     session = ExplorationSession(seed=42, workspace="runs/session-1")
-    result = session.run_approxfpgas(library)          # checkpointed + cached
+    result = session.run_approxfpgas(library)          # cached on disk
     study = session.run_autoax(multipliers, adders)    # shares the cache
 """
 
@@ -40,7 +43,7 @@ PathLike = Union[str, Path]
 
 
 class ExplorationSession:
-    """Shared caches, substrates, seeding and artifact storage for flows.
+    """Shared caches, substrates and seeding for flows.
 
     Parameters
     ----------
@@ -50,22 +53,17 @@ class ExplorationSession:
         seeded results stay reproducible).
     workspace:
         Optional directory.  When given, the evaluation cache gains a disk
-        backend under ``<workspace>/cache`` and stage artifacts are
-        checkpointed under ``<workspace>/artifacts`` -- a later session with
-        the same workspace starts warm and resumes interrupted runs.
+        backend under ``<workspace>/cache``, so a later session with the
+        same workspace starts warm.
     cache:
         An explicit :class:`EvalCache` to share with other components;
-        overrides the workspace-derived cache.
-    store:
-        An explicit artifact store (any ``get``/``put`` object, e.g. a
-        :class:`repro.io.ShardedJsonStore` shared by many worker
-        processes); overrides the workspace-derived store.  This is how
+        overrides the workspace-derived cache.  This is how
         :mod:`repro.service` workers point many sessions at one shared
-        checkpoint store.
+        store.
     shards:
-        Shard count of the workspace-derived cache and artifact stores
-        (see :class:`repro.io.ShardedJsonStore`).  The default of 1 keeps
-        the historical flat layout, so existing workspaces stay warm.
+        Shard count of the workspace-derived cache store (see
+        :class:`repro.io.ShardedJsonStore`).  The default of 1 keeps the
+        historical flat layout, so existing workspaces stay warm.
     fpga_synthesizer / asic_synthesizer:
         A :data:`~repro.api.registries.SYNTHESIZERS` key (``"fpga"``,
         ``"asic"``) or a ready-made synthesizer instance.
@@ -80,7 +78,6 @@ class ExplorationSession:
         seed: int = 42,
         workspace: Optional[PathLike] = None,
         cache: Optional[EvalCache] = None,
-        store: Optional[object] = None,
         fpga_synthesizer: Union[str, object] = "fpga",
         asic_synthesizer: Union[str, object] = "asic",
         engine_mode: str = "auto",
@@ -97,9 +94,6 @@ class ExplorationSession:
             )
             cache = EvalCache(store=disk_store)
         self.cache = cache
-        if store is None and self.workspace:
-            store = ShardedJsonStore(self.workspace / "artifacts", shards=shards)
-        self.store = store
         self.fpga_synthesizer = resolve_synthesizer(fpga_synthesizer)
         self.asic_synthesizer = resolve_synthesizer(asic_synthesizer)
         self.engine_mode = engine_mode
@@ -107,8 +101,7 @@ class ExplorationSession:
         self._engines: Dict[str, BatchEvaluator] = {}
         self._accelerator_engine: Optional[BatchEvaluator] = None
         self.runs: Dict[str, PipelineRun] = {}
-        """Run id -> the most recent :class:`PipelineRun` (stage timings,
-        which stages were restored from checkpoints)."""
+        """Run id -> the most recent :class:`PipelineRun` (stage timings)."""
 
     # ------------------------------------------------------------------ #
     def rng(self, offset: int = 0) -> np.random.Generator:
@@ -170,15 +163,11 @@ class ExplorationSession:
         *,
         run_id: Optional[str] = None,
         progress=None,
-        resume: bool = True,
     ):
         """Run the staged ApproxFPGAs flow on ``library``.
 
-        With a workspace attached, every completed stage is checkpointed and
-        an interrupted run resumes from the last completed stage; pass
-        ``resume=False`` to force a fresh run.  Returns the
-        :class:`~repro.core.results.ApproxFpgasResult`; per-stage timings
-        land in :attr:`runs`.
+        Returns the :class:`~repro.core.results.ApproxFpgasResult`;
+        per-stage timings land in :attr:`runs` under ``run_id``.
         """
         from ..core.methodology import ApproxFpgasConfig
         from ..core.stages import run_approxfpgas_pipeline
@@ -189,10 +178,7 @@ class ExplorationSession:
             library,
             config,
             engine=self.engine_for(library.reference()),
-            store=self.store,
-            run_id=run_id,
             progress=progress,
-            resume=resume,
         )
         self.runs[run_id] = run
         return result
@@ -207,7 +193,6 @@ class ExplorationSession:
         run_id: Optional[str] = None,
         progress=None,
         on_generation=None,
-        resume: bool = True,
     ):
         """Run the staged AutoAx-FPGA case study on the given components.
 
@@ -226,11 +211,10 @@ class ExplorationSession:
         :class:`~repro.autoax.flow.AutoAxResult`; per-stage timings land in
         :attr:`runs` under a per-workload run id.
 
-        With a session store attached, generation-aware strategies
-        (``"nsga2"``) checkpoint every completed generation inside their
-        scenario stage and report each fresh generation's stats to
-        ``on_generation`` -- finer-grained liveness and resume points than
-        the per-stage ``progress`` events.
+        Generation-aware strategies (``"nsga2"``, ``"sh_ehvi"``) report
+        each generation's (rung's) stats to ``on_generation`` -- a
+        finer-grained liveness signal than the per-stage ``progress``
+        events.
         """
         from ..autoax.flow import AutoAxConfig
         from ..autoax.stages import default_autoax_run_id, run_autoax_pipeline
@@ -243,11 +227,8 @@ class ExplorationSession:
             config,
             images=images,
             engine=self.accelerator_engine(),
-            store=self.store,
-            run_id=run_id,
             progress=progress,
             on_generation=on_generation,
-            resume=resume,
         )
         self.runs[run_id] = run
         return result

@@ -29,18 +29,12 @@ seeded searches are reproducible on a cold or warm cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import (
-    BatchEvaluator,
-    accelerator_token,
-    blake_token,
-    configuration_token,
-    images_token,
-)
+from ..engine import BatchEvaluator, configuration_token
 from ..registry import Registry
 from ..search import (
     Nsga2Config,
@@ -80,8 +74,8 @@ class EvaluatedConfiguration:
 
     @classmethod
     def from_payload(cls, config: SlotConfiguration, payload: dict) -> "EvaluatedConfiguration":
-        """``config`` with the values of a JSON-able ``{"quality", "cost"}``
-        payload (engine results, checkpoints)."""
+        """``config`` with the values of an engine ``{"quality", "cost"}``
+        payload."""
         return cls(
             config=config,
             quality=float(payload["quality"]),
@@ -90,7 +84,7 @@ class EvaluatedConfiguration:
 
     def to_payload(self) -> dict:
         """JSON-able ``{"multipliers", "adders", "quality", "cost"}`` payload
-        (stage checkpoints, job results)."""
+        (job results)."""
         return {
             "multipliers": [int(i) for i in self.config.multiplier_indices],
             "adders": [int(i) for i in self.config.adder_indices],
@@ -122,7 +116,7 @@ class SearchContext:
     builds one per FPGA parameter): the accelerator, the fitted estimators
     (``hw`` names the optimised cost parameter), the exact-evaluation
     inputs and engine, the evaluation budget and seed, plus the optional
-    checkpoint plumbing of resumable strategies.
+    per-generation callback of generation-aware strategies.
     """
 
     accelerator: ApproxAccelerator
@@ -136,19 +130,10 @@ class SearchContext:
     fidelity_ladder: Optional[Tuple[int, ...]] = None
     """Ascending reduced-rung pixel budgets of multi-fidelity strategies;
     ``None`` lets the strategy derive its default ladder."""
-    store: Optional[object] = None
-    """Optional artifact store (``get``/``put``); resumable strategies
-    checkpoint every generation (rung) here under :attr:`run_id`."""
-    run_id: str = ""
     on_generation: Optional[Callable[[dict], None]] = None
     """Fired with the stats dict of every freshly computed generation
     (rung) of generation-aware strategies; service workers renew their job
     leases here."""
-    _study: str = field(default="", repr=False)
-    """Identity of the study the search serves, set by the flow (its
-    :func:`repro.autoax.stages.autoax_run_token`) rather than by callers.
-    Mixed into checkpoint tokens, so a finished study's checkpoint is never
-    restored into a different study that reuses the run id."""
 
     def evaluate(
         self, configs: Sequence[SlotConfiguration], fidelity: Optional[int] = None
@@ -353,14 +338,8 @@ def nsga2_pareto(
     candidates carry *estimated* values; the flow's exact pass re-evaluates
     the surviving front (the paper's surrogate-assisted pattern).
 
-    With ``ctx.store``, the search state -- population, archive and RNG
-    stream -- is checkpointed every generation and a rerun with the same
-    ``ctx.run_id`` resumes bit-identically (pass the *same fitted estimator
-    instances*: the checkpoint token covers the accelerator, the search
-    knobs and the flow's study identity, not the estimators' fitted state).
     ``ctx.on_generation`` is forwarded to :func:`repro.search.run_nsga2`:
-    it fires with the stats dict of every freshly computed generation,
-    after that generation's checkpoint is persisted.
+    it fires with the stats dict of every generation.
     """
     accelerator = ctx.accelerator
     iterations = ctx.iterations
@@ -400,26 +379,12 @@ def nsga2_pareto(
             for cost, quality in zip(costs, qualities)
         ]
 
-    token = blake_token(
-        "nsga2",
-        accelerator_token(accelerator),
-        parameter,
-        population,
-        crossover_rate,
-        mutation_rate,
-        archive_limit,
-        ctx.seed,
-        ctx._study,
-    )
     result = run_nsga2(
         random_genome=random_genome,
         mutate=mutate,
         crossover=crossover,
         evaluate=evaluate,
         config=config,
-        store=ctx.store,
-        run_id=ctx.run_id,
-        token=token,
         on_generation=ctx.on_generation,
     )
     return [
@@ -470,10 +435,6 @@ def successive_halving_ehvi(
     :func:`repro.search.default_fidelity_ladder`); the full-fidelity rung is
     appended automatically.
 
-    With ``ctx.store``, rung survivors are checkpointed through the same
-    store/run_id plumbing NSGA-II uses (see
-    :func:`repro.search.run_successive_halving`): a service worker killed
-    mid-rung is taken over and finishes to a bit-identical payload.
     ``ctx.on_generation`` fires per completed rung.  ``telemetry``, when a
     dict is passed, is filled with the realised pattern budget per rung --
     the numbers behind the benchmark's budget-vs-hypervolume gate.
@@ -490,10 +451,10 @@ def successive_halving_ehvi(
     # rarely reaches the estimated Pareto region, so the pool is seeded with
     # surrogate-optimised candidates too: an estimator-only NSGA-II run
     # contributes its archive.  This is the usual "optimise the acquisition
-    # on the surrogate" move.  It neither checkpoints nor reports
-    # generations: this strategy's run id and callback belong to its rungs.
+    # on the surrogate" move.  It reports no generations: this strategy's
+    # callback belongs to its rungs.
     surrogate = nsga2_pareto(
-        replace(ctx, store=None, run_id="", on_generation=None),
+        replace(ctx, on_generation=None),
         archive_limit=max(32, 2 * int(initial_cohort or 0)),
     )
     pool.extend(entry.config for entry in surrogate)
@@ -530,54 +491,19 @@ def successive_halving_ehvi(
         ladder = tuple(int(f) for f in ctx.fidelity_ladder)
     rungs = tuple(f for f in ladder if f < full_patterns) + (None,)
 
-    def encode(config: SlotConfiguration) -> dict:
-        return {
-            "m": [int(i) for i in config.multiplier_indices],
-            "a": [int(i) for i in config.adder_indices],
-        }
+    def evaluate(rung: int, fidelity: Optional[int], batch: List[SlotConfiguration]):
+        return ctx.evaluate(batch, fidelity)
 
-    def decode(payload: dict) -> SlotConfiguration:
-        return SlotConfiguration(
-            tuple(int(i) for i in payload["m"]), tuple(int(i) for i in payload["a"])
-        )
-
-    def evaluate(rung: int, fidelity: Optional[int], batch: List[dict]) -> List[dict]:
-        return [
-            {"quality": entry.quality, "cost": entry.cost}
-            for entry in ctx.evaluate([decode(payload) for payload in batch], fidelity)
-        ]
-
-    def objectives(payload: dict) -> Tuple[float, float]:
-        return (float(payload["cost"][parameter]), 1.0 - float(payload["quality"]))
-
-    token = blake_token(
-        "sh_ehvi",
-        accelerator_token(accelerator),
-        images_token(images),
-        parameter,
-        pool_size,
-        cohort_size,
-        rungs,
-        eta,
-        min_survivors,
-        archive_limit,
-        seed,
-        ctx._study,
-    )
     result = run_successive_halving(
-        candidates=[encode(config) for config in cohort],
+        candidates=cohort,
         evaluate=evaluate,
-        objectives=objectives,
+        objectives=lambda entry: entry.objectives(parameter),
         config=SuccessiveHalvingConfig(rungs=rungs, eta=eta, min_survivors=min_survivors),
-        store=ctx.store,
-        run_id=ctx.run_id,
-        token=token,
         on_rung=ctx.on_generation,
     )
 
     archive = ParetoArchive(num_objectives=2, dedupe_keys=False)
-    for payload, evaluation in zip(result.survivors, result.evaluations):
-        entry = EvaluatedConfiguration.from_payload(decode(payload), evaluation)
+    for entry in result.evaluations:
         archive.insert(None, entry.objectives(parameter), item=entry)
     if len(archive) > archive_limit:
         archive.truncate_crowding(archive_limit)
@@ -601,7 +527,6 @@ def successive_halving_ehvi(
                 "exact_pattern_budget": sum(
                     stats["evaluated"] * stats["patterns"] for stats in per_rung
                 ),
-                "resumed_from": result.resumed_from,
             }
         )
     return archive.items()

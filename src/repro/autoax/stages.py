@@ -3,27 +3,24 @@
 The case study becomes three kinds of stages over a shared
 :class:`AutoAxState`: exact training-sample collection, one
 fit-search-and-reevaluate scenario per FPGA parameter, and the random
-baseline.  Sample and candidate payloads are JSON-serialisable (component
-indices plus measured quality/cost), so a pipeline with an artifact store
-resumes an interrupted study per scenario.
+baseline.
 
-Each scenario fits its estimators through the engine, which caches fits by
-model and training data: the QoR forest is grown once per training set
-and restored by every later scenario, warm study, tenant or resumed job
-that shares the cache.
+Every exact configuration evaluation and every estimator fit goes through
+the engine, which caches them by content: the QoR forest is grown once per
+training set and restored by every later scenario, warm study, tenant or
+rerun of an interrupted job that shares the cache.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.pipeline import Pipeline, PipelineRun, Stage
-from ..engine import BatchEvaluator, blake_token, images_token
+from ..engine import BatchEvaluator
 from ..workloads import ApproxAccelerator, ApproxComponent, build_workload
 from .estimators import HwCostEstimator, QorEstimator
 from .search import (
@@ -31,14 +28,12 @@ from .search import (
     EvaluatedConfiguration,
     SearchContext,
     _non_dominated,
-    accelerator_token,
     random_search,
 )
 
 __all__ = [
     "AutoAxState",
     "autoax_stages",
-    "autoax_run_token",
     "build_autoax_result",
     "default_autoax_run_id",
     "run_autoax_pipeline",
@@ -46,17 +41,6 @@ __all__ = [
     "ScenarioStage",
     "RandomBaselineStage",
 ]
-
-
-# --------------------------------------------------------------------- #
-# Payload decoding of evaluated configurations (the encoder is
-# EvaluatedConfiguration.to_payload)
-# --------------------------------------------------------------------- #
-def _evaluated_from_payload(payload: dict, accelerator: ApproxAccelerator) -> EvaluatedConfiguration:
-    config = accelerator.make_configuration(
-        [int(i) for i in payload["multipliers"]], [int(i) for i in payload["adders"]]
-    )
-    return EvaluatedConfiguration.from_payload(config, payload)
 
 
 # --------------------------------------------------------------------- #
@@ -81,29 +65,11 @@ class AutoAxState:
     scenarios: Dict[str, "ScenarioResult"] = field(default_factory=dict)  # noqa: F821
     baseline: List[EvaluatedConfiguration] = field(default_factory=list)
 
-    store: Optional[object] = None
-    """Optional artifact store (``get``/``put``).  Strategies that support
-    mid-stage checkpointing (``"nsga2"``, ``"sh_ehvi"``) persist their
-    per-generation state here under ``<run_id>:scenario-<parameter>``, so a
-    run killed *inside* a scenario stage resumes from the last completed
-    generation instead of the last completed stage."""
-
-    run_id: str = ""
-    """Checkpoint namespace of this run inside :attr:`store` (mirrors the
-    pipeline run id)."""
-
     on_generation: Optional[object] = None
     """Optional callable fired with each freshly computed generation's stats
     dict by generation-aware strategies -- the pipeline's per-stage progress
     callback is too coarse for liveness signals during a long search, so
     service workers renew their job leases here."""
-
-    @cached_property
-    def run_token(self) -> str:
-        """:func:`autoax_run_token` of this study: the pipeline's manifest
-        token and the study identity the search mixes into its checkpoint
-        tokens."""
-        return autoax_run_token(self)
 
     @classmethod
     def create(
@@ -145,18 +111,14 @@ class CollectSamplesStage(Stage):
 
     name = "collect-samples"
 
-    def compute(self, state: AutoAxState) -> list:
-        samples = random_search(
+    def compute(self, state: AutoAxState) -> None:
+        state.samples = random_search(
             state.accelerator,
             state.images,
             state.config.num_training_samples,
             seed=state.config.seed,
             engine=state.engine,
         )
-        return [entry.to_payload() for entry in samples]
-
-    def absorb(self, state: AutoAxState, payload: list) -> None:
-        state.samples = [_evaluated_from_payload(raw, state.accelerator) for raw in payload]
 
 
 class ScenarioStage(Stage):
@@ -171,7 +133,9 @@ class ScenarioStage(Stage):
         self.offset = offset
         self.name = f"scenario-{parameter}"
 
-    def compute(self, state: AutoAxState) -> dict:
+    def compute(self, state: AutoAxState) -> None:
+        from .flow import ScenarioResult
+
         config = state.config
         accelerator, samples, engine = state.accelerator, state.samples, state.engine
         ctx = SearchContext(
@@ -183,24 +147,13 @@ class ScenarioStage(Stage):
             iterations=config.hill_climb_iterations,
             seed=config.seed + 100 + self.offset,
             fidelity_ladder=config.fidelity_ladder,
-            store=state.store,
-            run_id=f"{state.run_id}:{self.name}" if state.run_id else self.name,
             on_generation=state.on_generation,
-            _study=state.run_token,
         )
         candidates = SEARCH_STRATEGIES.get(config.search_strategy)(ctx)
         # The one exact pass: every strategy's survivors are re-evaluated as
         # a single engine batch (pure cache hits for strategies that already
         # measured them exactly, such as sh_ehvi's full-fidelity rung).
         evaluated = ctx.evaluate([candidate.config for candidate in candidates])
-        return {"candidates": [entry.to_payload() for entry in evaluated]}
-
-    def absorb(self, state: AutoAxState, payload: dict) -> None:
-        from .flow import ScenarioResult
-
-        evaluated = [
-            _evaluated_from_payload(entry, state.accelerator) for entry in payload["candidates"]
-        ]
         state.scenarios[self.parameter] = ScenarioResult(
             parameter=self.parameter,
             candidates=evaluated,
@@ -214,20 +167,14 @@ class RandomBaselineStage(Stage):
 
     name = "random-baseline"
 
-    def compute(self, state: AutoAxState) -> list:
-        baseline = random_search(
+    def compute(self, state: AutoAxState) -> None:
+        state.baseline = random_search(
             state.accelerator,
             state.images,
             state.config.num_random_baseline,
             seed=state.config.seed + 999,
             engine=state.engine,
         )
-        return [entry.to_payload() for entry in baseline]
-
-    def absorb(self, state: AutoAxState, payload: list) -> None:
-        state.baseline = [
-            _evaluated_from_payload(entry, state.accelerator) for entry in payload
-        ]
 
 
 # --------------------------------------------------------------------- #
@@ -242,31 +189,11 @@ def autoax_stages(config) -> List[Stage]:
     return stages
 
 
-def autoax_run_token(state: AutoAxState) -> str:
-    """Digest of everything a checkpointed case-study run depends on.
-
-    ``accelerator_token`` covers the component sets *and* the workload's
-    structural identity, so checkpoints of one workload can never be
-    restored into a study of another.
-    """
-    return blake_token(
-        "autoax",
-        accelerator_token(state.accelerator),
-        images_token(state.images),
-        repr(state.config),
-    )
-
-
 def default_autoax_run_id(workload: str) -> str:
-    """Default artifact-store run id of one workload's case study.
+    """Default ``session.runs`` key of one workload's case study.
 
-    The Gaussian case study keeps its historical id (``session.runs`` keys
-    and artifact directories keep their pre-workload names); every other
-    workload gets its own namespaced id.  Note that checkpoints written
-    before the workload subsystem existed recompute regardless of the id:
-    the run manifest token now covers the workload identity (via
-    :func:`repro.engine.keys.accelerator_token`), which invalidates
-    pre-1.5 checkpoints by design.
+    The Gaussian case study keeps its historical id; every other workload
+    gets its own namespaced id.
     """
     return "autoax-gaussian-filter" if workload == "gaussian" else f"autoax-{workload}"
 
@@ -291,40 +218,23 @@ def run_autoax_pipeline(
     *,
     engine: BatchEvaluator,
     images: Optional[Sequence[np.ndarray]] = None,
-    store: Optional[object] = None,
-    run_id: Optional[str] = None,
     progress=None,
     on_generation=None,
-    resume: bool = True,
 ) -> Tuple["AutoAxResult", PipelineRun]:  # noqa: F821
-    """Run the staged AutoAx-FPGA case study, optionally checkpointing.
+    """Run the staged AutoAx-FPGA case study.
 
     ``engine`` evaluates training samples, baselines and candidate
     re-evaluations as generation batches (amortised per-image work,
     optional process-pool fan-out);
     :meth:`repro.api.ExplorationSession.run_autoax` passes the session's
-    accelerator engine.
-
-    With a ``store``, checkpoints are written at two granularities: the
-    pipeline checkpoints every completed stage, and generation-aware
-    strategies (``"nsga2"``, ``"sh_ehvi"``) additionally checkpoint every
-    completed generation (rung) inside their scenario stage, so a run
-    killed mid-search loses at most one generation.  ``on_generation``
-    (stats dict per freshly computed generation) is forwarded to such
-    strategies through the :class:`~repro.autoax.search.SearchContext`.
+    accelerator engine.  ``on_generation`` (stats dict per computed
+    generation or rung) is forwarded to generation-aware strategies
+    (``"nsga2"``, ``"sh_ehvi"``) through the
+    :class:`~repro.autoax.search.SearchContext`.
     """
     state = AutoAxState.create(multipliers, adders, config, engine=engine, images=images)
-    run_id = run_id or default_autoax_run_id(state.config.workload)
-    state.store = store
-    state.run_id = run_id
     state.on_generation = on_generation
-    pipeline = Pipeline(
-        autoax_stages(state.config),
-        store=store,
-        run_id=run_id,
-        token=state.run_token,
-        progress=progress,
-    )
+    pipeline = Pipeline(autoax_stages(state.config), progress=progress)
     started = time.perf_counter()
-    run = pipeline.run(state, resume=resume)
+    run = pipeline.run(state)
     return build_autoax_result(state, time.perf_counter() - started), run

@@ -18,7 +18,7 @@ small fraction of the library:
 
 The stages live in :mod:`repro.core.stages` on top of the :mod:`repro.api`
 pipeline; run the flow with :meth:`repro.api.ExplorationSession.run_approxfpgas`,
-which adds shared caching, artifact checkpointing and resumable runs.
+which adds shared (optionally on-disk) caching of every evaluation.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 The eight-step methodology of Fig. 2 is expressed as five/six named
 :class:`~repro.api.pipeline.Stage` objects over a shared
-:class:`ApproxFpgasState`.  Every stage payload is JSON-serialisable (it
-reuses the evaluation engine's cache encodings), so a pipeline with an
-artifact store checkpoints after each stage and an interrupted run resumes
-from the last completed stage with bit-identical results.
+:class:`ApproxFpgasState`.  Every stage reaches its errors, syntheses and
+model scores through the state's evaluation engine, so a repeated or
+interrupted run over the same library is served from the engine cache.
 """
 
 from __future__ import annotations
@@ -16,16 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..api.pipeline import Pipeline, PipelineRun, Stage
-from ..engine import (
-    BatchEvaluator,
-    asic_report_from_payload,
-    asic_report_to_payload,
-    blake_token,
-    error_report_from_payload,
-    error_report_to_payload,
-    fpga_report_from_payload,
-    fpga_report_to_payload,
-)
+from ..engine import BatchEvaluator
 from ..error import ERROR_METRICS
 from ..features import feature_matrix
 from ..fpga import FpgaSynthesizer, estimate_synthesis_time
@@ -39,7 +29,6 @@ from .results import ApproxFpgasResult, CircuitRecord, ModelEvaluation, Paramete
 __all__ = [
     "ApproxFpgasState",
     "approxfpgas_stages",
-    "approxfpgas_run_token",
     "build_approxfpgas_result",
     "run_approxfpgas_pipeline",
     "select_training_subset",
@@ -130,30 +119,21 @@ class EvaluateLibraryStage(Stage):
 
     name = "evaluate-library"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
+    def compute(self, state: ApproxFpgasState) -> None:
         circuits = list(state.library)
         error_reports = state.engine.evaluate_errors(circuits)
         asic_reports = state.engine.evaluate_asic(circuits)
         features, feature_names = feature_matrix(circuits, asic_reports=asic_reports)
-        return {
-            "errors": [error_report_to_payload(report) for report in error_reports],
-            "asic": [asic_report_to_payload(report) for report in asic_reports],
-            "features": features.tolist(),
-            "feature_names": list(feature_names),
-        }
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        features = np.asarray(payload["features"], dtype=np.float64)
         state.features = features
-        state.feature_names = list(payload["feature_names"])
-        state.records = {}
-        for index, circuit in enumerate(state.library):
-            state.records[circuit.name] = CircuitRecord(
-                name=circuit.name,
-                error=error_report_from_payload(payload["errors"][index], circuit.name),
-                asic=asic_report_from_payload(payload["asic"][index], circuit.name),
-                features=features[index],
+        state.feature_names = list(feature_names)
+        state.records = {
+            circuit.name: CircuitRecord(
+                name=circuit.name, error=error, asic=asic, features=features[index]
             )
+            for index, (circuit, error, asic) in enumerate(
+                zip(circuits, error_reports, asic_reports)
+            )
+        }
 
 
 class SynthesizeTrainingSubsetStage(Stage):
@@ -161,25 +141,15 @@ class SynthesizeTrainingSubsetStage(Stage):
 
     name = "synthesize-training-subset"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
-        subset_names = select_training_subset(state.library, state.config)
-        circuits = [state.library.get(name) for name in subset_names]
-        reports = state.engine.evaluate_fpga(circuits)
+    def compute(self, state: ApproxFpgasState) -> None:
+        state.subset_names = select_training_subset(state.library, state.config)
+        circuits = [state.library.get(name) for name in state.subset_names]
+        for circuit, report in zip(circuits, state.engine.evaluate_fpga(circuits)):
+            state.records[circuit.name].fpga = report
         device = state.fpga_synthesizer.device
-        training_time_s = float(
+        state.training_time_s = float(
             sum(estimate_synthesis_time(circuit, device) for circuit in circuits)
         )
-        return {
-            "subset": subset_names,
-            "fpga": [fpga_report_to_payload(report) for report in reports],
-            "training_time_s": training_time_s,
-        }
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        state.subset_names = list(payload["subset"])
-        for name, report_payload in zip(state.subset_names, payload["fpga"]):
-            state.records[name].fpga = fpga_report_from_payload(report_payload, name)
-        state.training_time_s = float(payload["training_time_s"])
 
 
 class FitAndSelectStage(Stage):
@@ -191,13 +161,11 @@ class FitAndSelectStage(Stage):
     scores, its measured fit time and its estimate of every library
     circuit.  The stage fits nothing itself, so a study repeated over the
     same library, split and model set is served from the engine cache.
-    The payload carries only the scores, the top model's estimates and
-    the selected candidate names, all JSON-serialisable.
     """
 
     name = "fit-and-select"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
+    def compute(self, state: ApproxFpgasState) -> None:
         config = state.config
         records = state.records
         names = state.names
@@ -209,48 +177,58 @@ class FitAndSelectStage(Stage):
         num_validation = max(1, int(round(config.validation_fraction * len(shuffled))))
         if num_validation >= len(shuffled):
             num_validation = len(shuffled) - 1
-        validation_names = shuffled[:num_validation]
-        training_names = shuffled[num_validation:]
+        state.validation_names = shuffled[:num_validation]
+        state.training_names = shuffled[num_validation:]
 
-        X_train = np.vstack([records[name].features for name in training_names])
-        X_val = np.vstack([records[name].features for name in validation_names])
+        X_train = np.vstack([records[name].features for name in state.training_names])
+        X_val = np.vstack([records[name].features for name in state.validation_names])
 
         models = [
             build_model(model_id, state.feature_names, random_state=config.seed)
             for model_id in config.model_ids
         ]
-        evaluations: List[dict] = []
+        state.evaluations = []
         library_estimates: Dict[Tuple[str, str], List[float]] = {}
         for parameter in config.fpga_parameters:
             y_train = np.array(
-                [records[name].fpga.parameter(parameter) for name in training_names]
+                [records[name].fpga.parameter(parameter) for name in state.training_names]
             )
             y_val = np.array(
-                [records[name].fpga.parameter(parameter) for name in validation_names]
+                [records[name].fpga.parameter(parameter) for name in state.validation_names]
             )
             entries = state.engine.evaluate_models(
                 models, X_train, y_train, X_val, y_val, state.features
             )
             for model_id, entry in zip(config.model_ids, entries):
-                scores = dict(entry)  # fidelity, pearson, r2, train_time_s
-                library_estimates[(parameter, model_id)] = scores.pop("estimates")
-                evaluations.append({"model_id": model_id, "parameter": parameter, **scores})
-        model_time_s = sum(evaluation["train_time_s"] for evaluation in evaluations)
+                library_estimates[(parameter, model_id)] = entry["estimates"]
+                state.evaluations.append(
+                    ModelEvaluation(
+                        model_id=model_id,
+                        parameter=parameter,
+                        fidelity=float(entry["fidelity"]),
+                        pearson=float(entry["pearson"]),
+                        r2=float(entry["r2"]),
+                        train_time_s=float(entry["train_time_s"]),
+                    )
+                )
+        state.model_time_s = float(
+            sum(evaluation.train_time_s for evaluation in state.evaluations)
+        )
 
         # --- Stage 5-6: estimate all circuits, build pseudo-Pareto fronts #
         errors = np.array([state.error_value(name) for name in names])
-        estimated: Dict[str, Dict[str, float]] = {}
-        parameters: Dict[str, dict] = {}
+        state.parameter_outcomes = {}
+        state.candidate_union = {}
         for parameter in config.fpga_parameters:
             # Rank by validation fidelity; break ties with the Pearson
             # correlation so continuous estimators win over piecewise-constant
             # ones that happen to tie on a small validation set.
             ranked = sorted(
-                (e for e in evaluations if e["parameter"] == parameter),
-                key=lambda e: (e["fidelity"], e["pearson"]),
+                (e for e in state.evaluations if e.parameter == parameter),
+                key=lambda e: (e.fidelity, e.pearson),
                 reverse=True,
             )
-            top_models = [evaluation["model_id"] for evaluation in ranked[: config.top_k_models]]
+            top_models = [evaluation.model_id for evaluation in ranked[: config.top_k_models]]
 
             fronts_per_model: List[List[int]] = []
             for model_id in top_models:
@@ -260,55 +238,14 @@ class FitAndSelectStage(Stage):
                 fronts_per_model.extend(fronts)
                 # Remember the estimate of the best-ranked model per circuit.
                 if model_id == top_models[0]:
-                    estimated[parameter] = {
-                        name: float(model_estimates[index])
-                        for index, name in enumerate(names)
-                    }
+                    for index, name in enumerate(names):
+                        records[name].estimated[parameter] = float(model_estimates[index])
 
-            candidate_indices = pareto_union(fronts_per_model)
-            parameters[parameter] = {
-                "top_models": top_models,
-                "candidates": [names[index] for index in candidate_indices],
-            }
-
-        return {
-            "training_names": training_names,
-            "validation_names": validation_names,
-            "model_evaluations": evaluations,
-            "estimated": estimated,
-            "parameters": parameters,
-            "model_time_s": model_time_s,
-        }
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        state.training_names = list(payload["training_names"])
-        state.validation_names = list(payload["validation_names"])
-        state.model_time_s = float(payload["model_time_s"])
-        state.evaluations = [
-            ModelEvaluation(
-                model_id=entry["model_id"],
-                parameter=entry["parameter"],
-                fidelity=float(entry["fidelity"]),
-                pearson=float(entry["pearson"]),
-                r2=float(entry["r2"]),
-                train_time_s=float(entry["train_time_s"]),
-            )
-            for entry in payload["model_evaluations"]
-        ]
-        state.parameter_outcomes = {}
-        state.candidate_union = {}
-        names = state.names
-        for parameter in state.config.fpga_parameters:
-            estimates = payload["estimated"].get(parameter, {})
-            for name in names:
-                if name in estimates:
-                    state.records[name].estimated[parameter] = float(estimates[name])
-            entry = payload["parameters"][parameter]
-            candidate_names = list(entry["candidates"])
+            candidate_names = [names[index] for index in pareto_union(fronts_per_model)]
             state.candidate_union[parameter] = candidate_names
             state.parameter_outcomes[parameter] = ParameterOutcome(
                 parameter=parameter,
-                top_models=list(entry["top_models"]),
+                top_models=top_models,
                 candidate_names=candidate_names,
                 final_front_names=[],
             )
@@ -319,25 +256,19 @@ class ResynthesizeCandidatesStage(Stage):
 
     name = "resynthesize-candidates"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
+    def compute(self, state: ApproxFpgasState) -> None:
         device = state.fpga_synthesizer.device
-        new_reports: Dict[str, dict] = {}
         resynthesis_time_s = 0.0
         for parameter in state.config.fpga_parameters:
             pending = [
                 state.library.get(name)
                 for name in state.candidate_union[parameter]
-                if state.records[name].fpga is None and name not in new_reports
+                if state.records[name].fpga is None
             ]
             for circuit, report in zip(pending, state.engine.evaluate_fpga(pending)):
-                new_reports[circuit.name] = fpga_report_to_payload(report)
+                state.records[circuit.name].fpga = report
                 resynthesis_time_s += estimate_synthesis_time(circuit, device)
-        return {"fpga": new_reports, "resynthesis_time_s": float(resynthesis_time_s)}
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        for name, report_payload in payload["fpga"].items():
-            state.records[name].fpga = fpga_report_from_payload(report_payload, name)
-        state.resynthesis_time_s = float(payload["resynthesis_time_s"])
+        state.resynthesis_time_s = float(resynthesis_time_s)
 
 
 class MeasureFrontsStage(Stage):
@@ -351,11 +282,10 @@ class MeasureFrontsStage(Stage):
 
     name = "measure-fronts"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
+    def compute(self, state: ApproxFpgasState) -> None:
         measured_names = sorted(
             name for name, record in state.records.items() if record.synthesized
         )
-        fronts: Dict[str, List[str]] = {}
         for parameter in state.config.fpga_parameters:
             front = ParetoArchive(num_objectives=2)
             for name in measured_names:
@@ -363,12 +293,7 @@ class MeasureFrontsStage(Stage):
                     name,
                     (state.error_value(name), state.records[name].fpga.parameter(parameter)),
                 )
-            fronts[parameter] = front.keys()
-        return {"fronts": fronts}
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        for parameter, front_names in payload["fronts"].items():
-            state.parameter_outcomes[parameter].final_front_names = list(front_names)
+            state.parameter_outcomes[parameter].final_front_names = front.keys()
 
 
 class EvaluateCoverageStage(Stage):
@@ -377,46 +302,25 @@ class EvaluateCoverageStage(Stage):
 
     name = "evaluate-coverage"
 
-    def compute(self, state: ApproxFpgasState) -> dict:
+    def compute(self, state: ApproxFpgasState) -> None:
         names = state.names
         records = state.records
         flow_synthesized = {name for name, record in records.items() if record.synthesized}
         missing = [state.library.get(name) for name in names if records[name].fpga is None]
-        new_reports = {
-            circuit.name: fpga_report_to_payload(report)
-            for circuit, report in zip(missing, state.engine.evaluate_fpga(missing))
-        }
-
-        measured = {
-            name: fpga_report_from_payload(report_payload, name)
-            for name, report_payload in new_reports.items()
-        }
-
-        def parameter_value(name: str, parameter: str) -> float:
-            report = measured.get(name) or records[name].fpga
-            return report.parameter(parameter)
+        for circuit, report in zip(missing, state.engine.evaluate_fpga(missing)):
+            records[circuit.name].fpga = report
 
         errors = np.array([state.error_value(name) for name in names])
         name_to_index = {name: index for index, name in enumerate(names)}
-        true_fronts: Dict[str, List[str]] = {}
-        coverage: Dict[str, float] = {}
         for parameter in state.config.fpga_parameters:
             points = np.column_stack(
-                [errors, [parameter_value(name, parameter) for name in names]]
+                [errors, [records[name].fpga.parameter(parameter) for name in names]]
             )
             true_front = pareto_front_indices(points)
-            true_fronts[parameter] = [names[i] for i in true_front]
             flow_indices = [name_to_index[name] for name in flow_synthesized]
-            coverage[parameter] = float(pareto_coverage(true_front, flow_indices))
-        return {"fpga": new_reports, "true_fronts": true_fronts, "coverage": coverage}
-
-    def absorb(self, state: ApproxFpgasState, payload: dict) -> None:
-        for name, report_payload in payload["fpga"].items():
-            state.records[name].fpga = fpga_report_from_payload(report_payload, name)
-        for parameter, front_names in payload["true_fronts"].items():
             outcome = state.parameter_outcomes[parameter]
-            outcome.true_front_names = list(front_names)
-            outcome.coverage = float(payload["coverage"][parameter])
+            outcome.true_front_names = [names[i] for i in true_front]
+            outcome.coverage = float(pareto_coverage(true_front, flow_indices))
 
 
 # --------------------------------------------------------------------- #
@@ -434,19 +338,6 @@ def approxfpgas_stages(config) -> List[Stage]:
     if config.evaluate_coverage:
         stages.append(EvaluateCoverageStage())
     return stages
-
-
-def approxfpgas_run_token(library: CircuitLibrary, config) -> str:
-    """Digest of everything a checkpointed run depends on.
-
-    A changed library or configuration yields a different token, which
-    invalidates old checkpoints instead of resuming into a stale run.
-    """
-    return blake_token(
-        "approxfpgas",
-        [circuit.fingerprint() for circuit in library],
-        repr(config),
-    )
 
 
 def build_approxfpgas_result(state: ApproxFpgasState) -> ApproxFpgasResult:
@@ -482,27 +373,15 @@ def run_approxfpgas_pipeline(
     config=None,
     *,
     engine: BatchEvaluator,
-    store: Optional[object] = None,
-    run_id: Optional[str] = None,
     progress=None,
-    resume: bool = True,
 ) -> Tuple[ApproxFpgasResult, PipelineRun]:
-    """Run the staged ApproxFPGAs flow through ``engine``, optionally
-    checkpointing to ``store``.
+    """Run the staged ApproxFPGAs flow through ``engine``.
 
     :meth:`repro.api.ExplorationSession.run_approxfpgas` passes the
     session's engine for the library's golden reference.  Returns the
     result together with the :class:`~repro.api.pipeline.PipelineRun`
-    carrying per-stage timings and which stages were restored from
-    checkpoints.
+    carrying per-stage timings.
     """
     state = ApproxFpgasState.create(library, config, engine=engine)
-    pipeline = Pipeline(
-        approxfpgas_stages(state.config),
-        store=store,
-        run_id=run_id or f"approxfpgas-{library.name}",
-        token=approxfpgas_run_token(library, state.config),
-        progress=progress,
-    )
-    run = pipeline.run(state, resume=resume)
+    run = Pipeline(approxfpgas_stages(state.config), progress=progress).run(state)
     return build_approxfpgas_result(state), run

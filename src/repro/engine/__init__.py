@@ -13,11 +13,9 @@ from .cache import CacheStats, EvalCache
 from .evaluator import (
     BatchEvaluator,
     asic_report_from_payload,
-    asic_report_to_payload,
     error_report_from_payload,
     error_report_to_payload,
     fpga_report_from_payload,
-    fpga_report_to_payload,
 )
 from .keys import (
     accelerator_context,
@@ -33,11 +31,9 @@ __all__ = [
     "EvalCache",
     "BatchEvaluator",
     "asic_report_from_payload",
-    "asic_report_to_payload",
     "error_report_from_payload",
     "error_report_to_payload",
     "fpga_report_from_payload",
-    "fpga_report_to_payload",
     "accelerator_context",
     "accelerator_token",
     "blake_token",

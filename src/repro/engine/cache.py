@@ -36,6 +36,10 @@ class CacheStats:
     """Corrupt on-disk entries encountered (counted as misses); non-zero
     only with a disk backend that tracks decode failures, e.g.
     :class:`repro.io.ShardedJsonStore`."""
+    unreadable: int = 0
+    """On-disk entries that exist but could not be read (an ``OSError``
+    other than a missing file; counted as misses), tracked like
+    :attr:`corrupt`."""
 
     @property
     def lookups(self) -> int:
@@ -57,6 +61,7 @@ class CacheStats:
             "capacity": self.capacity,
             "disk_hits": self.disk_hits,
             "corrupt": self.corrupt,
+            "unreadable": self.unreadable,
             "hit_rate": self.hit_rate,
         }
 
@@ -71,9 +76,10 @@ class CacheStats:
 
         Deltas are floored at zero: swapping or reopening the disk backend
         mid-session resets its counters (e.g. a fresh
-        :class:`repro.io.ShardedJsonStore` starts ``corrupt_count`` at 0),
-        which would otherwise report nonsensical negative traffic against a
-        snapshot taken before the swap.
+        :class:`repro.io.ShardedJsonStore` starts ``corrupt_count`` and
+        ``unreadable_count`` at 0), which would otherwise report
+        nonsensical negative traffic against a snapshot taken before the
+        swap.
         """
         return CacheStats(
             hits=max(self.hits - before.hits, 0),
@@ -83,6 +89,7 @@ class CacheStats:
             capacity=self.capacity,
             disk_hits=max(self.disk_hits - before.disk_hits, 0),
             corrupt=max(self.corrupt - before.corrupt, 0),
+            unreadable=max(self.unreadable - before.unreadable, 0),
         )
 
 
@@ -186,4 +193,5 @@ class EvalCache:
             capacity=self.capacity,
             disk_hits=self._disk_hits,
             corrupt=int(getattr(self.store, "corrupt_count", 0)),
+            unreadable=int(getattr(self.store, "unreadable_count", 0)),
         )

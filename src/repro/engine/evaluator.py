@@ -12,7 +12,9 @@ which the methodology scores its Table I models.  Every domain (``err``,
   under a key derived from the item (a circuit's structural fingerprint, a
   configuration's slot indices) and the full evaluation context, so repeated
   evaluations (flow stages, coverage passes, later sessions via the disk
-  backend) are served without recomputation.
+  backend) are served without recomputation.  This cache is the only
+  thing the flows persist: a rerun of an interrupted flow or service job
+  recomputes exactly the entries the interrupted run had not stored.
 * **Dedupe** -- items with the same key within one call are computed once
   and fanned back out to every requesting index.
 * **Batching** -- the misses of a call share one state: the
@@ -50,9 +52,7 @@ __all__ = [
     "BatchEvaluator",
     "error_report_to_payload",
     "error_report_from_payload",
-    "asic_report_to_payload",
     "asic_report_from_payload",
-    "fpga_report_to_payload",
     "fpga_report_from_payload",
 ]
 
@@ -63,11 +63,10 @@ PARALLEL_THRESHOLD = 32
 
 # --------------------------------------------------------------------- #
 # Report <-> JSON-able payload conversion.  The cache stores payloads so a
-# disk backend can serialise them; the stage pipelines (repro.api)
-# checkpoint their artifacts with the same encoding.  ASIC and FPGA
-# reports are frozen dataclasses of scalars, so their ``__dict__`` is their
-# field dict in field order: what ``dataclasses.asdict`` returns, without
-# its deep copy of every value.
+# disk backend can serialise them.  ASIC and FPGA reports are frozen
+# dataclasses of scalars, so their ``__dict__`` is their field dict in
+# field order: what ``dataclasses.asdict`` returns, without its deep copy
+# of every value (see ``_synthesis_payload``).
 # --------------------------------------------------------------------- #
 def error_report_to_payload(report: ErrorReport) -> dict:
     return {
@@ -87,18 +86,10 @@ def error_report_from_payload(payload: dict, circuit_name: str) -> ErrorReport:
     )
 
 
-def asic_report_to_payload(report: AsicReport) -> dict:
-    return dict(vars(report))
-
-
 def asic_report_from_payload(payload: dict, circuit_name: str) -> AsicReport:
     fields = dict(payload)
     fields["circuit_name"] = circuit_name
     return AsicReport(**fields)
-
-
-def fpga_report_to_payload(report: FpgaReport) -> dict:
-    return dict(vars(report))
 
 
 def fpga_report_from_payload(payload: dict, circuit_name: str) -> FpgaReport:
@@ -474,7 +465,7 @@ class BatchEvaluator:
         an exact evaluation: under ``fit`` keys whose context is
         :func:`~repro.engine.keys.model_token` and whose subject is a digest
         of ``X`` and ``y``.  A repeated fit -- a later scenario of the same
-        study, a warm study, another tenant or a resumed service job --
+        study, a warm study, another tenant or a rerun service job --
         restores the fitted state instead of growing it again.  ``model``
         itself stays unfitted, and the returned model is always the one
         restored from the payload (:meth:`repro.ml.Regressor.to_payload`),

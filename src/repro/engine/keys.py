@@ -87,9 +87,9 @@ def accelerator_token(accelerator) -> str:
     """Digest of an accelerator's component sets and workload identity.
 
     Duck-typed over anything exposing ``multipliers``/``adders`` sequences of
-    components with a ``netlist.fingerprint()``; shared by
-    :mod:`repro.autoax.search` and the engine's batched configuration
-    evaluation so their ``axq`` cache keys can never drift apart.
+    components with a ``netlist.fingerprint()``; the engine's batched
+    configuration evaluation keys its ``axq`` entries by it (through
+    :func:`accelerator_context`).
 
     The components' FPGA reports (``component.fpga``, less the circuit
     name) are mixed in: an ``axq`` result holds the configuration's

@@ -30,9 +30,9 @@ class ShardedJsonStore:
     """A concurrency-safe directory of JSON files acting as a key -> value map.
 
     This is the shared on-disk backend of the whole system: the
-    :class:`repro.engine.EvalCache` disk layer, pipeline checkpoints,
-    search checkpoints (:func:`repro.search.run_nsga2`) and the
-    :mod:`repro.service` job artifacts all ride on it.  Each entry is one
+    :class:`repro.engine.EvalCache` disk layer of workspaces and of the
+    :mod:`repro.service` root rides on it, and it is the only thing an
+    interrupted flow or job reads back when it runs again.  Each entry is one
     small JSON file named after a hash of its key, so arbitrary keys (cache
     keys embed colons and hex fingerprints) map to safe file names.  The
     original key is stored inside the file and checked on load, which turns
@@ -56,10 +56,14 @@ class ShardedJsonStore:
     marker is written on first use and a later open with a different count
     raises instead of silently missing every existing entry.
 
-    Corrupt entries (truncated or mangled JSON, or bytes that are not
-    UTF-8, e.g. after a power loss) count as misses; they are additionally
-    tallied in :attr:`corrupt_count` (surfaced as ``CacheStats.corrupt``
-    when the store backs an :class:`~repro.engine.EvalCache`) and logged
+    A missing entry is a plain miss.  Corrupt entries (truncated or mangled
+    JSON, or bytes that are not UTF-8, e.g. after a power loss) and
+    unreadable ones (any other :class:`OSError`: a directory or a broken
+    mount at the entry's path, a permission error) count as misses too;
+    they are additionally tallied in :attr:`corrupt_count` and
+    :attr:`unreadable_count` (surfaced as ``CacheStats.corrupt`` and
+    ``CacheStats.unreadable`` when the store backs an
+    :class:`~repro.engine.EvalCache`), and the first of each kind is logged
     once per store instance.
     """
 
@@ -72,7 +76,8 @@ class ShardedJsonStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.shards = int(shards)
         self.corrupt_count = 0
-        self._corrupt_logged = False
+        self.unreadable_count = 0
+        self._logged: set = set()
         self._check_layout()
 
     # ------------------------------------------------------------------ #
@@ -118,15 +123,33 @@ class ShardedJsonStore:
             yield from self.directory.glob("[0-9a-f]*/*.json")
 
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> Optional[object]:
-        path = self._path(key)
+    def _read(self, path: Path) -> Optional[object]:
+        """The decoded JSON at ``path``; ``None`` when missing, corrupt or
+        unreadable (the last two counted and logged)."""
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except OSError:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
             return None
+        except OSError as error:
+            self.unreadable_count += 1
+            self._log_once("unreadable", "unreadable entry at %s (%s)", path, error)
         except (json.JSONDecodeError, UnicodeDecodeError):
-            self._record_corrupt(path)
-            return None
+            self.corrupt_count += 1
+            self._log_once("corrupt", "corrupt JSON entry at %s", path)
+        return None
+
+    def _log_once(self, fault: str, message: str, *args) -> None:
+        if fault not in self._logged:
+            self._logged.add(fault)
+            logger.warning(
+                message + " treated as a cache miss (further %s entries are "
+                "counted, not logged)",
+                *args,
+                fault,
+            )
+
+    def get(self, key: str) -> Optional[object]:
+        entry = self._read(self._path(key))
         if not isinstance(entry, dict) or entry.get("key") != key:
             return None
         return entry.get("value")
@@ -140,16 +163,6 @@ class ShardedJsonStore:
         # the atomic rename.
         self._atomic_write(path, json.dumps({"key": key, "value": value}))
 
-    def _record_corrupt(self, path: Path) -> None:
-        self.corrupt_count += 1
-        if not self._corrupt_logged:
-            self._corrupt_logged = True
-            logger.warning(
-                "corrupt JSON entry at %s treated as a cache miss "
-                "(further corrupt entries are counted, not logged)",
-                path,
-            )
-
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
@@ -158,13 +171,7 @@ class ShardedJsonStore:
 
     def keys(self) -> Iterator[str]:
         for path in self._entry_files():
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except OSError:
-                continue
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self._record_corrupt(path)
-                continue
+            entry = self._read(path)
             if isinstance(entry, dict) and "key" in entry:
                 yield entry["key"]
 

@@ -3,14 +3,14 @@
 The package holds the problem-agnostic half of the repo's searches:
 
 * :class:`ParetoArchive` -- the shared incremental non-dominated archive
-  (crowding distance, 2-D hypervolume, JSON payloads) used by every
-  strategy in :data:`repro.autoax.SEARCH_STRATEGIES` and by the
-  methodology's front bookkeeping (:mod:`repro.core.stages`);
-* :func:`run_nsga2` -- a generic, resumable NSGA-II loop over tuple genomes
-  with generation-batched evaluation;
+  (crowding distance, 2-D hypervolume) used by every strategy in
+  :data:`repro.autoax.SEARCH_STRATEGIES` and by the methodology's front
+  bookkeeping (:mod:`repro.core.stages`);
+* :func:`run_nsga2` -- a generic NSGA-II loop over tuple genomes with
+  generation-batched evaluation;
 * :mod:`repro.search.multifidelity` -- the exact two-objective
-  expected-hypervolume-improvement acquisition and a resumable
-  successive-halving runner over explicit fidelity ladders.
+  expected-hypervolume-improvement acquisition and a successive-halving
+  runner over explicit fidelity ladders.
 
 The AutoAx configuration-space strategies themselves (including the
 ``"nsga2"`` and ``"sh_ehvi"`` adapters) live in :mod:`repro.autoax.search`,

@@ -13,11 +13,7 @@ bound its size, and report quality indicators of the surviving front.
   vectors are all kept, so batch-filtering and incremental insertion agree
   exactly);
 * **crowding distance** and the **2-D hypervolume indicator** for
-  diversity-aware truncation and strategy comparison;
-* **JSON checkpointing** -- ``to_payload``/``from_payload`` round-trip the
-  archive through plain JSON; :func:`repro.search.run_nsga2` stores that
-  payload in its checkpoints, which is what makes the NSGA-II strategy
-  resumable.
+  diversity-aware truncation and strategy comparison.
 
 Entries iterate in insertion order (dominated entries drop out, survivors
 keep their relative order), which keeps seeded archive-driven searches
@@ -43,9 +39,9 @@ __all__ = ["ArchiveEntry", "ParetoArchive", "crowding_distances", "non_dominated
 class ArchiveEntry:
     """One archived candidate: an identity, its objectives and a payload.
 
-    ``objectives`` are minimised.  ``item`` is an arbitrary JSON-serialisable
-    payload travelling with the entry (a genome, a configuration encoding);
-    it takes no part in dominance or identity checks.
+    ``objectives`` are minimised.  ``item`` is an arbitrary payload
+    travelling with the entry (a genome, an evaluated configuration); it
+    takes no part in dominance or identity checks.
     """
 
     key: Optional[str]
@@ -217,40 +213,6 @@ class ParetoArchive:
         self._entries.sort(key=lambda entry: entry.objectives[0])
         indices = np.linspace(0, len(self._entries) - 1, limit).round().astype(int)
         self._entries = [self._entries[i] for i in dict.fromkeys(int(i) for i in indices)]
-
-    # ------------------------------------------------------------------ #
-    # JSON checkpointing
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> dict:
-        """JSON-serialisable snapshot of the archive."""
-        return {
-            "num_objectives": self.num_objectives,
-            "dedupe_keys": self.dedupe_keys,
-            "entries": [
-                {"key": entry.key, "objectives": list(entry.objectives), "item": entry.item}
-                for entry in self._entries
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ParetoArchive":
-        """Rebuild an archive from :meth:`to_payload` output, bit-identically."""
-        archive = cls(
-            num_objectives=payload.get("num_objectives"),
-            dedupe_keys=bool(payload.get("dedupe_keys", True)),
-        )
-        # Restored entries are re-validated but not re-filtered: a payload
-        # produced by to_payload() is already mutually non-dominated, and
-        # round-tripping must preserve entry order exactly.
-        for raw in payload["entries"]:
-            archive._entries.append(
-                ArchiveEntry(
-                    key=raw["key"],
-                    objectives=archive._check_objectives(raw["objectives"]),
-                    item=raw.get("item"),
-                )
-            )
-        return archive
 
 
 # --------------------------------------------------------------------- #

@@ -12,14 +12,14 @@ strategy in :mod:`repro.autoax.search`:
   staircase, each strip's expectation factorising over the two independent
   Gaussians) and rejects input with any other number of objectives.
 
-* **Resumable successive halving** -- :func:`run_successive_halving` runs a
+* **Successive halving** -- :func:`run_successive_halving` runs a
   candidate cohort up a fidelity ladder (cheap screens first, survivors
   promoted to higher fidelity), selecting survivors per rung with NSGA-II
-  environmental selection.  State is checkpointed through the same
-  ``store``/``run_id``/manifest-token plumbing :func:`repro.search.run_nsga2`
-  uses, so a service worker killed mid-rung is taken over and resumes to a
-  bit-identical result (the loop itself consumes no randomness; evaluation
-  must be a deterministic function of ``(candidate, fidelity)``).
+  environmental selection.  The loop consumes no randomness, so with
+  evaluation a deterministic function of ``(candidate, fidelity)`` a rerun
+  gives the same result; the ``"sh_ehvi"`` strategy evaluates through the
+  engine cache, so a rerun of an interrupted run recomputes only the
+  evaluations it had not finished.
 
 All objectives are minimised throughout, matching the rest of
 :mod:`repro.search`.
@@ -147,7 +147,7 @@ def expected_hypervolume_improvement(
 
 
 # --------------------------------------------------------------------- #
-# Fidelity ladders and resumable successive halving
+# Fidelity ladders and successive halving
 # --------------------------------------------------------------------- #
 def default_fidelity_ladder(
     full_patterns: int, factors: Sequence[int] = (16, 4), floor: int = 256
@@ -207,23 +207,13 @@ class SuccessiveHalvingConfig:
 
 @dataclass
 class SuccessiveHalvingResult:
-    """Outcome of one (possibly resumed) successive-halving run."""
+    """Outcome of one successive-halving run."""
 
     survivors: List[object]
-    """Candidate payloads of the final rung, in selection order."""
+    """Candidates of the final rung, in selection order."""
     evaluations: List[object]
-    """Final-rung evaluation payloads, aligned with :attr:`survivors`."""
+    """Final-rung evaluations, aligned with :attr:`survivors`."""
     history: List[dict] = field(default_factory=list)
-    resumed_from: Optional[int] = None
-    """Rung index the run was restored at (``None`` for fresh runs)."""
-
-
-def _sh_checkpoint_key(run_id: str) -> str:
-    return f"sh:{run_id}:state"
-
-
-def _sh_manifest_key(run_id: str) -> str:
-    return f"sh:{run_id}:#manifest"
 
 
 def run_successive_halving(
@@ -232,56 +222,26 @@ def run_successive_halving(
     evaluate: Callable[[int, Optional[int], List[object]], Sequence[object]],
     objectives: Callable[[object], Sequence[float]],
     config: Optional[SuccessiveHalvingConfig] = None,
-    store=None,
-    run_id: str = "sh",
-    token: str = "",
     on_rung: Optional[Callable[[dict], None]] = None,
 ) -> SuccessiveHalvingResult:
-    """Run (or resume) successive halving over a fidelity ladder.
+    """Run successive halving over a fidelity ladder.
 
-    ``candidates`` are opaque JSON-serialisable payloads.  Per rung,
-    ``evaluate(rung_index, fidelity, cohort)`` returns one JSON-serialisable
-    evaluation payload per candidate (in order) and ``objectives(payload)``
-    extracts the minimised objective tuple used for survivor selection
-    (NSGA-II environmental selection: whole fronts in rank order, the
-    overflowing front truncated by crowding distance -- deterministic ties).
-
-    With a ``store`` (any ``get``/``put`` object), the surviving cohort is
-    checkpointed after every completed rung under ``run_id`` guarded by a
-    ``token`` manifest, exactly like :func:`repro.search.run_nsga2`: a rerun
-    with the same ``run_id``/``token`` skips completed rungs, a changed
-    token invalidates old state.  The loop consumes no randomness, so a run
-    killed *inside* a rung re-evaluates only that rung on resume (cheap when
-    evaluation is cached) and finishes identically to an uninterrupted run.
-    ``on_rung`` fires with each freshly computed rung's stats dict after its
-    checkpoint is persisted (service workers renew their job leases there).
+    ``candidates`` are opaque.  Per rung, ``evaluate(rung_index, fidelity,
+    cohort)`` returns one evaluation per candidate (in order) and
+    ``objectives(evaluation)`` extracts the minimised objective tuple used
+    for survivor selection (NSGA-II environmental selection: whole fronts
+    in rank order, the overflowing front truncated by crowding distance --
+    deterministic ties).  ``on_rung`` fires with each rung's stats dict
+    (service workers renew their job leases there).
     """
     config = config or SuccessiveHalvingConfig()
     cohort = list(candidates)
     if not cohort:
         raise ValueError("successive halving needs at least one candidate")
 
-    rung = 0
     history: List[dict] = []
     evaluations: List[object] = []
-    resumed_from: Optional[int] = None
-
-    expected_manifest = {"token": token, "config": repr(config)}
-    checkpoint = None
-    if store is not None:
-        if store.get(_sh_manifest_key(run_id)) == expected_manifest:
-            checkpoint = store.get(_sh_checkpoint_key(run_id))
-        store.put(_sh_manifest_key(run_id), expected_manifest)
-
-    if checkpoint is not None and int(checkpoint["rung"]) <= len(config.rungs):
-        rung = int(checkpoint["rung"])
-        resumed_from = rung
-        cohort = list(checkpoint["candidates"])
-        evaluations = list(checkpoint["evaluations"])
-        history = list(checkpoint["history"])
-
-    while rung < len(config.rungs):
-        fidelity = config.rungs[rung]
+    for rung, fidelity in enumerate(config.rungs):
         fidelity = None if fidelity is None else int(fidelity)
         evaluated = list(evaluate(rung, fidelity, list(cohort)))
         if len(evaluated) != len(cohort):
@@ -289,7 +249,7 @@ def run_successive_halving(
                 f"rung {rung} evaluation returned {len(evaluated)} results "
                 f"for {len(cohort)} candidates"
             )
-        points = np.asarray([objectives(payload) for payload in evaluated], dtype=np.float64)
+        points = np.asarray([objectives(entry) for entry in evaluated], dtype=np.float64)
         if rung == len(config.rungs) - 1:
             keep = list(range(len(cohort)))
         else:
@@ -298,32 +258,16 @@ def run_successive_halving(
             keep = sorted(select_next_population(points, target))
         cohort = [cohort[i] for i in keep]
         evaluations = [evaluated[i] for i in keep]
-        rung += 1
         history.append(
             {
-                "rung": rung - 1,
+                "rung": rung,
                 "fidelity": fidelity,
                 "evaluated": len(evaluated),
                 "survivors": len(cohort),
                 "objective_minima": [float(v) for v in points.min(axis=0)],
             }
         )
-        if store is not None:
-            store.put(
-                _sh_checkpoint_key(run_id),
-                {
-                    "rung": rung,
-                    "candidates": list(cohort),
-                    "evaluations": list(evaluations),
-                    "history": list(history),
-                },
-            )
         if on_rung is not None:
             on_rung(history[-1])
 
-    return SuccessiveHalvingResult(
-        survivors=list(cohort),
-        evaluations=list(evaluations),
-        history=history,
-        resumed_from=resumed_from,
-    )
+    return SuccessiveHalvingResult(survivors=cohort, evaluations=evaluations, history=history)

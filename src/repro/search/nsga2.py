@@ -1,7 +1,7 @@
-"""Generic population-based NSGA-II search with checkpoint/resume.
+"""Generic population-based NSGA-II search.
 
-The engine is deliberately problem-agnostic: a *genome* is a JSON-roundtrip
-tuple (ints/floats), and the problem plugs in through four callables --
+The engine is deliberately problem-agnostic: a *genome* is a tuple of
+ints/floats, and the problem plugs in through four callables --
 ``random_genome``, ``mutate``, ``crossover`` and a **batched** ``evaluate``
 that maps a whole population to objective vectors in one call.  Batching is
 the point: surrogate models predict a generation as one matrix and exact
@@ -11,10 +11,8 @@ what lets the population strategies beat the sequential hill climber at
 equal evaluation budget (see ``benchmarks/test_search_throughput.py``).
 
 Determinism: one seeded generator drives initialisation, selection and
-variation; evaluation must be a deterministic function of the genome.  The
-per-generation checkpoint stores the population, the archive and the raw
-bit-generator state, so a resumed run replays the exact RNG stream and the
-final archive is bit-identical to an uninterrupted run (pinned by
+variation; evaluation must be a deterministic function of the genome, so a
+rerun with the same configuration returns the same archive (pinned by
 ``tests/test_search_nsga2.py``).
 
 The AutoAx configuration-space adapter is registered as the ``"nsga2"``
@@ -24,7 +22,7 @@ entry of :data:`repro.autoax.SEARCH_STRATEGIES`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +36,7 @@ Objectives = Tuple[float, ...]
 
 
 def genome_token(genome: Genome) -> str:
-    """Canonical archive/checkpoint key of one genome."""
+    """Canonical archive key of one genome."""
     return ",".join(repr(value) for value in genome)
 
 
@@ -71,7 +69,7 @@ class Nsga2Config:
 
 @dataclass
 class Nsga2Result:
-    """Outcome of one (possibly resumed) NSGA-II run."""
+    """Outcome of one NSGA-II run."""
 
     archive: ParetoArchive
     population: List[Genome]
@@ -79,8 +77,6 @@ class Nsga2Result:
     generations_run: int
     evaluations: int
     history: List[dict] = field(default_factory=list)
-    resumed_from: Optional[int] = None
-    """Generation index the run was restored at (``None`` for fresh runs)."""
 
 
 # --------------------------------------------------------------------- #
@@ -135,43 +131,6 @@ def _tournament(
 
 
 # --------------------------------------------------------------------- #
-# Checkpointing
-# --------------------------------------------------------------------- #
-def _checkpoint_key(run_id: str) -> str:
-    return f"nsga2:{run_id}:state"
-
-
-def _manifest_key(run_id: str) -> str:
-    return f"nsga2:{run_id}:#manifest"
-
-
-def _save_checkpoint(
-    store,
-    run_id: str,
-    *,
-    generation: int,
-    population: Sequence[Genome],
-    objectives: Sequence[Objectives],
-    archive: ParetoArchive,
-    rng: np.random.Generator,
-    evaluations: int,
-    history: List[dict],
-) -> None:
-    store.put(
-        _checkpoint_key(run_id),
-        {
-            "generation": generation,
-            "population": [list(genome) for genome in population],
-            "objectives": [list(values) for values in objectives],
-            "archive": archive.to_payload(),
-            "rng_state": rng.bit_generator.state,
-            "evaluations": evaluations,
-            "history": list(history),
-        },
-    )
-
-
-# --------------------------------------------------------------------- #
 # The run loop
 # --------------------------------------------------------------------- #
 def run_nsga2(
@@ -181,83 +140,34 @@ def run_nsga2(
     crossover: Callable[[Genome, Genome, np.random.Generator], Genome],
     evaluate: Callable[[List[Genome]], Sequence[Objectives]],
     config: Optional[Nsga2Config] = None,
-    store=None,
-    run_id: str = "nsga2",
-    token: str = "",
-    resume: bool = True,
     on_generation: Optional[Callable[[dict], None]] = None,
 ) -> Nsga2Result:
-    """Run (or resume) NSGA-II and return the final archive and population.
+    """Run NSGA-II and return the final archive and population.
 
     ``evaluate`` receives the whole generation at once and must return one
-    objective tuple (all minimised) per genome, in order.  With a ``store``
-    attached (any ``get``/``put`` object, e.g.
-    :class:`repro.io.JsonDirectoryStore` or its sharded variant), the full
-    search state -- including
-    the RNG stream -- is checkpointed after every generation; a rerun with
-    the same ``run_id``/``token`` resumes from the stored generation and
-    finishes bit-identically to an uninterrupted run.  A different ``token``
-    (changed problem or configuration) invalidates old checkpoints.
+    objective tuple (all minimised) per genome, in order.
 
     ``on_generation`` is called with the per-generation stats dict (see
-    ``Nsga2Result.history``) after every *freshly computed* generation, once
-    its checkpoint -- when a store is attached -- has been persisted.
-    Long-running callers use it for liveness signals (the
-    :mod:`repro.service` worker renews its job lease there), which is also
-    why it fires after the checkpoint write: a callback that aborts the run
-    never loses the generation it was told about.
+    ``Nsga2Result.history``) after every generation.  Long-running callers
+    use it for liveness signals (the :mod:`repro.service` worker renews its
+    job lease there).
     """
     config = config or Nsga2Config()
     rng = np.random.default_rng(config.seed)
     archive = ParetoArchive()
     history: List[dict] = []
-    evaluations = 0
-    generation = 0
-    resumed_from: Optional[int] = None
 
-    # The manifest pins everything the RNG stream depends on -- but not the
-    # horizon: extending `generations` must resume the shorter run's
-    # checkpoint (interrupt-after-generation-N semantics), not restart.
-    expected_manifest = {"token": token, "config": repr(replace(config, generations=0))}
-    checkpoint = None
-    if store is not None:
-        if resume and store.get(_manifest_key(run_id)) == expected_manifest:
-            checkpoint = store.get(_checkpoint_key(run_id))
-        store.put(_manifest_key(run_id), expected_manifest)
+    population = [random_genome(rng) for _ in range(config.population_size)]
+    objectives = [tuple(float(v) for v in o) for o in evaluate(population)]
+    evaluations = len(population)
+    for genome, values in zip(population, objectives):
+        archive.insert(genome_token(genome), values, item=list(genome))
+    archive.truncate_crowding(config.archive_limit)
+    history.append(_generation_stats(0, archive, evaluations))
+    if on_generation is not None:
+        on_generation(history[-1])
 
-    if checkpoint is not None and checkpoint["generation"] <= config.generations:
-        generation = int(checkpoint["generation"])
-        resumed_from = generation
-        population = [tuple(genome) for genome in checkpoint["population"]]
-        objectives = [tuple(float(v) for v in values) for values in checkpoint["objectives"]]
-        archive = ParetoArchive.from_payload(checkpoint["archive"])
-        rng.bit_generator.state = checkpoint["rng_state"]
-        evaluations = int(checkpoint["evaluations"])
-        history = list(checkpoint["history"])
-    else:
-        population = [random_genome(rng) for _ in range(config.population_size)]
-        objectives = [tuple(float(v) for v in o) for o in evaluate(population)]
-        evaluations += len(population)
-        for genome, values in zip(population, objectives):
-            archive.insert(genome_token(genome), values, item=list(genome))
-        archive.truncate_crowding(config.archive_limit)
-        history.append(_generation_stats(0, archive, evaluations))
-        if store is not None:
-            _save_checkpoint(
-                store,
-                run_id,
-                generation=0,
-                population=population,
-                objectives=objectives,
-                archive=archive,
-                rng=rng,
-                evaluations=evaluations,
-                history=history,
-            )
-        if on_generation is not None:
-            on_generation(history[-1])
-
-    while generation < config.generations:
+    for generation in range(1, config.generations + 1):
         points = np.array(objectives, dtype=np.float64)
         ranks = non_dominated_ranks(points).tolist()
         distances = crowding_distances(points).tolist()
@@ -288,20 +198,7 @@ def run_nsga2(
         population = [combined[i] for i in survivors]
         objectives = [combined_objectives[i] for i in survivors]
 
-        generation += 1
         history.append(_generation_stats(generation, archive, evaluations))
-        if store is not None:
-            _save_checkpoint(
-                store,
-                run_id,
-                generation=generation,
-                population=population,
-                objectives=objectives,
-                archive=archive,
-                rng=rng,
-                evaluations=evaluations,
-                history=history,
-            )
         if on_generation is not None:
             on_generation(history[-1])
 
@@ -309,10 +206,9 @@ def run_nsga2(
         archive=archive,
         population=list(population),
         objectives=list(objectives),
-        generations_run=generation,
+        generations_run=config.generations,
         evaluations=evaluations,
         history=history,
-        resumed_from=resumed_from,
     )
 
 

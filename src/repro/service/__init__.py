@@ -12,15 +12,16 @@ flow makes against repeated synthesis, lifted to service scale.
 The moving parts:
 
 * :class:`JobRegistry` -- the on-disk queue: job records, lease files with
-  heartbeats, results, and the shared sharded cache/artifact stores.
+  heartbeats, results, and the shared sharded cache.
 * :class:`JobClient` -- ``submit`` / ``status`` / ``result`` / ``cancel``
   (plus ``wait`` for scripts) against one service root.
 * :class:`Worker` -- claims jobs, runs their registered flow through an
   :class:`~repro.api.ExplorationSession`, writes per-stage progress back to
   the record, and heartbeats its lease on every stage and every search
   generation.  When a worker dies, its lease expires and the next worker
-  reclaims the job, resuming from the last pipeline/NSGA-II checkpoint --
-  bit-identical to an uninterrupted run.
+  reclaims the job and runs it again from the shared cache, recomputing
+  only what the dead worker had not stored -- bit-identical to an
+  uninterrupted run.
 * :data:`JOB_FLOWS` -- the registry of runnable flows (built-ins:
   ``"autoax"`` over any workload x search strategy, ``"approxfpgas"``);
   custom flows register a key.

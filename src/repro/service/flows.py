@@ -4,7 +4,7 @@ A *job flow* is a callable ``flow(session, params, *, run_id, progress,
 on_generation) -> payload`` that drives an
 :class:`~repro.api.ExplorationSession` and returns a **deterministic,
 JSON-serialisable** payload: given equal ``params``, two runs -- cold, warm,
-or killed-and-resumed -- must produce bit-identical payloads (and therefore
+or killed and rerun -- must produce bit-identical payloads (and therefore
 equal :func:`~repro.service.jobs.payload_digest` values).  Wall-clock
 timings and other telemetry belong on the :class:`JobRecord`, never in the
 payload.

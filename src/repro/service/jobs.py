@@ -27,17 +27,19 @@ root without a broker:
     one of several contending workers reclaims the job.
 ``results/<job_id>.json``
     The finished job's payload plus its content digest.
-``cache/`` and ``artifacts/``
-    Two :class:`~repro.io.ShardedJsonStore` directories shared by every
-    worker: the evaluation cache (content-addressed, so hit rates compound
-    across tenants) and the pipeline/NSGA-II checkpoint store (what makes a
-    reclaimed job resume instead of restart).
+``cache/``
+    The :class:`~repro.io.ShardedJsonStore` every worker shares: the
+    content-addressed evaluation cache, so hit rates compound across
+    tenants, and the one thing a reclaimed job reads back.  A root written
+    before the cache became the only store may also hold an ``artifacts/``
+    directory of old checkpoints; nothing reads it.
 
 Job lifecycle: ``queued -> running -> done | failed``, plus ``cancelled``
 for jobs withdrawn before a worker claimed them.  A job whose worker died
 stays ``running`` with an expiring lease; :meth:`JobRegistry.claim` hands it
-to the next worker, which re-runs it with ``resume=True`` -- bit-identical
-to an uninterrupted run by the pipeline/NSGA-II checkpoint guarantees.
+to the next worker, which runs the flow again: every evaluation and fit the
+dead worker stored is a cache hit, and flows are deterministic, so the
+payload is bit-identical to an uninterrupted run's.
 
 A claim takes, in order: the oldest indexed job it can lease; else a job
 whose lease expired; else, after one full scan of ``jobs/`` that re-creates
@@ -136,8 +138,6 @@ class JobRecord:
     worker: Optional[str] = None
     progress: Optional[dict] = None
     """Latest pipeline stage event (stage/index/total/status) the worker saw."""
-    resumed_stages: List[str] = field(default_factory=list)
-    """Stages restored from checkpoints during the (last) execution."""
     error: Optional[str] = None
     digest: Optional[str] = None
     """Content digest of the result payload (see :func:`payload_digest`)."""
@@ -157,7 +157,6 @@ class JobRecord:
             "attempts": self.attempts,
             "worker": self.worker,
             "progress": self.progress,
-            "resumed_stages": list(self.resumed_stages),
             "error": self.error,
             "digest": self.digest,
             "cache": self.cache,
@@ -176,7 +175,6 @@ class JobRecord:
             attempts=int(raw.get("attempts", 0)),
             worker=raw.get("worker"),
             progress=raw.get("progress"),
-            resumed_stages=list(raw.get("resumed_stages") or []),
             error=raw.get("error"),
             digest=raw.get("digest"),
             cache=raw.get("cache"),
@@ -191,13 +189,13 @@ class JobRegistry:
     ----------
     root:
         Service root directory; created on first use.  Everything --
-        records, leases, results, the shared caches -- lives under it.
+        records, leases, results, the shared cache -- lives under it.
     lease_ttl:
         Seconds without a heartbeat after which a running job's worker is
         presumed dead and the job becomes reclaimable.
     shards:
-        Shard count of the shared cache/artifact stores handed out by
-        :meth:`cache_store` / :meth:`artifact_store`.
+        Shard count of the shared cache store handed out by
+        :meth:`cache_store`.
     """
 
     def __init__(self, root: PathLike, *, lease_ttl: float = 60.0, shards: int = 16):
@@ -216,15 +214,11 @@ class JobRegistry:
         """``time.monotonic()`` of this object's last recovery scan."""
 
     # ------------------------------------------------------------------ #
-    # Shared stores
+    # Shared store
     # ------------------------------------------------------------------ #
     def cache_store(self) -> ShardedJsonStore:
         """The shared content-addressed evaluation-cache backend."""
         return ShardedJsonStore(self.root / "cache", shards=self.shards)
-
-    def artifact_store(self) -> ShardedJsonStore:
-        """The shared pipeline/NSGA-II checkpoint store."""
-        return ShardedJsonStore(self.root / "artifacts", shards=self.shards)
 
     # ------------------------------------------------------------------ #
     # Records
@@ -418,7 +412,7 @@ class JobRegistry:
         ``lease_ttl`` per registry object -- and claimed in turn.  The
         returned record is already marked ``running`` with this worker and
         a fresh heartbeat; ``attempts > 1`` tells the caller this is a
-        resumption.  A job that is not runnable once leased (cancelled,
+        rerun of a job whose worker died.  A job that is not runnable once leased (cancelled,
         finished, its record missing or unreadable) is released, its marker
         deleted, and skipped.
         """

@@ -1,14 +1,13 @@
-"""The job worker: claims, runs, heartbeats and resumes jobs.
+"""The job worker: claims, runs and heartbeats jobs.
 
 A worker owns one :class:`~repro.api.ExplorationSession` whose evaluation
-cache and artifact store are the registry's **shared sharded stores**, so
+cache is the registry's **shared sharded store**, so every evaluation, fit
+and model score any worker computes lands in one content-addressed cache:
 
-* every evaluation any worker performs lands in one content-addressed cache
-  -- a second tenant submitting the same work finds it warm;
-* every pipeline stage (and, for generation-aware strategies, every search
-  generation) is checkpointed under the job's id -- a job reclaimed from a
-  dead worker resumes from the last checkpoint and finishes bit-identically
-  to an uninterrupted run.
+* a second tenant submitting the same work finds it warm;
+* a job reclaimed from a dead worker runs its flow again, and everything the
+  dead worker stored is a cache hit -- the two workers' misses add up to an
+  uninterrupted run's, and the payload is bit-identical to it.
 
 Liveness is lease-based: the worker renews the job's lease on every stage
 event, every search generation and before it stores the result.  A worker
@@ -52,8 +51,8 @@ class Worker:
     session_kwargs:
         Extra keyword arguments for the worker's
         :class:`~repro.api.ExplorationSession` (e.g. ``engine_mode``,
-        ``max_workers``).  ``cache`` and ``store`` are always the
-        registry's shared sharded stores and cannot be overridden.
+        ``max_workers``).  ``cache`` is always the registry's shared
+        sharded store and cannot be overridden.
     """
 
     def __init__(
@@ -72,13 +71,10 @@ class Worker:
         self.worker_id = worker_id or (
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
-        for reserved in ("cache", "store"):
-            if reserved in session_kwargs:
-                raise ValueError(f"session {reserved!r} is owned by the registry")
+        if "cache" in session_kwargs:
+            raise ValueError("session 'cache' is owned by the registry")
         self.session = ExplorationSession(
-            cache=EvalCache(store=registry.cache_store()),
-            store=registry.artifact_store(),
-            **session_kwargs,
+            cache=EvalCache(store=registry.cache_store()), **session_kwargs
         )
 
     # ------------------------------------------------------------------ #
@@ -128,11 +124,8 @@ class Worker:
 
     def _execute(self, record: JobRecord) -> JobRecord:
         flow = JOB_FLOWS.get(record.spec.flow)
-        resumed: list = []
 
         def on_progress(event) -> None:
-            if event.status == "restored":
-                resumed.append(event.stage)
             record.progress = {
                 "stage": event.stage,
                 "index": event.index,
@@ -167,12 +160,11 @@ class Worker:
         except Exception as exc:  # noqa: BLE001 - deterministic flow failure
             # A raising flow would raise again on retry; fail the job.  A
             # *dying* worker never reaches this branch -- its lease simply
-            # expires and another worker resumes the still-``running`` job.
+            # expires and another worker reruns the still-``running`` job.
             record.state = "failed"
             record.error = f"{type(exc).__name__}: {exc}"
             record.finished_at = time.time()
             record.elapsed_s = time.perf_counter() - started
-            record.resumed_stages = resumed
             self.registry.update(record)
             self.registry.release(record.job_id)
             return record
@@ -188,7 +180,6 @@ class Worker:
         record.digest = digest
         record.finished_at = time.time()
         record.elapsed_s = time.perf_counter() - started
-        record.resumed_stages = resumed
         record.cache = self.session.stats().since(before).as_dict()
         self.registry.update(record)
         self.registry.release(record.job_id)

@@ -1,5 +1,5 @@
-"""Tests of the public API layer: registries, pipelines, sessions, resume,
-and the search-strategy calling convention."""
+"""Tests of the public API layer: registries, pipelines, sessions, reruns
+served from the engine cache, and the search-strategy calling convention."""
 
 from __future__ import annotations
 
@@ -16,15 +16,15 @@ from repro.api import (
     MODELS,
     SYNTHESIZERS,
     ExplorationSession,
-    FunctionStage,
     Pipeline,
     PipelineError,
     Registry,
     RegistryError,
+    Stage,
 )
 from repro.autoax import SEARCH_STRATEGIES
 from repro.core import ApproxFpgasConfig
-from repro.io import JsonDirectoryStore, ShardedJsonStore, result_to_dict
+from repro.io import ShardedJsonStore, result_to_dict
 from repro.ml import ModelZooError, Regressor, build_model
 
 # --------------------------------------------------------------------- #
@@ -120,8 +120,8 @@ class TestBuiltinRegistries:
 
     def test_search_strategy_receives_one_context(self, tmp_path):
         """Every strategy is called as ``strategy(ctx)`` by the flow: one
-        positional SearchContext carrying the session's engine, the study
-        inputs and the checkpoint plumbing -- and no keywords."""
+        positional SearchContext carrying the session's engine and the
+        study inputs -- and no keywords."""
         from repro.autoax import AutoAxConfig, SearchContext, hill_climb_pareto
         from repro.generators import build_adder_library, build_multiplier_library
         from repro.workloads import components_from_library, default_image_set
@@ -154,8 +154,6 @@ class TestBuiltinRegistries:
         assert ctx.engine is session.accelerator_engine()
         assert len(ctx.images) == len(images)
         assert all(used is given for used, given in zip(ctx.images, images))
-        assert ctx.store is session.store is not None
-        assert ctx.run_id == "autoax-gaussian-filter:scenario-area"
 
     def test_unknown_synthesizer_rejected_by_session(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -189,89 +187,69 @@ class TestBuiltinRegistries:
 # --------------------------------------------------------------------- #
 # Pipeline machinery on synthetic stages
 # --------------------------------------------------------------------- #
-def _counter_stage(name, calls):
+class _CounterStage(Stage):
     """A stage that appends to ``calls`` on compute and sums into the state."""
 
-    def compute(state):
-        calls.append(name)
-        return {"value": state["base"] + len(name)}
+    def __init__(self, name, calls):
+        self.name = name
+        self.calls = calls
 
-    def absorb(state, payload):
-        state[name] = payload["value"]
+    def compute(self, state):
+        self.calls.append(self.name)
+        state[self.name] = state["base"] + len(self.name)
 
-    return FunctionStage(name, compute, absorb)
 
 
 class TestPipeline:
     def test_duplicate_stage_names_rejected(self):
         calls = []
         with pytest.raises(PipelineError):
-            Pipeline([_counter_stage("a", calls), _counter_stage("a", calls)])
+            Pipeline([_CounterStage("a", calls), _CounterStage("a", calls)])
 
     def test_runs_stages_in_order_with_timings(self):
         calls = []
-        pipeline = Pipeline([_counter_stage("a", calls), _counter_stage("bb", calls)])
+        pipeline = Pipeline([_CounterStage("a", calls), _CounterStage("bb", calls)])
         run = pipeline.run({"base": 1})
         assert calls == ["a", "bb"]
         assert run.state["a"] == 2 and run.state["bb"] == 3
         assert set(run.timings()) == {"a", "bb"}
-        assert run.resumed_stages == []
 
     def test_progress_events(self):
         events = []
-        pipeline = Pipeline([_counter_stage("a", [])], progress=events.append)
+        pipeline = Pipeline([_CounterStage("a", [])], progress=events.append)
         pipeline.run({"base": 0})
         assert [(e.stage, e.status) for e in events] == [("a", "started"), ("a", "completed")]
 
-    def test_checkpoints_resume_from_store(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "artifacts")
-        calls_first: list = []
-        stages = [_counter_stage("a", calls_first), _counter_stage("bb", calls_first)]
-        Pipeline(stages, store=store, run_id="r", token="t").run({"base": 1})
-        assert calls_first == ["a", "bb"]
+    def test_empty_stage_name_rejected(self):
+        with pytest.raises(PipelineError):
+            Pipeline([_CounterStage("", [])])
 
-        calls_second: list = []
-        stages = [_counter_stage("a", calls_second), _counter_stage("bb", calls_second)]
-        run = Pipeline(stages, store=store, run_id="r", token="t").run({"base": 1})
-        assert calls_second == []  # everything restored
-        assert run.resumed_stages == ["a", "bb"]
-        assert run.state["a"] == 2 and run.state["bb"] == 3
+    def test_failing_stage_stops_the_run(self):
+        """A stage that raises ends the run: it reports no completion and
+        the stages after it never run."""
 
-    def test_changed_token_invalidates_checkpoints(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "artifacts")
-        calls: list = []
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t1").run({"base": 1})
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t2").run({"base": 1})
-        assert calls == ["a", "a"]  # second run did not resume
+        class Failing(_CounterStage):
+            def compute(self, state):
+                super().compute(state)
+                raise RuntimeError("stage failed")
 
-    def test_resume_false_recomputes(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "artifacts")
-        calls: list = []
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t").run({"base": 1})
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t").run(
-            {"base": 1}, resume=False
+        calls, events = [], []
+        pipeline = Pipeline(
+            [_CounterStage("a", calls), Failing("b", calls), _CounterStage("c", calls)],
+            progress=events.append,
         )
-        assert calls == ["a", "a"]
-
-    def test_resume_false_still_stamps_the_manifest(self, tmp_path):
-        """A fresh run under a new token must not leave a stale manifest that
-        would let a later run resume the old token's checkpoints."""
-        store = JsonDirectoryStore(tmp_path / "artifacts")
-        calls: list = []
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t1").run({"base": 1})
-        Pipeline([_counter_stage("a", calls)], store=store, run_id="r", token="t2").run(
-            {"base": 2}, resume=False
-        )
-        calls.clear()
-        run = Pipeline(
-            [_counter_stage("a", calls)], store=store, run_id="r", token="t1"
-        ).run({"base": 1})
-        assert calls == ["a"]  # manifest says t2, so the t1 run cannot resume
-        assert run.resumed_stages == []
+        with pytest.raises(RuntimeError, match="stage failed"):
+            pipeline.run({"base": 0})
+        assert calls == ["a", "b"]
+        assert [(e.stage, e.status) for e in events] == [
+            ("a", "started"),
+            ("a", "completed"),
+            ("b", "started"),
+        ]
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint/resume of the real ApproxFPGAs pipeline
+# Reruns of the real ApproxFPGAs pipeline, served from the engine cache
 # --------------------------------------------------------------------- #
 DETERMINISTIC_COST_FIELDS = (
     "num_circuits",
@@ -359,24 +337,27 @@ class TestApproxFpgasZooCache:
             small_multiplier_library, api_config
         )
         calls.update(fit=0, predict=0)
-        # resume=False: the engine answers, not the stage checkpoints.
         session = ExplorationSession(seed=11, workspace=workspace)
         assert isinstance(session.cache.store, ShardedJsonStore)
-        second = session.run_approxfpgas(small_multiplier_library, api_config, resume=False)
+        second = session.run_approxfpgas(small_multiplier_library, api_config)
         assert calls == {"fit": 0, "predict": 0}
         assert session.stats().misses == 0 and session.stats().disk_hits > 0
         assert _model_results(second) == _model_results(first)
+        assert canonical_result(second) == canonical_result(first)
 
 
 class TestApproxFpgasResume:
     def test_interrupted_run_resumes_identically(
         self, tmp_path, small_multiplier_library, api_config
     ):
-        reference = ExplorationSession(seed=11).run_approxfpgas(
-            small_multiplier_library, api_config
-        )
+        """A run killed after stage 3 of 6 and run again by a fresh session
+        on the same workspace returns the uninterrupted result, and the two
+        sessions together miss the cache exactly as often as one
+        uninterrupted run: nothing the interrupted run stored is computed
+        twice."""
+        uninterrupted = ExplorationSession(seed=11)
+        reference = uninterrupted.run_approxfpgas(small_multiplier_library, api_config)
 
-        # Kill the run right after stage 3 of 6 completes ...
         def interrupt(event):
             if event.status == "completed" and event.stage == "fit-and-select":
                 raise _InterruptAfter(event.stage)
@@ -388,59 +369,52 @@ class TestApproxFpgasResume:
                 small_multiplier_library, api_config, progress=interrupt
             )
 
-        # ... then resume with a brand-new session over the same workspace.
-        events = []
-        resumed_session = ExplorationSession(seed=11, workspace=workspace)
-        resumed = resumed_session.run_approxfpgas(
-            small_multiplier_library, api_config, progress=events.append
-        )
-        restored = [event.stage for event in events if event.status == "restored"]
-        assert restored == [
-            "evaluate-library",
-            "synthesize-training-subset",
-            "fit-and-select",
-        ]
-        assert canonical_result(resumed) == canonical_result(reference)
-
-    def test_completed_run_restores_every_stage(
-        self, tmp_path, small_multiplier_library, api_config
-    ):
-        workspace = tmp_path / "ws"
-        first = ExplorationSession(seed=11, workspace=workspace)
-        reference = first.run_approxfpgas(small_multiplier_library, api_config)
-
-        second = ExplorationSession(seed=11, workspace=workspace)
-        rerun = second.run_approxfpgas(small_multiplier_library, api_config)
-        run = second.runs[f"approxfpgas-{small_multiplier_library.name}"]
-        assert run.resumed_stages == [stage.name for stage in _approxfpgas_stage_list(api_config)]
+        rerun_session = ExplorationSession(seed=11, workspace=workspace)
+        rerun = rerun_session.run_approxfpgas(small_multiplier_library, api_config)
         assert canonical_result(rerun) == canonical_result(reference)
-
-    def test_changed_config_does_not_resume(
-        self, tmp_path, small_multiplier_library, api_config
-    ):
-        workspace = tmp_path / "ws"
-        ExplorationSession(seed=11, workspace=workspace).run_approxfpgas(
-            small_multiplier_library, api_config
+        assert rerun_session.stats().disk_hits > 0
+        assert (
+            interrupted.stats().misses + rerun_session.stats().misses
+            == uninterrupted.stats().misses
         )
-        other = ApproxFpgasConfig(
-            training_fraction=0.25,
-            min_training_circuits=12,
-            num_pseudo_fronts=2,
-            top_k_models=2,
-            model_ids=["ML2", "ML14", "ML18"],
-            seed=12,  # different seed => different token
-            evaluate_coverage=True,
+
+    def test_changed_fpga_device_on_the_same_workspace_is_not_served_stale(self, tmp_path):
+        """A second session on a workspace whose FPGA device differs gets
+        the reports and fronts a workspace-free session computes on that
+        device, not the first device's."""
+        from repro.fpga import FpgaSynthesizer, default_device
+        from repro.generators import build_multiplier_library
+
+        library = build_multiplier_library(4, size=24, seed=5)
+        config = ApproxFpgasConfig(
+            min_training_circuits=8, model_ids=["ML2", "ML4"], top_k_models=1, seed=42
         )
-        session = ExplorationSession(seed=12, workspace=workspace)
-        session.run_approxfpgas(small_multiplier_library, other)
-        run = session.runs[f"approxfpgas-{small_multiplier_library.name}"]
-        assert run.resumed_stages == []
+        slow = dataclasses.replace(default_device(), lut_delay_ns=0.372)
 
+        ExplorationSession(workspace=tmp_path).run_approxfpgas(library, config)
+        served = ExplorationSession(
+            workspace=tmp_path, fpga_synthesizer=FpgaSynthesizer(device=slow)
+        ).run_approxfpgas(library, config)
+        fresh = ExplorationSession(
+            fpga_synthesizer=FpgaSynthesizer(device=slow)
+        ).run_approxfpgas(library, config)
 
-def _approxfpgas_stage_list(config):
-    from repro.core import approxfpgas_stages
+        def reports(result):
+            return {
+                name: dataclasses.asdict(record.fpga)
+                for name, record in result.records.items()
+                if record.fpga is not None
+            }
 
-    return approxfpgas_stages(config)
+        def fronts(result):
+            return {
+                parameter: (outcome.final_front_names, outcome.true_front_names)
+                for parameter, outcome in result.parameter_outcomes.items()
+            }
+
+        assert reports(served) == reports(fresh)
+        assert fronts(served) == fronts(fresh)
+        assert canonical_result(served) == canonical_result(fresh)
 
 
 # --------------------------------------------------------------------- #
@@ -464,6 +438,15 @@ class TestExplorationSession:
         session = ExplorationSession(fpga_synthesizer=synthesizer)
         assert session.fpga_synthesizer is synthesizer
         assert "fpga" in SYNTHESIZERS and "asic" in SYNTHESIZERS
+
+    def test_workspace_holds_only_the_cache(self, tmp_path, small_multiplier_library, api_config):
+        """The engine cache is all a session persists: a finished run leaves
+        nothing else under its workspace."""
+        workspace = tmp_path / "ws"
+        ExplorationSession(seed=11, workspace=workspace).run_approxfpgas(
+            small_multiplier_library, api_config
+        )
+        assert sorted(path.name for path in workspace.iterdir()) == ["cache"]
 
     def test_cache_shared_across_flows(self, tmp_path, small_multiplier_library, api_config):
         session = ExplorationSession(seed=11)

@@ -15,10 +15,10 @@ that ride along:
   an exact request (in either direction; for error reports, a sampled
   screen against exhaustive evaluation, including through the service's
   shared cross-tenant store);
-* **resumable successive halving** -- config validation, determinism,
-  checkpoint/resume through the same store/run_id plumbing NSGA-II uses,
-  and the registered ``"sh_ehvi"`` strategy end to end, including a
-  service job killed mid-rung that resumes to a bit-identical payload.
+* **successive halving** -- config validation, determinism, and the
+  registered ``"sh_ehvi"`` strategy end to end, including a run killed
+  after a rung and a service job killed mid-search, both of which rerun
+  from the engine cache to the uninterrupted result.
 
 Run alone with ``pytest -m multifidelity``.
 """
@@ -35,7 +35,7 @@ from repro.core.pareto import hypervolume_2d
 from repro.engine import BatchEvaluator, EvalCache, accelerator_context
 from repro.error import ErrorEvaluator
 from repro.generators import build_multiplier_library
-from repro.io import JsonDirectoryStore, ShardedJsonStore
+from repro.io import ShardedJsonStore
 from repro.ml import (
     GaussianProcessRegressor,
     LinearRegression,
@@ -605,7 +605,6 @@ class TestRunSuccessiveHalving:
         assert [h["evaluated"] for h in result.history] == [12, 6, 3]
         assert [h["survivors"] for h in result.history] == [6, 3, 3]
         assert [h["fidelity"] for h in result.history] == [16, 64, None]
-        assert result.resumed_from is None
         assert len(result.survivors) == len(result.evaluations) == 3
         # Survivors carry final-rung (full fidelity) payloads.
         for candidate, payload in zip(result.survivors, result.evaluations):
@@ -638,6 +637,18 @@ class TestRunSuccessiveHalving:
                 objectives=_objectives,
             )
 
+    def test_on_rung_reports_every_rung(self):
+        fired = []
+        result = run_successive_halving(
+            candidates=self.CANDIDATES,
+            evaluate=_quadratic_evaluate,
+            objectives=_objectives,
+            config=self.CONFIG,
+            on_rung=fired.append,
+        )
+        assert fired == result.history
+        assert [stats["rung"] for stats in fired] == [0, 1, 2]
+
     def test_min_survivors_floor(self):
         config = SuccessiveHalvingConfig(rungs=(16, None), eta=100.0, min_survivors=5)
         result = run_successive_halving(
@@ -647,62 +658,6 @@ class TestRunSuccessiveHalving:
             config=config,
         )
         assert result.history[0]["survivors"] == 5
-
-    def test_kill_mid_run_then_resume_is_identical(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        kwargs = dict(
-            candidates=self.CANDIDATES,
-            evaluate=_quadratic_evaluate,
-            objectives=_objectives,
-            config=self.CONFIG,
-            run_id="sh-test",
-            token="tok-1",
-        )
-        uninterrupted = run_successive_halving(**kwargs)
-
-        rungs_seen = []
-
-        def killer(stats):
-            rungs_seen.append(stats["rung"])
-            if stats["rung"] == 0:
-                raise KeyboardInterrupt("simulated death after rung 0")
-
-        with pytest.raises(KeyboardInterrupt):
-            run_successive_halving(store=store, on_rung=killer, **kwargs)
-        assert rungs_seen == [0]  # checkpoint for rung 0 is already on disk
-
-        resumed = run_successive_halving(store=store, **kwargs)
-        assert resumed.resumed_from == 1
-        assert resumed.survivors == uninterrupted.survivors
-        assert resumed.evaluations == uninterrupted.evaluations
-        assert resumed.history == uninterrupted.history
-
-    def test_changed_token_invalidates_the_checkpoint(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        calls = []
-
-        def counting_evaluate(rung_index, fidelity, cohort):
-            calls.append(rung_index)
-            return _quadratic_evaluate(rung_index, fidelity, cohort)
-
-        kwargs = dict(
-            candidates=self.CANDIDATES,
-            evaluate=counting_evaluate,
-            objectives=_objectives,
-            config=self.CONFIG,
-            store=store,
-            run_id="sh-test",
-        )
-        run_successive_halving(token="tok-1", **kwargs)
-        assert calls == [0, 1, 2]
-        result = run_successive_halving(token="tok-2", **kwargs)  # different work
-        assert calls == [0, 1, 2, 0, 1, 2]  # fresh run, no rung skipped
-        assert result.resumed_from is None
-        # Same token again: everything restores, zero evaluations.
-        final = run_successive_halving(token="tok-2", **kwargs)
-        assert calls == [0, 1, 2, 0, 1, 2]
-        assert final.resumed_from == len(self.CONFIG.rungs)
-        assert final.survivors == result.survivors
 
 
 # --------------------------------------------------------------------- #
@@ -755,9 +710,12 @@ class TestShEhviStrategy:
             (e.quality, e.cost) for e in entries
         ]
 
-    def test_checkpoint_resume_matches_uninterrupted(self, autoax_searchables, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "sh")
-        uninterrupted = self._run(autoax_searchables)
+    def test_rerun_after_a_kill_matches_uninterrupted(self, autoax_searchables):
+        """Killed after its first rung and run again on the same engine, the
+        strategy returns the uninterrupted result; the rerun recomputes no
+        exact evaluation the killed run made."""
+        reference = BatchEvaluator(cache=EvalCache(), mode="serial")
+        uninterrupted = self._run(autoax_searchables, engine=reference)
 
         class Die(Exception):
             pass
@@ -766,13 +724,14 @@ class TestShEhviStrategy:
             if stats["rung"] == 0:
                 raise Die
 
+        engine = BatchEvaluator(cache=EvalCache(), mode="serial")
         with pytest.raises(Die):
-            self._run(autoax_searchables, store=store, on_generation=killer)
-        telemetry = {}
-        resumed = self._run(autoax_searchables, telemetry=telemetry, store=store)
-        assert telemetry["resumed_from"] == 1
+            self._run(autoax_searchables, engine=engine, on_generation=killer)
+        assert 0 < engine.stats().misses < reference.stats().misses
+        rerun = self._run(autoax_searchables, engine=engine)
         key = lambda entries: [(e.config, e.quality, e.cost) for e in entries]
-        assert key(resumed) == key(uninterrupted)
+        assert key(rerun) == key(uninterrupted)
+        assert engine.stats().misses == reference.stats().misses
 
 
 # --------------------------------------------------------------------- #
@@ -827,8 +786,9 @@ class TestShEhviService:
 
         service = JobRegistry(tmp_path / "service", lease_ttl=0.05)
         JobClient(service).submit("autoax", SH_EHVI_JOB, job_id="victim")
+        killer = KilledMidRung(service, engine_mode="serial")
         with pytest.raises(KeyboardInterrupt):
-            KilledMidRung(service, engine_mode="serial").run_once()
+            killer.run_once()
         assert KilledMidRung.beats == 1
         assert service.get("victim").state == "running"  # lease still held
         time.sleep(0.1)
@@ -837,3 +797,4 @@ class TestShEhviService:
         assert record.state == "done"
         assert record.attempts == 2
         assert record.digest == reference.digest
+        assert killer.session.stats().misses + record.cache["misses"] == reference.cache["misses"]

@@ -44,3 +44,21 @@ def test_every_traced_target_resolves():
     assert targets
     assert [target for target in targets if not _resolves(target)] == []
     assert [name for name in tracer.STAGE_MODULES if name not in sys.modules] == []
+
+
+def test_every_traced_stage_defines_compute_in_its_own_body():
+    """``Tracer.install`` wraps each ``Stage`` subclass's ``compute`` only
+    where the class body defines it and skips the class silently otherwise,
+    so a stage inheriting ``compute`` would drop out of the stage spans."""
+    from repro.api.pipeline import Stage
+
+    tracer = _load_tracer()
+    tracer.import_program()
+    stages = [
+        value
+        for name in tracer.STAGE_MODULES
+        for value in vars(sys.modules[name]).values()
+        if isinstance(value, type) and issubclass(value, Stage) and value is not Stage
+    ]
+    assert len(stages) >= 9  # six ApproxFPGAs stages, three AutoAx stage kinds
+    assert [stage.__name__ for stage in stages if "compute" not in vars(stage)] == []

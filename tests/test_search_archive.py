@@ -4,7 +4,8 @@ The archive is the foundation every strategy and the methodology's front
 bookkeeping now stand on, so its invariants are pinned with hypothesis
 sweeps rather than hand-picked cases: insertion-order invariance,
 no-dominated-survivor (equivalence with the batch filter), idempotent
-re-insertion, crowding-distance boundary behaviour and JSON round-trips.
+re-insertion, crowding-distance boundary behaviour and the hypervolume
+indicator.
 """
 
 from __future__ import annotations
@@ -236,30 +237,9 @@ class TestRanksAndSelection:
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint round-trips
+# Hypervolume indicator
 # --------------------------------------------------------------------- #
-class TestCheckpointing:
-    @given(points=point_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_payload_roundtrip_is_exact(self, points):
-        archive = filled_archive(points, keys=[f"p{i}" for i in range(len(points))])
-        restored = ParetoArchive.from_payload(archive.to_payload())
-        assert restored.entries() == archive.entries()
-        assert restored.num_objectives == archive.num_objectives
-        assert restored.dedupe_keys == archive.dedupe_keys
-
-    def test_payload_roundtrip_through_json_directory_store(self, tmp_path):
-        from repro.io.persistence import JsonDirectoryStore
-
-        store = JsonDirectoryStore(tmp_path / "archives")
-        archive = ParetoArchive()
-        archive.insert("a", (1.0, 2.0), item=[1, 2, 3])
-        archive.insert("b", (2.0, 1.0), item={"genome": [0, 1]})
-        store.put("search:test:archive", archive.to_payload())
-        restored = ParetoArchive.from_payload(store.get("search:test:archive"))
-        assert restored.entries() == archive.entries()
-        assert store.get("search:missing") is None  # nothing to restore from
-
+class TestHypervolume:
     def test_hypervolume_matches_core_helper(self):
         from repro.core.pareto import hypervolume_2d
 

@@ -9,8 +9,6 @@ strategy returned.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from repro.autoax import (
     SearchContext,
     random_search,
 )
-from repro.io import JsonDirectoryStore
 from repro.workloads import fidelity_inputs
 
 pytestmark = pytest.mark.search
@@ -73,37 +70,15 @@ class TestStrategyContract:
         with pytest.raises(TypeError):
             strategy(s.ctx(), 3)  # archive_limit is keyword-only
 
-    @pytest.mark.parametrize("key", ["nsga2", "sh_ehvi"])
-    def test_checkpoints_are_scoped_to_the_study(self, autoax_searchables, tmp_path, key):
-        """A finished checkpoint restores into its own study only."""
+    def test_sh_ehvi_reports_rungs_not_surrogate_generations(self, autoax_searchables):
+        """sh_ehvi's inner NSGA-II run reports no generations: the
+        strategy's callback belongs to its rungs."""
         s = autoax_searchables
-        strategy = SEARCH_STRATEGIES.get(key)
-        store = JsonDirectoryStore(tmp_path / key)
-
-        def run(study):
-            fired = []
-            ctx = s.ctx(iterations=40, store=store, run_id="r", _study=study)
-            entries = strategy(dataclasses.replace(ctx, on_generation=fired.append))
-            return _signature(entries), fired
-
-        first, fired_first = run("first")
-        other, fired_other = run("second")
-        again, fired_again = run("second")
-        assert fired_first and fired_other  # both studies searched from scratch
-        assert fired_again == [] and again == other  # the repeat restored its own run
-        assert first == run("first")[0]
-
-    def test_sh_ehvi_surrogate_search_owns_no_checkpoint(self, autoax_searchables):
-        """sh_ehvi's inner NSGA-II run neither checkpoints under the
-        strategy's run id nor reports generations: both belong to rungs."""
-        s = autoax_searchables
-        stored, fired, telemetry = {}, [], {}
-        store = type("Recorder", (), {"get": stored.get, "put": stored.__setitem__})()
-        ctx = s.ctx(iterations=40, store=store, run_id="sh", on_generation=fired.append)
+        fired, telemetry = [], {}
+        ctx = s.ctx(iterations=40, on_generation=fired.append)
         SEARCH_STRATEGIES.get("sh_ehvi")(ctx, telemetry=telemetry)
         assert [stats["rung"] for stats in fired] == list(range(len(telemetry["rungs"])))
         assert all("generation" not in stats for stats in fired)
-        assert stored and not any(key.startswith("nsga2:") for key in stored)
 
 
 # --------------------------------------------------------------------- #
@@ -137,18 +112,17 @@ class TestFlowExactPass:
             assert entry.cost == s.accelerator.hw_cost(entry.config)
 
     @pytest.mark.parametrize("key", STRATEGIES)
-    def test_resumed_study_restores_every_checkpointed_stage(
-        self, autoax_searchables, tmp_path, key
-    ):
+    def test_second_workspace_session_makes_no_miss(self, autoax_searchables, tmp_path, key):
+        """A second session on the workspace returns the first session's
+        candidates, fronts and baseline, served wholly from the disk cache."""
         s = autoax_searchables
         sessions = [
             ExplorationSession(workspace=tmp_path, engine_mode="serial") for _ in range(2)
         ]
         first, second = (_study(s, key, session) for session in sessions)
-        run = sessions[1].runs["autoax-gaussian-filter"]
-        assert run.resumed_stages == ["collect-samples", "scenario-area", "random-baseline"]
+        assert sessions[1].stats().misses == 0 and sessions[1].stats().disk_hits > 0
         for parameter, scenario in first.scenarios.items():
-            restored = second.scenarios[parameter]
-            assert _signature(restored.candidates) == _signature(scenario.candidates)
-            assert _signature(restored.front) == _signature(scenario.front)
+            again = second.scenarios[parameter]
+            assert _signature(again.candidates) == _signature(scenario.candidates)
+            assert _signature(again.front) == _signature(scenario.front)
         assert _signature(second.baseline) == _signature(first.baseline)

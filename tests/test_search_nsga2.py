@@ -1,11 +1,8 @@
-"""Determinism and checkpoint/resume-identity tests for the NSGA-II search.
+"""Determinism tests for the NSGA-II search.
 
 The generic engine (`repro.search.run_nsga2`) is exercised on a cheap toy
 problem; the AutoAx adapter (`SEARCH_STRATEGIES["nsga2"]`) on the shared
-``autoax_searchables`` fixture.  The resume contract is the strong one:
-interrupt after generation N, resume towards the full horizon, and the
-final archive/population must be **bit-identical** to an uninterrupted run
--- which requires the checkpoint to carry the exact RNG stream.
+``autoax_searchables`` fixture.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.io.persistence import JsonDirectoryStore
 from repro.search import Nsga2Config, genome_token, run_nsga2
 
 pytestmark = pytest.mark.search
@@ -49,7 +45,7 @@ def toy_evaluate(genomes):
     ]
 
 
-def toy_run(generations=6, seed=9, store=None, run_id="toy", resume=True, **overrides):
+def toy_run(generations=6, seed=9, **overrides):
     config = Nsga2Config(
         population_size=overrides.pop("population_size", 12),
         generations=generations,
@@ -62,10 +58,6 @@ def toy_run(generations=6, seed=9, store=None, run_id="toy", resume=True, **over
         crossover=toy_crossover,
         evaluate=toy_evaluate,
         config=config,
-        store=store,
-        run_id=run_id,
-        token="toy-problem-v1",
-        resume=resume,
     )
 
 
@@ -105,60 +97,27 @@ class TestGenericEngine:
             assert later[0] <= earlier[0] + 1e-12
             assert later[1] <= earlier[1] + 1e-12
 
-    def test_interrupt_resume_identity(self, tmp_path):
-        """Interrupt after generation N, resume: bit-identical final state."""
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        uninterrupted = toy_run(generations=7)
+    def test_shorter_horizon_is_a_prefix_of_a_longer_run(self):
+        """The RNG stream does not depend on the horizon: a run of N
+        generations reports exactly the first N + 1 generations of a longer
+        run with the same seed."""
+        short, long = toy_run(generations=3), toy_run(generations=7)
+        assert short.history == long.history[:4]
+        assert short.evaluations == long.history[3]["evaluations"]
 
-        partial = toy_run(generations=3, store=store)
-        assert partial.resumed_from is None
-        resumed = toy_run(generations=7, store=store)
-        assert resumed.resumed_from == 3
-
-        assert archive_signature(resumed) == archive_signature(uninterrupted)
-        assert resumed.population == uninterrupted.population
-        assert resumed.objectives == uninterrupted.objectives
-        assert resumed.evaluations == uninterrupted.evaluations
-        assert [s["archive_size"] for s in resumed.history] == [
-            s["archive_size"] for s in uninterrupted.history
-        ]
-
-    def test_resume_from_completed_run_is_a_noop(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        full = toy_run(generations=4, store=store)
-        again = toy_run(generations=4, store=store)
-        assert again.resumed_from == 4
-        assert again.evaluations == full.evaluations
-        assert archive_signature(again) == archive_signature(full)
-
-    def test_changed_token_invalidates_checkpoints(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        toy_run(generations=3, store=store)
-        config = Nsga2Config(population_size=12, generations=5, seed=9)
-        fresh = run_nsga2(
+    def test_on_generation_reports_every_generation(self):
+        fired = []
+        config = Nsga2Config(population_size=12, generations=4, seed=9)
+        result = run_nsga2(
             random_genome=toy_random_genome,
             mutate=toy_mutate,
             crossover=toy_crossover,
             evaluate=toy_evaluate,
             config=config,
-            store=store,
-            run_id="toy",
-            token="toy-problem-v2",  # changed problem: must not resume
+            on_generation=fired.append,
         )
-        assert fresh.resumed_from is None
-
-    def test_resume_false_restarts(self, tmp_path):
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        toy_run(generations=3, store=store)
-        fresh = toy_run(generations=3, store=store, resume=False)
-        assert fresh.resumed_from is None
-
-    def test_longer_generations_pick_up_shorter_checkpoint(self, tmp_path):
-        """A horizon change alone must not invalidate the checkpoint."""
-        store = JsonDirectoryStore(tmp_path / "ckpt")
-        toy_run(generations=2, store=store)
-        resumed = toy_run(generations=3, store=store)
-        assert resumed.resumed_from == 2
+        assert fired == result.history
+        assert [stats["generation"] for stats in fired] == [0, 1, 2, 3, 4]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -223,18 +182,6 @@ class TestNsga2Strategy:
         for entry in archive:
             assert 0.0 <= entry.quality <= 1.0
 
-    def test_interrupt_resume_identity(self, autoax_searchables, tmp_path):
-        """The strategy-level resume contract of the satellite task."""
-        from repro.autoax import nsga2_pareto
-
-        s = autoax_searchables
-        uninterrupted = nsga2_pareto(s.ctx(iterations=60, seed=5), population_size=10)
-
-        store = JsonDirectoryStore(tmp_path / "search-ckpt")
-        nsga2_pareto(s.ctx(iterations=30, seed=5, store=store), population_size=10)
-        resumed = nsga2_pareto(s.ctx(iterations=60, seed=5, store=store), population_size=10)
-        assert _signature(resumed) == _signature(uninterrupted)
-
     @staticmethod
     def _study(searchables, session, **knobs):
         from repro.autoax import AutoAxConfig
@@ -265,12 +212,12 @@ class TestNsga2Strategy:
             assert set(entry.cost) == {"area", "power", "latency"}
         assert session.accelerator_engine().stats().lookups > 0
 
-    def test_finished_checkpoint_is_not_served_to_another_study(
+    def test_second_study_on_a_workspace_searches_with_its_own_estimators(
         self, autoax_searchables, tmp_path
     ):
-        """Two studies that differ only in their training set share the
-        scenario's checkpoint run id; the second must search with its own
-        estimators instead of restoring the first's finished NSGA-II run."""
+        """Two studies on one workspace that differ only in their training
+        set: the second searches with its own estimators, so it returns
+        what a fresh workspace returns, not the first study's candidates."""
         from repro.api import ExplorationSession
 
         s = autoax_searchables

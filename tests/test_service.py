@@ -3,7 +3,8 @@
 Covers the three load-bearing guarantees of :mod:`repro.service`:
 
 * the sharded store is **concurrency-safe**: atomic publication, corrupt
-  entries degrade to misses (counted + logged once), and a multi-process
+  and unreadable entries degrade to misses (counted + logged once), and a
+  multi-process
   stress test sees zero corrupt reads, zero lost writes and a 100%
   warm-repeat hit rate;
 * the job registry's **lease protocol** hands each job to exactly one
@@ -12,12 +13,13 @@ Covers the three load-bearing guarantees of :mod:`repro.service`:
   long the history, and a state machine checks the indexed registry under
   crashes, cancels and lease expiry;
 * a **killed worker loses no work**: a job reclaimed after its worker died
-  mid-stage or mid-generation resumes from the last checkpoint and
+  after a stage or mid-generation runs again from the shared cache and
   finishes with a payload digest bit-identical to an uninterrupted run,
-  and a worker that stalled past its lease leaves the job to the worker
-  that took it over;
-  fitted estimators ride the shared store too, so the resumed job and a
-  second tenant's identical job restore them instead of fitting again.
+  the two workers' cache misses adding up to the uninterrupted run's; a
+  worker that stalled past its lease leaves the job to the worker that took
+  it over; fitted estimators ride the shared store too, so the rerun job
+  and a second tenant's identical job restore them instead of fitting
+  again.
 
 Run alone with ``pytest -m service``.
 """
@@ -137,6 +139,27 @@ class TestShardedJsonStore:
         store.put("first", 10)
         assert store.get("first") == 10
 
+    def test_unreadable_entry_is_a_counted_miss_logged_once(self, tmp_path, caplog):
+        """A directory at an entry's path raises ``IsADirectoryError``, an
+        ``OSError`` that is not a missing file: a miss counted apart from
+        missing and corrupt entries, logged once."""
+        store = ShardedJsonStore(tmp_path / "s", shards=2)
+        store.put("first", 1)
+        store.put("second", 2)
+        for key in ("first", "second"):
+            path = store._path(key)
+            path.unlink()
+            path.mkdir()
+        with caplog.at_level("WARNING", logger="repro.io"):
+            assert store.get("first") is None
+            assert store.get("second") is None
+            assert list(store.keys()) == []
+        assert store.get("missing") is None
+        assert store.unreadable_count == 4  # two from get, two from keys
+        assert store.corrupt_count == 0
+        warnings = [r for r in caplog.records if "unreadable" in r.getMessage().lower()]
+        assert len(warnings) == 1
+
     def test_non_utf8_entry_is_a_counted_miss(self, tmp_path):
         # A torn or mangled entry need not even be UTF-8; it must degrade
         # to a counted miss like corrupt JSON, not raise out of ``get``.
@@ -177,6 +200,22 @@ class TestCacheCorruptTelemetry:
         assert stats.as_dict()["corrupt"] == 1
         # The delta view propagates the counter too.
         assert cache.stats().since(stats).corrupt == 0
+
+    def test_eval_cache_surfaces_unreadable_counter(self, tmp_path):
+        store = ShardedJsonStore(tmp_path / "cache", shards=2)
+        cache = EvalCache(capacity=4, store=store)
+        cache.put("key", {"v": 1})
+        path = store._path("key")
+        path.unlink()
+        path.mkdir()
+        cache.clear()  # drop the memory layer, force the disk read
+        before = cache.stats()
+        assert cache.get("key") is None
+        stats = cache.stats()
+        assert stats.unreadable == 1 and stats.corrupt == 0
+        assert stats.misses == 1
+        assert stats.as_dict()["unreadable"] == 1
+        assert stats.since(before).unreadable == 1
 
 
 # --------------------------------------------------------------------- #
@@ -232,6 +271,17 @@ class TestJobRegistry:
         other = JobSpec(flow="autoax", params={"seed": 4}, tenant="alice")
         assert alice.token() == bob.token()
         assert alice.token() != other.token()
+
+    def test_record_with_restored_stage_list_still_loads(self, tmp_path):
+        """A record written when workers still listed the stages they
+        restored from checkpoints loads, and is rewritten without the list."""
+        registry = JobRegistry(tmp_path)
+        record = registry.submit(JobSpec(flow="autoax"), job_id="old")
+        raw = dict(record.as_dict(), state="done", resumed_stages=["collect-samples"])
+        registry._record_path("old").write_text(json.dumps(raw), encoding="utf-8")
+        loaded = registry.get("old")
+        assert loaded.state == "done" and loaded.spec == record.spec
+        assert "resumed_stages" not in loaded.as_dict()
 
     def test_claim_is_exclusive(self, tmp_path):
         registry = JobRegistry(tmp_path)
@@ -509,16 +559,19 @@ class TestClientAndWorker:
         assert "ValueError" in record.error and "'area'" in record.error
 
     def test_failed_flow_marks_job_failed_and_releases_lease(self, tmp_path):
-        if "always-fails" not in JOB_FLOWS:
-            @JOB_FLOWS.register("always-fails")
-            def _always_fails(session, params, *, run_id, progress=None, on_generation=None):
-                session.runs[run_id] = None  # a run that finished before the raise
-                raise RuntimeError("intentional test failure")
+        @JOB_FLOWS.register("always-fails")
+        def _always_fails(session, params, *, run_id, progress=None, on_generation=None):
+            session.runs[run_id] = None  # a run that finished before the raise
+            raise RuntimeError("intentional test failure")
 
-        client = JobClient(tmp_path)
-        job_id = client.submit("always-fails", {})
-        worker = Worker(tmp_path, engine_mode="serial")
-        record = worker.run_once()
+        try:
+            client = JobClient(tmp_path)
+            job_id = client.submit("always-fails", {})
+            worker = Worker(tmp_path, engine_mode="serial")
+            record = worker.run_once()
+        finally:
+            # The README's registry table lists the built-in flows only.
+            JOB_FLOWS.unregister("always-fails")
         assert record.state == "failed"
         assert "intentional test failure" in record.error
         assert client.registry.lease_info(job_id) is None  # released, not leaked
@@ -587,8 +640,8 @@ class KilledAfterStage(Worker):
 
 
 class KilledMidGeneration(Worker):
-    """Dies mid-search, after the NSGA-II generation-checkpoint heartbeat
-    has fired ``generations`` times inside the scenario stage."""
+    """Dies mid-search, after its heartbeat has fired ``generations`` times
+    inside the scenario stage."""
 
     def __init__(self, *args, generations: int, **kwargs):
         super().__init__(*args, **kwargs)
@@ -630,22 +683,28 @@ class StallsPastItsLease(Worker):
             self.armed = True
 
 
-def _run_reference(tmp_path, params) -> str:
-    """Digest of the same job run uninterrupted in a pristine root."""
+def _run_reference(tmp_path, params) -> JobRecord:
+    """The same job run uninterrupted in a pristine root."""
     registry = JobRegistry(tmp_path / "reference")
     JobClient(registry).submit("autoax", params, job_id="reference")
     record = Worker(registry, engine_mode="serial").run_once()
     assert record.state == "done"
-    return record.digest
+    return record
 
 
 class TestCrashResume:
-    def test_kill_after_stage_then_resume_is_bit_identical(self, tmp_path):
-        reference_digest = _run_reference(tmp_path, TINY_AUTOAX)
+    @pytest.mark.parametrize("kill_after", ["collect-samples", "scenario-area"])
+    @pytest.mark.parametrize("strategy", ["hill_climb", "random_archive", "nsga2", "sh_ehvi"])
+    def test_kill_after_stage_then_resume_is_bit_identical(self, tmp_path, strategy, kill_after):
+        """The reclaiming worker reproduces the uninterrupted digest and
+        computes nothing the dead worker stored: their cache misses add up
+        to the uninterrupted run's."""
+        params = dict(TINY_AUTOAX, search_strategy=strategy)
+        reference = _run_reference(tmp_path, params)
 
         registry = JobRegistry(tmp_path / "service", lease_ttl=0.05)
-        JobClient(registry).submit("autoax", TINY_AUTOAX, job_id="victim")
-        killer = KilledAfterStage(registry, engine_mode="serial", kill_after="collect-samples")
+        JobClient(registry).submit("autoax", params, job_id="victim")
+        killer = KilledAfterStage(registry, engine_mode="serial", kill_after=kill_after)
         with pytest.raises(KeyboardInterrupt):
             killer.run_once()
 
@@ -659,12 +718,13 @@ class TestCrashResume:
         assert record.job_id == "victim"
         assert record.state == "done"
         assert record.attempts == 2
-        assert "collect-samples" in record.resumed_stages
-        assert record.digest == reference_digest
+        assert record.digest == reference.digest
+        assert killer.session.stats().misses > 0 and record.cache["disk_hits"] > 0
+        assert killer.session.stats().misses + record.cache["misses"] == reference.cache["misses"]
 
     def test_kill_mid_generation_then_resume_is_bit_identical(self, tmp_path):
         params = dict(TINY_AUTOAX, search_strategy="nsga2")
-        reference_digest = _run_reference(tmp_path, params)
+        reference_digest = _run_reference(tmp_path, params).digest
 
         registry = JobRegistry(tmp_path / "service", lease_ttl=0.05)
         JobClient(registry).submit("autoax", params, job_id="victim")
@@ -678,10 +738,26 @@ class TestCrashResume:
         record = Worker(registry, engine_mode="serial").run_once()
         assert record.state == "done"
         assert record.attempts == 2
-        # Earlier stages restore from pipeline checkpoints; the interrupted
-        # search stage itself resumes from its NSGA-II generation checkpoints.
-        assert "collect-samples" in record.resumed_stages
         assert record.digest == reference_digest
+
+    def test_old_checkpoint_directory_is_ignored(self, tmp_path):
+        """A root that still holds checkpoints under ``artifacts/`` (stage
+        payloads keyed by the job id) runs the job from the shared cache
+        alone: the old entries are neither read nor rewritten."""
+        reference = _run_reference(tmp_path, TINY_AUTOAX)
+
+        registry = JobRegistry(tmp_path / "service")
+        JobClient(registry).submit("autoax", TINY_AUTOAX, job_id="victim")
+        artifacts = ShardedJsonStore(registry.root / "artifacts", shards=registry.shards)
+        for stage in ("collect-samples", "scenario-area", "random-baseline"):
+            artifacts.put(f"pipeline:victim:{stage}", {"stage": stage, "payload": []})
+        before = {path: path.read_bytes() for path in artifacts.directory.rglob("*.json")}
+
+        record = Worker(registry, engine_mode="serial").run_once()
+        assert record.state == "done" and record.digest == reference.digest
+        assert record.cache["misses"] == reference.cache["misses"]
+        after = {path: path.read_bytes() for path in artifacts.directory.rglob("*.json")}
+        assert after == before
 
     @pytest.mark.parametrize(
         "after_stage", [None, "random-baseline"], ids=["first_beat", "after_last_stage"]
@@ -689,7 +765,7 @@ class TestCrashResume:
     def test_worker_that_lost_its_lease_leaves_the_job_to_the_new_owner(
         self, tmp_path, after_stage
     ):
-        reference_digest = _run_reference(tmp_path, TINY_AUTOAX)
+        reference_digest = _run_reference(tmp_path, TINY_AUTOAX).digest
 
         registry = JobRegistry(tmp_path / "service")
         JobClient(registry).submit("autoax", TINY_AUTOAX, job_id="contested")
@@ -722,7 +798,7 @@ class TestCrashResume:
 
     def test_resumed_job_and_second_tenant_restore_the_fits(self, tmp_path, monkeypatch):
         params = dict(TINY_AUTOAX, parameters=["area", "latency"])
-        reference_digest = _run_reference(tmp_path, params)
+        reference_digest = _run_reference(tmp_path, params).digest
         fits = Counter()
         fit = Regressor.fit
 
@@ -743,9 +819,9 @@ class TestCrashResume:
         fits.clear()
         resumed = Worker(registry, engine_mode="serial").run_once()
         assert resumed.job_id == "victim" and resumed.state == "done"
-        assert resumed.resumed_stages == ["collect-samples", "scenario-area"]
-        # scenario-latency restores the forest scenario-area fitted and
-        # fits only its own cost model.
+        # scenario-area reruns on the fits the dead worker stored, and
+        # scenario-latency restores the forest and fits only its own cost
+        # model.
         assert fits["RandomForestRegressor"] == 0
         assert fits["ScaledRegressor"] == 1
         assert resumed.digest == reference_digest
