@@ -4,9 +4,8 @@ Covers the three load-bearing guarantees of :mod:`repro.service`:
 
 * the sharded store is **concurrency-safe**: atomic publication, corrupt
   and unreadable entries degrade to misses (counted + logged once), and a
-  multi-process
-  stress test sees zero corrupt reads, zero lost writes and a 100%
-  warm-repeat hit rate;
+  multi-process stress test sees zero corrupt reads, zero lost writes and
+  a 100% warm-repeat hit rate;
 * the job registry's **lease protocol** hands each job to exactly one
   worker, and expired leases (dead workers) are reclaimed by exactly one
   contender; claims walk the ``queue/`` index, parsing one record however
